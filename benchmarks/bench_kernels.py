@@ -3,8 +3,7 @@
 Run:  python benchmarks/bench_kernels.py
 
 Workloads mirror the hot paths: whole-library codec passes on a
-10,660-strand image, per-read channel corruption, and harmonic fill of a
-quarter-masked image.  Outputs are asserted equal between paths before
+10,660-strand image and harmonic fill of a quarter-masked image.  Outputs are asserted equal between paths before
 timing, so the numbers compare identical work.
 """
 
@@ -18,13 +17,12 @@ from pjdna.kernels import JIT_AVAILABLE, JIT_IMPL, NUMPY_IMPL
 CFG = jr.JrConfig()
 N_STRANDS = 10_660
 STREAM_NT = 100
-READ_NT = 141
 REPS = 5
 
 
-def timeit(fn, *args, reps=REPS):
+def timeit(fn, *args):
     best = float("inf")
-    for _ in range(reps):
+    for _ in range(REPS):
         t0 = time.perf_counter()
         fn(*args)
         best = min(best, time.perf_counter() - t0)
@@ -47,23 +45,6 @@ def bench_codec(rng):
     yield "decode_positions", (codes, rot, prev0)
 
 
-def bench_mutate(rng):
-    codes = rng.integers(0, 4, READ_NT).astype(np.uint8)
-    u = rng.random((3, READ_NT))
-    ins_base = rng.integers(0, 4, READ_NT).astype(np.uint8)
-    sub_shift = rng.integers(1, 4, READ_NT).astype(np.uint8)
-    args = (codes, u, ins_base, sub_shift, 0.01, 0.01, 0.02)
-    assert np.array_equal(NUMPY_IMPL["mutate_codes"](*args), JIT_IMPL["mutate_codes"](*args))
-
-    def many(impl):
-        def run(*_):
-            for _ in range(20_000):
-                impl(*args)
-        return run
-
-    yield "mutate_codes x20k", None, many
-
-
 def bench_fill(rng):
     img = rng.random((256, 256)) * 255
     mask = rng.random((256, 256)) < 0.25
@@ -79,16 +60,10 @@ def main():
         return
     rng = np.random.default_rng(0)
     rows = []
-    for gen in (bench_codec, bench_mutate, bench_fill):
-        for item in gen(rng):
-            if len(item) == 2:
-                name, args = item
-                t_np = timeit(NUMPY_IMPL[name.split()[0]], *args)
-                t_nb = timeit(JIT_IMPL[name.split()[0]], *args)
-            else:
-                name, _, wrap = item
-                t_np = timeit(wrap(NUMPY_IMPL[name.split()[0]]), reps=3)
-                t_nb = timeit(wrap(JIT_IMPL[name.split()[0]]), reps=3)
+    for gen in (bench_codec, bench_fill):
+        for name, args in gen(rng):
+            t_np = timeit(NUMPY_IMPL[name.split()[0]], *args)
+            t_nb = timeit(JIT_IMPL[name.split()[0]], *args)
             rows.append((name, t_np, t_nb))
     print(f"{'kernel':<24} {'numpy':>10} {'numba':>10} {'speedup':>9}")
     for name, t_np, t_nb in rows:

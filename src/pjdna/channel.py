@@ -1,9 +1,12 @@
 """Storage channel simulation: dropout, read errors, replication, consensus.
 
-Randomness is partitioned per strand and per replicate: every stream seeds
-``numpy.random.default_rng`` with a tuple derived from (seed, purpose,
-strand_id[, replicate_id]), so serial and parallel runs agree and a rerun
-with the same profile is byte-identical.
+Randomness is partitioned per strand: every stream seeds
+``numpy.random.default_rng`` with a tuple (seed, purpose, strand_id), and a
+strand's replicates are consecutive rows of its one stream.  A read
+therefore depends only on (seed, strand, replicate), not on coverage,
+batching or iteration order, so serial and parallel runs agree and a rerun
+with the same profile is byte-identical.  ``CHANNEL_STREAM`` versions this
+layout of the stream; ``simulate`` records it in its sidecar.
 
 Presets mirror stressors at defensible magnitudes.  The "aging95C" and
 "xray" rate pairs are stand-in estimates chosen for this toolkit, not
@@ -13,16 +16,18 @@ so downstream metadata can say so.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import jr, kernels
+from . import jr
 from .errors import ConfigError
 from .strand import DEFAULT_LAYOUT, ParseBatch, Strand, StrandLayout, parse_many
 
 __all__ = [
+    "CHANNEL_STREAM",
     "ChannelProfile",
     "ReadSet",
     "preset",
@@ -31,6 +36,14 @@ __all__ = [
     "corrupt_reads",
     "consensus",
 ]
+
+# Version of the read-corruption random stream.  1: one generator per
+# (strand, replicate); 2: one generator per strand, replicates as rows.
+CHANNEL_STREAM = 2
+
+# Reads mutated together in one numpy pass; bounds the pass's temporaries
+# to about 3 MiB at 141 nt.
+_CHUNK_READS = 256
 
 _PROFILE_KEYS = {
     "dropout_p",
@@ -58,6 +71,12 @@ class ChannelProfile:
     rate_provenance: str = "user"
 
     def __post_init__(self):
+        for field_name in ("dropout_p", "sub_p", "ins_p", "del_p", "coverage_mean"):
+            v = getattr(self, field_name)
+            if not isinstance(v, numbers.Real):
+                raise ConfigError(f"{field_name} must be a number, got {v!r}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         for field_name in ("dropout_p", "sub_p", "ins_p", "del_p"):
             v = getattr(self, field_name)
             if not 0.0 <= v <= 1.0:
@@ -154,38 +173,81 @@ def drop_strands(items: Sequence, p: float, seed) -> list:
 def corrupt_reads(strands: Sequence, profile: ChannelProfile) -> ReadSet:
     """Replicate and corrupt surviving strands into a read pool.
 
-    Per strand, coverage is drawn (fixed or Poisson), then each replicate
-    runs one left-to-right pass where every position is independently
-    deleted, else followed by a uniform random insertion, else substituted
-    uniformly over the three other nucleotides (priority in that order).
+    Per strand, coverage ``k`` is drawn (fixed or Poisson), then each
+    replicate runs one left-to-right pass where every position is
+    independently deleted, else followed by a uniform random insertion, else
+    substituted uniformly over the three other nucleotides (priority in that
+    order).  Strand ``sid`` draws ``random((k, 5, n))`` from
+    ``default_rng((seed, 2, sid))``: per replicate the delete, insert and
+    substitute uniforms, the substitution shift and the inserted base.
     """
     seed = profile.seed
     sequences: list[str] = []
     origins: list[int] = []
     fast = profile.noiseless
+    pending: list[tuple[str, np.ndarray]] = []  # (strand, draws) of this chunk
+    size = 0
     for sid, item in enumerate(strands):
         seq = _seq_of(item)
         if profile.coverage_model == "fixed":
             k = int(profile.coverage_mean)
         else:
             k = int(np.random.default_rng((seed, 1, sid)).poisson(profile.coverage_mean))
+        origins.extend([sid] * k)
         if fast:
             sequences.extend([seq] * k)
-            origins.extend([sid] * k)
             continue
-        codes = jr.codes_from_seq(seq)
-        n = codes.shape[0]
-        for rep in range(k):
-            rng = np.random.default_rng((seed, 2, sid, rep))
-            u = rng.random((3, n))
-            ins_base = rng.integers(0, 4, n, dtype=np.uint8)
-            sub_shift = rng.integers(1, 4, n, dtype=np.uint8)
-            out = kernels.mutate_codes(
-                codes, u, ins_base, sub_shift, profile.del_p, profile.ins_p, profile.sub_p
-            )
-            sequences.append(jr.seq_from_codes(out))
-            origins.append(sid)
+        rng = np.random.default_rng((seed, 2, sid))
+        while k:
+            # consecutive draws continue the stream, so a strand split
+            # between chunks gets the rows one random((k, 5, n)) would give
+            take = min(k, _CHUNK_READS - size)
+            pending.append((seq, rng.random((take, 5, len(seq)))))
+            k -= take
+            size += take
+            if size == _CHUNK_READS:
+                sequences.extend(_mutate_chunk(pending, profile))
+                pending, size = [], 0
+    if pending:
+        sequences.extend(_mutate_chunk(pending, profile))
     return ReadSet(sequences=sequences, origins=origins)
+
+
+def _mutate_chunk(pending: list[tuple[str, np.ndarray]], profile: ChannelProfile) -> list[str]:
+    """Mutate the replicates of a chunk in one pass; one read per draw row.
+
+    Strands are padded to the chunk's longest and the padding counts as
+    deleted.  Every read is written with a trailing newline into one ASCII
+    buffer, which one split turns back into strings.
+    """
+    lens = np.array([len(seq) for seq, _ in pending])
+    reps = [u.shape[0] for _, u in pending]
+    width = int(lens.max())
+    inside = np.arange(width) < lens[:, None]
+    strand_codes = np.zeros(inside.shape, np.uint8)
+    strand_codes[inside] = jr.codes_from_seq("".join(seq for seq, _ in pending))
+    codes = np.repeat(strand_codes, reps, axis=0)
+    u = np.empty((codes.shape[0], 5, width))
+    row = 0
+    for (_, draws), n in zip(pending, lens):
+        u[row : row + draws.shape[0], :, :n] = draws
+        row += draws.shape[0]
+
+    keep = np.repeat(inside, reps, axis=0) & (u[:, 0] >= profile.del_p)
+    ins = keep & (u[:, 1] < profile.ins_p)
+    sub = keep & ~ins & (u[:, 2] < profile.sub_p)
+    codes[sub] = (codes[sub] + 1 + (3 * u[:, 3][sub]).astype(np.uint8)) % 4
+
+    # output bytes per position (kept base, plus an inserted one), then "\n"
+    step = np.ones((codes.shape[0], width + 1), np.intp)
+    step[:, :width] = keep
+    step[:, :width] += ins
+    at = np.cumsum(step).reshape(step.shape) - step
+    out = np.empty(int(at[-1, -1]) + 1, np.uint8)
+    out[at[:, :width][keep]] = jr._CODE_ASCII[codes[keep]]
+    out[at[:, :width][ins] + 1] = jr._CODE_ASCII[(4 * u[:, 4][ins]).astype(np.uint8)]
+    out[at[:, width]] = ord("\n")
+    return out.tobytes().decode("ascii").split("\n")[:-1]
 
 
 def consensus(
@@ -209,20 +271,33 @@ def consensus(
     order = np.argsort(batch.indices, kind="stable")
     idx_sorted = batch.indices[order]
     blocks_sorted = batch.payload_blocks[order]
-    boundaries = np.nonzero(np.append(idx_sorted[1:] != idx_sorted[:-1], True))[0]
-    winners = np.empty((boundaries.size, blocks_sorted.shape[1]), np.int64)
-    start = 0
-    for g, end in enumerate(boundaries + 1):
-        grp = blocks_sorted[start:end]
-        if grp.shape[0] == 1 or (grp == grp[0]).all():
-            winners[g] = grp[0]
-        else:
-            for col in range(grp.shape[1]):
-                winners[g, col] = np.bincount(grp[:, col]).argmax()
-        start = end
+    starts = np.r_[True, idx_sorted[1:] != idx_sorted[:-1]]
+    heads = np.flatnonzero(starts)
+    group = np.cumsum(starts) - 1
+    winners = blocks_sorted[heads]
+    # only groups where some read differs from the group's first read vote
+    differs = (blocks_sorted != winners[group]).any(axis=1)
+    contested = np.unique(group[differs])
+    if contested.size:
+        winners[contested] = _column_modes(blocks_sorted, group, contested)
     packed = jr.pack_block_rows(winners, cfg.bits_per_block)
-    pairs = [
-        (int(idx_sorted[b]), packed[g].tobytes()) for g, b in enumerate(boundaries)
-    ]
+    pairs = [(int(idx_sorted[h]), packed[g].tobytes()) for g, h in enumerate(heads)]
     counts["indices_observed"] = len(pairs)
     return pairs, counts
+
+
+def _column_modes(blocks: np.ndarray, group: np.ndarray, voters: np.ndarray) -> np.ndarray:
+    """Per-column plurality of the rows of each group in ``voters`` (sorted),
+    ties to the smallest value: one row of modes per voting group."""
+    rows = np.isin(group, voters)
+    rank = np.searchsorted(voters, group[rows])
+    n_cols = blocks.shape[1]
+    vals = blocks[rows]
+    span = int(vals.max()) + 1
+    segment = rank[:, None] * n_cols + np.arange(n_cols)
+    keys, count = np.unique((segment * span + vals).ravel(), return_counts=True)
+    seg = keys // span
+    # by segment, then most votes, then smallest value
+    best = np.lexsort((keys, -count, seg))
+    first = np.r_[True, seg[best][1:] != seg[best][:-1]]
+    return (keys[best][first] % span).reshape(voters.size, n_cols)

@@ -21,7 +21,15 @@ import os
 import sys
 
 from . import __version__, jr
-from .channel import ChannelProfile, PRESET_NAMES, consensus, corrupt_reads, drop_strands, preset
+from .channel import (
+    CHANNEL_STREAM,
+    ChannelProfile,
+    PRESET_NAMES,
+    consensus,
+    corrupt_reads,
+    drop_strands,
+    preset,
+)
 from .errors import (
     CapacityError,
     ConfigError,
@@ -156,7 +164,7 @@ def _resolve_profile(args) -> ChannelProfile:
         with open(args.profile, "r", encoding="ascii") as fh:
             try:
                 d = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise FormatError(f"{args.profile}: invalid JSON ({exc})") from exc
         prof = ChannelProfile.from_dict(d)
     seed = args.seed if args.seed is not None else (
@@ -183,7 +191,7 @@ def cmd_simulate(args) -> int:
     _write_metadata(
         args.out,
         "simulate",
-        {"profile": prof.to_dict()},
+        {"profile": prof.to_dict(), "channel_stream": CHANNEL_STREAM},
         [args.lib],
         [args.out],
         counters,

@@ -1,9 +1,9 @@
 """Hot array kernels with a numba path and a pure-numpy twin.
 
 Every kernel exists twice: a loop form compiled with ``numba.njit`` and a
-vectorized numpy form.  Both consume the same inputs (randomness is always
-drawn by the caller) and produce bit-identical outputs, so the selected path
-never changes results, only speed.
+vectorized numpy form.  Both consume the same inputs and produce
+bit-identical outputs, so the selected path never changes results, only
+speed.
 
 Selection: the numba path is used when numba imports cleanly and the
 environment variable ``PJDNA_JIT`` is not set to ``0``/``false``/``off``/``no``.
@@ -21,7 +21,6 @@ __all__ = [
     "JIT_AVAILABLE",
     "encode_positions",
     "decode_positions",
-    "mutate_codes",
     "harmonic_fill",
     "NUMPY_IMPL",
     "JIT_IMPL",
@@ -68,26 +67,6 @@ def _decode_positions_loop(codes, rot, prev0):
                 digits[i, j] = c
             prev = c
     return digits, viol
-
-
-def _mutate_codes_loop(codes, u, ins_base, sub_shift, del_p, ins_p, sub_p):
-    n = codes.shape[0]
-    out = np.empty(2 * n, np.uint8)
-    k = 0
-    for i in range(n):
-        if u[0, i] < del_p:
-            continue
-        if u[1, i] < ins_p:
-            out[k] = codes[i]
-            out[k + 1] = ins_base[i]
-            k += 2
-        elif u[2, i] < sub_p:
-            out[k] = (codes[i] + sub_shift[i]) % 4
-            k += 1
-        else:
-            out[k] = codes[i]
-            k += 1
-    return out[:k].copy()
 
 
 def _harmonic_fill_loop(pixels, mask, tol, max_iter):
@@ -164,19 +143,6 @@ def _decode_positions_np(codes, rot, prev0):
     return digits, viol
 
 
-def _mutate_codes_np(codes, u, ins_base, sub_shift, del_p, ins_p, sub_p):
-    keep = u[0] >= del_p
-    ins = keep & (u[1] < ins_p)
-    sub = keep & ~ins & (u[2] < sub_p)
-    base = np.where(sub, (codes + sub_shift) % 4, codes).astype(np.uint8)
-    reps = keep.astype(np.intp) + ins.astype(np.intp)
-    starts = np.cumsum(reps) - reps
-    out = np.empty(int(reps.sum()), np.uint8)
-    out[starts[keep]] = base[keep]
-    out[starts[ins] + 1] = ins_base[ins]
-    return out
-
-
 def _harmonic_fill_np(pixels, mask, tol, max_iter):
     h, w = pixels.shape
     cur = np.where(mask, 0.0, pixels.astype(np.float64))
@@ -202,7 +168,6 @@ def _harmonic_fill_np(pixels, mask, tol, max_iter):
 NUMPY_IMPL = {
     "encode_positions": _encode_positions_np,
     "decode_positions": _decode_positions_np,
-    "mutate_codes": _mutate_codes_np,
     "harmonic_fill": _harmonic_fill_np,
 }
 
@@ -213,7 +178,6 @@ try:
     JIT_IMPL = {
         "encode_positions": njit(cache=True)(_encode_positions_loop),
         "decode_positions": njit(cache=True)(_decode_positions_loop),
-        "mutate_codes": njit(cache=True)(_mutate_codes_loop),
         "harmonic_fill": njit(cache=True)(_harmonic_fill_loop),
     }
 except ImportError:  # pragma: no cover - exercised only without numba
@@ -226,7 +190,6 @@ _ACTIVE = JIT_IMPL if JIT_ENABLED else NUMPY_IMPL
 
 encode_positions = _ACTIVE["encode_positions"]
 decode_positions = _ACTIVE["decode_positions"]
-mutate_codes = _ACTIVE["mutate_codes"]
 harmonic_fill = _ACTIVE["harmonic_fill"]
 
 
@@ -237,15 +200,6 @@ def warmup() -> None:
     prev0 = np.zeros(1, np.uint8)
     codes = encode_positions(digits, rot, prev0)
     decode_positions(codes, rot, prev0)
-    mutate_codes(
-        codes[0],
-        np.zeros((3, 2), np.float64),
-        np.zeros(2, np.uint8),
-        np.ones(2, np.uint8),
-        0.0,
-        0.0,
-        0.0,
-    )
     harmonic_fill(
         np.zeros((3, 3), np.float64),
         np.array([[False] * 3, [False, True, False], [False] * 3]),

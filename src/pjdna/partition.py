@@ -167,7 +167,7 @@ class TileManifest:
                 pad_bits_per_tile=d["pad_bits_per_tile"],
                 strand_count=d["strand_count"],
             )
-        except ConfigError as exc:
+        except (TypeError, ValueError) as exc:  # ConfigError, or a field of the wrong type
             raise FormatError(f"inconsistent manifest: {exc}") from exc
 
     def save(self, path) -> None:
@@ -180,7 +180,7 @@ class TileManifest:
         with open(path, "r", encoding="ascii") as fh:
             try:
                 d = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise FormatError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_dict(d)
 

@@ -16,7 +16,7 @@ from .strand import Strand
 
 __all__ = ["ReadFileResult", "write_fasta", "write_fastq", "read_sequences", "sniff_format"]
 
-_VALID = set("ACGT")
+_DROP_ACGT = str.maketrans("", "", "ACGT")
 
 
 @dataclass
@@ -68,7 +68,7 @@ def sniff_format(path) -> str:
 
 def _clean(record_lines: list[str]) -> str | None:
     seq = "".join(record_lines).upper()
-    if not seq or any(ch not in _VALID for ch in seq):
+    if not seq or seq.translate(_DROP_ACGT):  # anything left is outside ACGT
         return None
     return seq
 

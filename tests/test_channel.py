@@ -4,8 +4,10 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pjdna import jr
+from pjdna import channel, jr
 from pjdna.channel import (
     ChannelProfile,
     PRESET_NAMES,
@@ -16,7 +18,7 @@ from pjdna.channel import (
 )
 from pjdna.errors import ConfigError
 from pjdna.partition import decode_image, encode_image
-from pjdna.strand import assemble_strand
+from pjdna.strand import assemble_many, assemble_strand
 
 
 def random_strands(rng, n):
@@ -24,6 +26,17 @@ def random_strands(rng, n):
     for i in range(n):
         bits = rng.integers(0, 2, 162, dtype=np.uint8)
         out.append(assemble_strand(i, np.packbits(bits).tobytes()))
+    return out
+
+
+def mixed_length_seqs(rng, lengths):
+    return ["".join(rng.choice(list("ACGT"), n)) for n in lengths]
+
+
+def reads_by_origin(reads):
+    out = {}
+    for seq, origin in zip(reads.sequences, reads.origins):
+        out.setdefault(origin, []).append(seq)
     return out
 
 
@@ -157,6 +170,88 @@ def test_poisson_coverage(rng):
     assert counts.std() > 0.5  # actually dispersed, not fixed
 
 
+def test_priority_delete_over_insert_over_substitute(rng):
+    seqs = mixed_length_seqs(rng, [100, 141, 160, 141])
+    everything = ChannelProfile(del_p=1.0, ins_p=1.0, sub_p=1.0, coverage_mean=3, seed=1)
+    assert corrupt_reads(seqs, everything).sequences == [""] * 12
+    # an insertion keeps its base verbatim, so substitution never fires
+    reads = corrupt_reads(seqs, ChannelProfile(ins_p=1.0, sub_p=1.0, coverage_mean=3, seed=1))
+    for read, origin in zip(reads.sequences, reads.origins):
+        assert read[::2] == seqs[origin]
+    assert set("".join(r[1::2] for r in reads.sequences)) == set("ACGT")
+    reads = corrupt_reads(seqs, ChannelProfile(sub_p=1.0, coverage_mean=3, seed=1))
+    shifts = set()
+    for read, origin in zip(reads.sequences, reads.origins):
+        a, b = jr.codes_from_seq(read), jr.codes_from_seq(seqs[origin])
+        shifts |= set(((a.astype(int) - b) % 4).tolist())
+    assert shifts == {1, 2, 3}
+
+
+def reference_read(seq, row, prof):
+    """One read by a per-position loop over its row of the strand's stream."""
+    out = []
+    for ch, (u_del, u_ins, u_sub, shift, base) in zip(seq, row.T):
+        if u_del < prof.del_p:
+            continue
+        if u_ins < prof.ins_p:
+            out += [ch, "ACGT"[int(4 * base)]]
+        elif u_sub < prof.sub_p:
+            out.append("ACGT"[("ACGT".index(ch) + 1 + int(3 * shift)) % 4])
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def test_corrupt_reads_matches_per_read_reference(rng):
+    seqs = mixed_length_seqs(rng, [100, 141, 160] * 40)
+    prof = ChannelProfile(sub_p=0.1, ins_p=0.05, del_p=0.05, coverage_mean=3.0,
+                          coverage_model="poisson", seed=21)
+    reads = corrupt_reads(seqs, prof)
+    assert len(reads) > channel._CHUNK_READS
+    expected = []
+    for sid, seq in enumerate(seqs):
+        k = np.random.default_rng((21, 1, sid)).poisson(3.0)
+        rows = np.random.default_rng((21, 2, sid)).random((k, 5, len(seq)))
+        expected += [reference_read(seq, row, prof) for row in rows]
+    assert reads.sequences == expected
+
+
+def test_reads_do_not_depend_on_later_strands(rng):
+    strands = random_strands(rng, 190)
+    n, k = 150, 3
+    assert n * k > channel._CHUNK_READS
+    prof = ChannelProfile(sub_p=0.02, ins_p=0.01, del_p=0.01, coverage_mean=k, seed=5)
+    head = corrupt_reads(strands[:n], prof)
+    full = corrupt_reads(strands, prof)
+    assert full.sequences[: n * k] == head.sequences
+    assert full.origins[: n * k] == head.origins
+
+
+def test_poisson_replicates_are_prefix_of_one_stream(rng):
+    strands = random_strands(rng, 60)
+    rates = dict(sub_p=0.05, ins_p=0.01, del_p=0.01, seed=8)
+    poisson = reads_by_origin(
+        corrupt_reads(strands, ChannelProfile(coverage_mean=4.0, coverage_model="poisson", **rates))
+    )
+    fixed = reads_by_origin(corrupt_reads(strands, ChannelProfile(coverage_mean=20, **rates)))
+    assert len({len(v) for v in poisson.values()}) > 3
+    for sid, reads in poisson.items():
+        assert reads == fixed[sid][: len(reads)]
+
+
+def test_mixed_length_batch(rng):
+    lengths = [100, 141, 160, 141, 100, 160, 160, 100]
+    seqs = mixed_length_seqs(rng, lengths)
+    # rates of 0 take the copy path, 1e-12 runs the mutation pass without firing
+    for sub_p in (0.0, 1e-12):
+        reads = corrupt_reads(seqs, ChannelProfile(sub_p=sub_p, coverage_mean=3, seed=2))
+        assert reads.sequences == [s for s in seqs for _ in range(3)]
+    reads = corrupt_reads(seqs, ChannelProfile(sub_p=0.3, coverage_mean=3, seed=2))
+    assert [len(r) for r in reads.sequences] == [n for n in lengths for _ in range(3)]
+    assert all(set(r) <= set("ACGT") for r in reads.sequences)
+    assert sum(r != seqs[o] for r, o in zip(reads.sequences, reads.origins)) == 24
+
+
 # ---------------------------------------------------------------------------
 # consensus
 # ---------------------------------------------------------------------------
@@ -210,6 +305,36 @@ def test_consensus_sorted_by_index(rng):
     seqs = [s.sequence for s in reversed(strands)]
     pairs, _ = consensus(seqs)
     assert [p[0] for p in pairs] == list(range(10))
+
+
+def bincount_vote(blocks, indices):
+    """Reference vote: per index, per column ``np.bincount(...).argmax()``."""
+    return {
+        int(i): [int(np.bincount(col).argmax()) for col in blocks[indices == i].T]
+        for i in np.unique(indices)
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    group_sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+    choices=st.lists(st.sampled_from([0, 1, 7, 511]), min_size=2, max_size=3, unique=True),
+    seed=st.integers(0, 2**16),
+)
+def test_consensus_matches_bincount_reference(group_sizes, choices, seed):
+    """Few distinct block values and even group sizes force ties."""
+    rng = np.random.default_rng(seed)
+    indices = np.repeat(np.arange(len(group_sizes)) * 7, group_sizes)
+    rng.shuffle(indices)
+    blocks = rng.choice(np.array(choices), (indices.size, 18))
+    seqs = [s.sequence for s in assemble_many(indices, blocks)]
+    pairs, counts = consensus(seqs)
+    assert counts["indices_observed"] == len(group_sizes)
+    got = {
+        i: jr.unpack_block_rows(np.frombuffer(p, np.uint8).reshape(1, -1), 18, 9)[0].tolist()
+        for i, p in pairs
+    }
+    assert got == bincount_vote(blocks, indices)
 
 
 def test_consensus_monte_carlo_recovery():

@@ -133,6 +133,34 @@ def test_simulate_profile_json_and_provenance(workdir):
                "--out", tmp_path / "r3.fastq") == 2
 
 
+def test_simulate_records_channel_stream(workdir):
+    tmp_path, _ = workdir
+    encode(tmp_path)
+    assert run("simulate", "--lib", tmp_path / "lib.fasta", "--preset", "xray",
+               "--out", tmp_path / "r.fastq", "--seed", "3") == 0
+    meta = json.loads((tmp_path / "r.fastq.meta.json").read_text())
+    assert meta["parameters"]["channel_stream"] == 2
+
+
+def test_simulate_non_ascii_profile_exits_4(workdir, capsys):
+    tmp_path, _ = workdir
+    encode(tmp_path)
+    (tmp_path / "p.json").write_bytes(b"\xff{}")
+    assert run("simulate", "--lib", tmp_path / "lib.fasta", "--profile", tmp_path / "p.json",
+               "--out", tmp_path / "r.fastq") == 4
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_simulate_profile_wrong_type_exits_2(workdir, capsys):
+    tmp_path, _ = workdir
+    encode(tmp_path)
+    for bad in ({"dropout_p": "x"}, {"coverage_mean": [10]}, {"seed": "7"}):
+        (tmp_path / "p.json").write_text(json.dumps(bad))
+        assert run("simulate", "--lib", tmp_path / "lib.fasta", "--profile",
+                   tmp_path / "p.json", "--out", tmp_path / "r.fastq") == 2
+        assert "must be" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # decode
 # ---------------------------------------------------------------------------
@@ -191,6 +219,25 @@ def test_decode_bad_manifest_exits_4(workdir):
     (tmp_path / "bad.json").write_text('{"mode": "image"}')
     assert run("decode", "--lib", tmp_path / "lib.fasta", "--manifest", tmp_path / "bad.json",
                "--out", tmp_path / "x.pgm") == 4
+
+
+def test_decode_non_ascii_manifest_exits_4(workdir, capsys):
+    tmp_path, _ = workdir
+    encode(tmp_path)
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe{")
+    assert run("decode", "--lib", tmp_path / "lib.fasta", "--manifest", tmp_path / "bad.json",
+               "--out", tmp_path / "x.pgm") == 4
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_decode_manifest_field_of_wrong_type_exits_4(workdir):
+    tmp_path, _ = workdir
+    encode(tmp_path)
+    good = json.loads((tmp_path / "m.json").read_text())
+    for key, value in (("width", "x"), ("cfg", 5)):
+        (tmp_path / "bad.json").write_text(json.dumps({**good, key: value}))
+        assert run("decode", "--lib", tmp_path / "lib.fasta", "--manifest",
+                   tmp_path / "bad.json", "--out", tmp_path / "x.pgm") == 4
 
 
 def test_raw_round_trip_via_cli(tmp_path, rng):

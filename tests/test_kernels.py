@@ -8,29 +8,6 @@ from pjdna import kernels
 pytestmark = pytest.mark.skipif(not kernels.JIT_AVAILABLE, reason="numba not installed")
 
 
-def test_mutate_codes_paths_agree(rng):
-    for del_p, ins_p, sub_p in [(0, 0, 0), (1, 0, 0), (0.1, 0.1, 0.2), (0.5, 0.5, 0.5)]:
-        for _ in range(20):
-            n = int(rng.integers(1, 200))
-            codes = rng.integers(0, 4, n).astype(np.uint8)
-            u = rng.random((3, n))
-            ins_base = rng.integers(0, 4, n).astype(np.uint8)
-            sub_shift = rng.integers(1, 4, n).astype(np.uint8)
-            a = kernels.NUMPY_IMPL["mutate_codes"](codes, u, ins_base, sub_shift, del_p, ins_p, sub_p)
-            b = kernels.JIT_IMPL["mutate_codes"](codes, u, ins_base, sub_shift, del_p, ins_p, sub_p)
-            assert np.array_equal(a, b)
-
-
-def test_mutate_priority_delete_over_insert_over_substitute():
-    codes = np.array([2, 2, 2], np.uint8)
-    u = np.array([[0.0, 0.9, 0.9], [0.0, 0.0, 0.9], [0.0, 0.0, 0.0]])
-    ins_base = np.array([3, 3, 3], np.uint8)
-    sub_shift = np.array([1, 1, 1], np.uint8)
-    out = kernels.mutate_codes(codes, u, ins_base, sub_shift, 0.5, 0.5, 0.5)
-    # pos 0 deleted; pos 1 kept verbatim + insertion; pos 2 substituted
-    assert out.tolist() == [2, 3, 3]
-
-
 def test_harmonic_fill_paths_agree(rng):
     for shape in [(5, 5), (30, 17), (64, 64)]:
         img = rng.random(shape) * 255
