@@ -24,7 +24,7 @@ import numpy as np
 
 from . import jr
 from .errors import ConfigError
-from .strand import DEFAULT_LAYOUT, ParseBatch, Strand, StrandLayout, parse_many
+from .strand import DEFAULT_LAYOUT, ParseBatch, ReadPool, Strand, StrandLayout, parse_many
 
 __all__ = [
     "CHANNEL_STREAM",
@@ -251,19 +251,22 @@ def _mutate_chunk(pending: list[tuple[str, np.ndarray]], profile: ChannelProfile
 
 
 def consensus(
-    sequences: Iterable[str],
+    sequences: ReadPool | Iterable[str],
     layout: StrandLayout = DEFAULT_LAYOUT,
     cfg: jr.JrConfig = jr.DEFAULT_CONFIG,
     primer_tolerance: int = 0,
 ) -> tuple[list[tuple[int, bytes]], dict]:
     """Collapse raw reads into one (index, payload) pair per observed index.
 
-    Reads are parsed individually; accepted parses group by index and each
-    payload block settles by plurality vote, ties to the smallest value.
-    Returns pairs sorted by index plus counters for every rejection reason.
+    ``sequences`` is a :class:`~pjdna.strand.ReadPool` or an iterable of
+    strings.  Reads are parsed individually; accepted parses group by index
+    and each payload block settles by plurality vote, ties to the smallest
+    value.  Returns pairs sorted by index plus counters for every rejection
+    reason.
     """
-    seq_list = list(sequences)
-    batch: ParseBatch = parse_many(seq_list, layout, cfg, primer_tolerance)
+    if not isinstance(sequences, ReadPool):
+        sequences = list(sequences)
+    batch: ParseBatch = parse_many(sequences, layout, cfg, primer_tolerance)
     counts = dict(batch.counts)
     if batch.indices.size == 0:
         counts["indices_observed"] = 0

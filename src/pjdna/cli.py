@@ -46,7 +46,7 @@ from .inpaint import inpaint
 from .metrics import ssim, tally_outcomes
 from .partition import TileManifest, decode_image, decode_raw, encode_image, encode_raw
 from .seqio import read_sequences, write_fasta, write_fastq
-from .strand import StrandLayout
+from .strand import ReadPool, StrandLayout
 from .sweep import loss_sweep
 
 __all__ = ["main", "run"]
@@ -219,13 +219,11 @@ def cmd_decode(args) -> int:
     skipped_alphabet = 0
     try:
         result = read_sequences(src, fmt)
-        sequences = result.sequences
+        pool = result.pool
         skipped_alphabet = result.skipped_alphabet
     except EmptyLibraryError:
-        sequences = []  # total loss still decodes
-    pairs, counts = consensus(
-        sequences, manifest.layout, manifest.cfg, args.primer_mismatches
-    )
+        pool = ReadPool.from_strings([])  # total loss still decodes
+    pairs, counts = consensus(pool, manifest.layout, manifest.cfg, args.primer_mismatches)
     counts["skipped_alphabet"] = skipped_alphabet
     outputs = [args.out]
     if manifest.mode == "image":

@@ -8,6 +8,7 @@ also arrive as plain text, one integer per line.
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import Sequence
 
@@ -32,6 +33,14 @@ _IMAGE_MAGIC = 0x00000803
 _LABEL_MAGIC = 0x00000801
 
 
+def _read_promised(fh, size: int, path) -> bytes:
+    """The ``size`` data bytes a header promises, checked against the file
+    size before reading so a hostile header cannot ask for a huge buffer."""
+    if os.fstat(fh.fileno()).st_size - fh.tell() < size:
+        raise FormatError(f"{path}: IDX data shorter than its header promises")
+    return fh.read(size)
+
+
 def read_idx_images(path) -> np.ndarray:
     with open(path, "rb") as fh:
         head = fh.read(16)
@@ -40,9 +49,7 @@ def read_idx_images(path) -> np.ndarray:
         magic, n, rows, cols = struct.unpack(">IIII", head)
         if magic != _IMAGE_MAGIC:
             raise FormatError(f"{path}: bad IDX image magic 0x{magic:08x}")
-        data = fh.read(n * rows * cols)
-    if len(data) != n * rows * cols:
-        raise FormatError(f"{path}: IDX data shorter than its header promises")
+        data = _read_promised(fh, n * rows * cols, path)
     return np.frombuffer(data, np.uint8).reshape(n, rows, cols).copy()
 
 
@@ -64,9 +71,7 @@ def read_idx_labels(path) -> np.ndarray:
         magic, n = struct.unpack(">II", head)
         if magic != _LABEL_MAGIC:
             raise FormatError(f"{path}: bad IDX label magic 0x{magic:08x}")
-        data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"{path}: IDX data shorter than its header promises")
+        data = _read_promised(fh, n, path)
     return np.frombuffer(data, np.uint8).copy()
 
 

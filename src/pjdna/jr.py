@@ -284,8 +284,12 @@ def digit_rows_to_blocks(digits: np.ndarray, cfg: JrConfig) -> np.ndarray:
     """(n, B*group_size) digit matrix -> (n, B) int64 block values."""
     n, width = digits.shape
     nblocks = width // cfg.group_size
-    w = np.asarray(cfg.place_weights, np.int64)
-    return digits.reshape(n, nblocks, cfg.group_size).astype(np.int64) @ w
+    groups = digits.reshape(n, nblocks, cfg.group_size)
+    w = cfg.place_weights
+    blocks = np.int64(w[0]) * groups[:, :, 0]  # takes the memory order of ``digits``
+    for k in range(1, cfg.group_size):
+        blocks += np.int64(w[k]) * groups[:, :, k]
+    return blocks
 
 
 def pack_block_rows(blocks: np.ndarray, bits: int) -> np.ndarray:

@@ -127,20 +127,20 @@ def _encode_positions_np(digits, rot, prev0):
 
 
 def _decode_positions_np(codes, rot, prev0):
-    n, width = codes.shape
-    digits = np.empty((n, width), np.uint8)
-    viol = np.full(n, -1, np.int32)
+    # walk the rows of the transpose: a column of a row-major matrix is strided
+    cols = np.ascontiguousarray(codes.T)
+    digits = np.empty_like(cols)
+    viol = np.full(codes.shape[0], -1, np.int32)
     prev = prev0.astype(np.uint8, copy=False)
-    for j in range(width):
-        c = codes[:, j]
+    for j, c in enumerate(cols):
         if rot[j]:
             hit = (c == prev) & (viol < 0)
             viol[hit] = j
-            digits[:, j] = (c + 3 - prev) % 4
+            digits[j] = (c + 3 - prev) % 4
         else:
-            digits[:, j] = c
+            digits[j] = c
         prev = c
-    return digits, viol
+    return digits.T, viol
 
 
 def _harmonic_fill_np(pixels, mask, tol, max_iter):

@@ -4,29 +4,45 @@ FASTA headers follow the grammar ``>pj|<decimal index>`` with an optional
 ``|free text`` suffix.  The reader accepts FASTA with arbitrary line
 wrapping and plain 4-line FASTQ (quality lines ignored), uppercases
 sequences, and skips any record containing characters outside ACGT.
+
+FASTQ is read as bytes: a line ends at ``\n`` and one ``\r`` before it is
+dropped (CRLF), so a lone ``\r`` is content.  Either reader returns its
+reads as one :class:`~pjdna.strand.ReadPool`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from .errors import EmptyLibraryError, FormatError
-from .strand import Strand
+from .strand import ReadPool, Strand
 
 __all__ = ["ReadFileResult", "write_fasta", "write_fastq", "read_sequences", "sniff_format"]
 
 _DROP_ACGT = str.maketrans("", "", "ACGT")
 
+# Bytes ``str.strip`` removes; a line of only these is blank.
+_SPACE = np.array([chr(c).isspace() for c in range(128)] + [False] * 128)
+
 
 @dataclass
 class ReadFileResult:
-    sequences: list[str]
+    pool: ReadPool
     skipped_alphabet: int = 0
+
+    @cached_property
+    def sequences(self) -> list[str]:
+        """The reads as strings, built from the pool on first use."""
+        return self.pool.to_strings()
 
     @property
     def total_records(self) -> int:
-        return len(self.sequences) + self.skipped_alphabet
+        return len(self.pool) + self.skipped_alphabet
 
 
 def write_fasta(path, strands: Iterable[Strand]) -> int:
@@ -74,17 +90,19 @@ def _clean(record_lines: list[str]) -> str | None:
 
 
 def _read_fasta(path) -> ReadFileResult:
-    result = ReadFileResult([])
+    sequences: list[str] = []
+    skipped = 0
     current: list[str] | None = None
 
     def flush():
+        nonlocal skipped
         if current is None:
             return
         seq = _clean(current)
         if seq is None:
-            result.skipped_alphabet += 1
+            skipped += 1
         else:
-            result.sequences.append(seq)
+            sequences.append(seq)
 
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         for line in fh:
@@ -99,26 +117,62 @@ def _read_fasta(path) -> ReadFileResult:
             else:
                 raise FormatError(f"{path}: sequence data before the first FASTA header")
     flush()
-    return result
+    return ReadFileResult(ReadPool.from_strings(sequences), skipped)
+
+
+def _by_length(lengths: np.ndarray):
+    """Yield (length, positions) for each distinct value in ``lengths``."""
+    if not lengths.size:
+        return
+    order = np.argsort(lengths, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        yield int(lengths[group[0]]), group
 
 
 def _read_fastq(path) -> ReadFileResult:
-    result = ReadFileResult([])
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
-    if len(lines) % 4:
+    buf = np.fromfile(path, np.uint8)
+    if not buf.size:
+        return ReadFileResult(ReadPool.from_strings([]))
+    ends = np.append(np.flatnonzero(buf == ord("\n")), buf.size)
+    begins = np.append(0, ends[:-1] + 1)
+    ends -= (ends > begins) & (buf[ends - 1] == ord("\r"))
+    lengths = ends - begins
+
+    blank = lengths == 0
+    maybe = np.flatnonzero(~blank & _SPACE[buf[np.minimum(begins, buf.size - 1)]])
+    for n, group in _by_length(lengths[maybe]):
+        lines = sliding_window_view(buf, n)[begins[maybe[group]]]
+        blank[maybe[group]] = _SPACE[lines].all(axis=1)
+    begins, lengths = begins[~blank], lengths[~blank]
+    if begins.size % 4:
         raise FormatError(f"{path}: FASTQ record count is not a multiple of 4 lines")
-    for k in range(0, len(lines), 4):
-        head, seq, plus = lines[k], lines[k + 1], lines[k + 2]
-        if not head.startswith("@") or not plus.startswith("+"):
-            raise FormatError(f"{path}: malformed FASTQ record near line {k + 1}")
-        cleaned = _clean([seq])
-        if cleaned is None:
-            result.skipped_alphabet += 1
-        else:
-            result.sequences.append(cleaned)
-    return result
+    bad = (buf[begins[0::4]] != ord("@")) | (buf[begins[2::4]] != ord("+"))
+    if bad.any():
+        k = 4 * int(bad.argmax())
+        raise FormatError(f"{path}: malformed FASTQ record near line {k + 1}")
+    return _gather_sequences(buf, begins[1::4], lengths[1::4])
+
+
+def _gather_sequences(buf: np.ndarray, begins: np.ndarray, lengths: np.ndarray) -> ReadFileResult:
+    """Upper-case copies of the lines ``buf[begins[i] : begins[i] + lengths[i]]``
+    in one pool, one length at a time; a line holding a byte outside ACGT is
+    skipped and counted."""
+    out = np.empty(int(lengths.sum()), np.uint8)
+    starts = np.empty_like(begins)
+    ok = np.empty(begins.size, bool)
+    at = 0
+    for n, group in _by_length(lengths):
+        rows = out[at : at + n * group.size].reshape(group.size, n)
+        rows[...] = sliding_window_view(buf, n)[begins[group]]
+        # clearing bit 5 upper-cases a-z, and yields A, C, G or T only from
+        # those letters in either case
+        rows &= 0xDF
+        acgt = (rows == ord("A")) | (rows == ord("C")) | (rows == ord("G")) | (rows == ord("T"))
+        ok[group] = acgt.all(axis=1)
+        starts[group] = at + n * np.arange(group.size)
+        at += rows.size
+    pool = ReadPool(out, starts[ok], lengths[ok])
+    return ReadFileResult(pool, int(ok.size - ok.sum()))
 
 
 def read_sequences(path, fmt: str = "auto") -> ReadFileResult:
@@ -135,6 +189,6 @@ def read_sequences(path, fmt: str = "auto") -> ReadFileResult:
         result = _read_fastq(path)
     else:
         raise FormatError(f"unknown sequence format {fmt!r}")
-    if not result.sequences:
+    if not len(result.pool):
         raise EmptyLibraryError(f"{path}: no parseable records")
     return result

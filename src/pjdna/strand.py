@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import jr
 from .errors import CapacityError, ConfigError, LayoutError, RangeError, StrandReject
@@ -25,6 +26,7 @@ __all__ = [
     "StrandLayout",
     "Strand",
     "ParseBatch",
+    "ReadPool",
     "assemble_strand",
     "assemble_many",
     "parse_strand",
@@ -40,6 +42,10 @@ REJECT_LENGTH = "length"
 REJECT_PRIMER = "primer"
 REJECT_CORRUPT = "corrupt"
 REJECT_REASONS = (REJECT_LENGTH, REJECT_PRIMER, REJECT_CORRUPT)
+
+# Reads parsed together in one pass; bounds the pass's temporaries to a few
+# MiB at 141 nt.
+_PARSE_CHUNK = 8192
 
 
 def _head_run(seq: str) -> int:
@@ -262,63 +268,106 @@ def assemble_strand(
     return assemble_many(np.array([index_value]), blocks, layout, cfg)[0]
 
 
+@dataclass(frozen=True)
+class ReadPool:
+    """Reads held as one ASCII byte buffer.
+
+    Read ``i`` is ``buf[starts[i] : starts[i] + lengths[i]]``; reads may lie
+    anywhere in ``buf``, in any order, with bytes between them.
+    """
+
+    buf: np.ndarray  # uint8
+    starts: np.ndarray  # int64
+    lengths: np.ndarray  # int64
+
+    @classmethod
+    def from_strings(cls, seqs: Sequence[str]) -> "ReadPool":
+        """Join ``seqs`` once; each character outside ASCII becomes ``?``."""
+        lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+        buf = np.frombuffer("".join(seqs).encode("ascii", "replace"), np.uint8)
+        return cls(buf, np.cumsum(lengths) - lengths, lengths)
+
+    def __len__(self) -> int:
+        return int(self.lengths.size)
+
+    def to_strings(self) -> list[str]:
+        text = self.buf.tobytes().decode("latin-1")
+        return [text[a : a + n] for a, n in zip(self.starts.tolist(), self.lengths.tolist())]
+
+
 def parse_many(
-    seqs: Sequence[str],
+    reads: ReadPool | Sequence[str],
     layout: StrandLayout = DEFAULT_LAYOUT,
     cfg: jr.JrConfig = jr.DEFAULT_CONFIG,
     primer_tolerance: int = 0,
 ) -> ParseBatch:
     """Parse observed sequences in bulk.
 
-    Rejects carry no payload: a read of the wrong length counts as "length",
-    a primer Hamming distance above ``primer_tolerance`` as "primer", and a
-    rotating violation / out-of-range block / bad character as "corrupt".
+    ``reads`` is a :class:`ReadPool` or a sequence of strings, which is
+    joined into one first.  Rejects carry no payload: a read of the wrong
+    length counts as "length", a primer Hamming distance above
+    ``primer_tolerance`` as "primer", and a rotating violation /
+    out-of-range block / bad character as "corrupt".
     """
     layout.validate(cfg)
+    pool = reads if isinstance(reads, ReadPool) else ReadPool.from_strings(reads)
+    total = layout.total_nt
+    starts = pool.starts[pool.lengths == total]
     counts = {
-        "reads_total": len(seqs),
+        "reads_total": len(pool),
         "accepted": 0,
-        "reject_length": 0,
+        "reject_length": len(pool) - starts.size,
         "reject_primer": 0,
         "reject_corrupt": 0,
     }
-    total = layout.total_nt
-    good = [s for s in seqs if len(s) == total]
-    counts["reject_length"] = len(seqs) - len(good)
-    if not good:
-        return ParseBatch(np.empty(0, np.int64), np.empty((0, cfg.groups_per_payload), np.int64), counts)
+    indices = [np.empty(0, np.int64)]
+    blocks = [np.empty((0, cfg.groups_per_payload), np.int64)]
+    if starts.size:
+        records = sliding_window_view(pool.buf, total)
+        for k in range(0, starts.size, _PARSE_CHUNK):
+            rows = records[starts[k : k + _PARSE_CHUNK]]
+            idx, payload = _parse_rows(rows, layout, cfg, primer_tolerance, counts)
+            indices.append(idx)
+            blocks.append(payload)
+    return ParseBatch(np.concatenate(indices), np.concatenate(blocks), counts)
 
-    joined = "".join(good).encode("ascii", "replace")  # non-ASCII decodes as invalid
-    buf = np.frombuffer(joined, np.uint8).reshape(len(good), total)
-    codes = jr._ASCII_CODE[buf]
+
+def _parse_rows(
+    rows: np.ndarray,
+    layout: StrandLayout,
+    cfg: jr.JrConfig,
+    primer_tolerance: int,
+    counts: dict,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a (n, total_nt) matrix of ASCII reads; adds to ``counts`` and
+    returns the accepted (indices, payload blocks)."""
+    total = layout.total_nt
     n5, n3 = len(layout.primer5), len(layout.primer3)
 
-    keep = np.ones(len(good), bool)
+    # primers are ACGT, so comparing bytes counts what comparing codes would
+    keep = np.ones(rows.shape[0], bool)
     if n5:
-        p5 = jr.codes_from_seq(layout.primer5)
-        keep &= (codes[:, :n5] != p5).sum(axis=1) <= primer_tolerance
+        p5 = np.frombuffer(layout.primer5.encode("ascii"), np.uint8)
+        keep &= (rows[:, :n5] != p5).sum(axis=1) <= primer_tolerance
     if n3:
-        p3 = jr.codes_from_seq(layout.primer3)
-        keep &= (codes[:, total - n3 :] != p3).sum(axis=1) <= primer_tolerance
-    counts["reject_primer"] = int((~keep).sum())
+        p3 = np.frombuffer(layout.primer3.encode("ascii"), np.uint8)
+        keep &= (rows[:, total - n3 :] != p3).sum(axis=1) <= primer_tolerance
+    counts["reject_primer"] += int((~keep).sum())
 
-    data = codes[keep][:, n5 : n5 + layout.data_nt]
+    data = jr._ASCII_CODE[rows[keep, n5 : n5 + layout.data_nt]]
     m = data.shape[0]
-    if m == 0:
-        return ParseBatch(np.empty(0, np.int64), np.empty((0, cfg.groups_per_payload), np.int64), counts)
-
     ok = ~(data == 255).any(axis=1)  # non-ACGT inside the data region
     prev0 = np.full(m, jr.ALPHABET.index(layout.prev_init()), np.uint8)
     blocks, viol = jr.decode_code_rows(data, cfg, prev0)
     ok &= viol < 0
     ok &= (blocks < cfg.block_limit).all(axis=1)
-    counts["reject_corrupt"] = int((~ok).sum())
+    counts["reject_corrupt"] += int((~ok).sum())
 
     blocks = blocks[ok]
     n_idx = layout.index_groups(cfg)
     indices = _blocks_to_index(blocks[:, :n_idx], cfg.block_limit)
-    counts["accepted"] = int(indices.size)
-    return ParseBatch(indices, blocks[:, n_idx:], counts)
+    counts["accepted"] += int(indices.size)
+    return indices, blocks[:, n_idx:]
 
 
 def parse_strand(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pjdna import channel, jr
+from pjdna import channel, jr, strand
 from pjdna.channel import (
     ChannelProfile,
     PRESET_NAMES,
@@ -18,7 +18,8 @@ from pjdna.channel import (
 )
 from pjdna.errors import ConfigError
 from pjdna.partition import decode_image, encode_image
-from pjdna.strand import assemble_many, assemble_strand
+from pjdna.seqio import read_sequences, write_fastq
+from pjdna.strand import assemble_many, assemble_strand, parse_many
 
 
 def random_strands(rng, n):
@@ -335,6 +336,33 @@ def test_consensus_matches_bincount_reference(group_sizes, choices, seed):
         for i, p in pairs
     }
     assert got == bincount_vote(blocks, indices)
+
+
+@pytest.mark.parametrize("tolerance", [0, 2])
+def test_pool_and_strings_parse_and_vote_alike(tmp_path, rng, monkeypatch, tolerance):
+    """A file's read pool and its list of strings give the same parse and
+    vote, whole or split into parse chunks of 7 reads."""
+    strands = random_strands(rng, 60)
+    prof = ChannelProfile(sub_p=0.02, ins_p=0.003, del_p=0.003, coverage_mean=6,
+                          coverage_model="poisson", seed=3)
+    reads = corrupt_reads(strands, prof).sequences
+    reads = [s.lower() if k % 5 == 0 else s for k, s in enumerate(reads)]
+    reads[4] = reads[4][:50] + "N" + reads[4][51:]
+    write_fastq(tmp_path / "r.fastq", reads)
+    result = read_sequences(tmp_path / "r.fastq")
+    assert len(result.pool) > 7 * 40
+    seen = []
+    for chunk in (strand._PARSE_CHUNK, 7):
+        monkeypatch.setattr(strand, "_PARSE_CHUNK", chunk)
+        for given_reads in (result.pool, result.sequences):
+            batch = parse_many(given_reads, primer_tolerance=tolerance)
+            pairs, counts = consensus(given_reads, primer_tolerance=tolerance)
+            seen.append((batch.indices.tolist(), batch.payload_blocks.tolist(), batch.counts,
+                         pairs, counts))
+    assert all(s == seen[0] for s in seen[1:])
+    counts = seen[0][2]
+    assert min(counts["reject_length"], counts["reject_corrupt"], counts["accepted"]) > 0
+    assert result.skipped_alphabet == 1
 
 
 def test_consensus_monte_carlo_recovery():

@@ -173,6 +173,21 @@ def test_decode_clean_round_trip(workdir):
     assert (tmp_path / "out.pgm").read_bytes() == (tmp_path / "in.pgm").read_bytes()
 
 
+def test_decode_skips_read_with_lone_carriage_return(workdir):
+    tmp_path, img = workdir
+    encode(tmp_path)
+    seqs = read_sequences(tmp_path / "lib.fasta").sequences[:8]
+    seqs.insert(3, "AC\rGT")
+    with open(tmp_path / "r.fastq", "wb") as fh:
+        for k, seq in enumerate(seqs):
+            fh.write(f"@r{k}\n{seq}\n+\n{'I' * len(seq)}\n".encode())
+    assert run("decode", "--reads", tmp_path / "r.fastq", "--manifest", tmp_path / "m.json",
+               "--out", tmp_path / "out.pgm") == 0
+    counters = json.loads((tmp_path / "out.pgm.meta.json").read_text())["counters"]
+    assert counters["skipped_alphabet"] == 1
+    assert counters["reads_total"] == counters["accepted"] == 8
+
+
 def test_decode_after_loss10(workdir):
     tmp_path, img = workdir
     encode(tmp_path)
@@ -319,6 +334,14 @@ def test_degrade_dataset_cli(tmp_path, rng, capsys):
     assert summary["images"] == 12
     assert summary["strands_per_image"] == 40
     assert read_idx_images(tmp_path / "out.idx").shape == imgs.shape
+
+
+def test_degrade_dataset_hostile_idx_header_exits_4(tmp_path, capsys):
+    (tmp_path / "in.idx").write_bytes(bytes.fromhex("00000803") + b"\xff" * 12)
+    assert run("degrade-dataset", "--in", tmp_path / "in.idx", "--rate", "0.1",
+               "--out", tmp_path / "out.idx") == 4
+    assert "shorter than its header promises" in capsys.readouterr().err
+    assert not (tmp_path / "out.idx").exists()
 
 
 def test_tally_cli(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pjdna import jr
 from pjdna.errors import (
@@ -18,6 +20,7 @@ from pjdna.strand import (
     DEFAULT_LAYOUT,
     DEFAULT_PRIMER3,
     DEFAULT_PRIMER5,
+    ReadPool,
     StrandLayout,
     assemble_strand,
     parse_many,
@@ -248,6 +251,102 @@ def test_fastq_skips_bad_alphabet(tmp_path):
     assert result.sequences == ["ACGT"]
     assert result.skipped_alphabet == 1
     assert result.total_records == 2
+
+
+def _fastq_bytes(seqs: list[bytes], eol: bytes = b"\n") -> bytes:
+    return b"".join(
+        b"@r%d%s%s%s+%s%s%s" % (k, eol, s, eol, eol, b"I" * len(s), eol) for k, s in enumerate(seqs)
+    )
+
+
+def test_fastq_lone_carriage_return_is_content(tmp_path):
+    seqs = [b"ACGT", b"GGCA", b"AC\rGT", b"TTAG", b"CCAT", b"GATC", b"ACCA", b"TGCA", b"AAGT"]
+    path = tmp_path / "cr.fastq"
+    path.write_bytes(_fastq_bytes(seqs))
+    result = read_sequences(path)
+    assert result.sequences == [s.decode() for s in seqs if b"\r" not in s]
+    assert result.skipped_alphabet == 1
+    assert result.total_records == 9
+
+
+def test_fastq_crlf_reads_like_lf(tmp_path):
+    seqs = [b"ACGT", b"ggca", b"ACNT", b"T" * 141, b"acgtAC"]
+    lf, crlf = tmp_path / "lf.fastq", tmp_path / "crlf.fastq"
+    lf.write_bytes(_fastq_bytes(seqs))
+    crlf.write_bytes(_fastq_bytes(seqs, b"\r\n"))
+    a, b = read_sequences(lf), read_sequences(crlf)
+    assert a.sequences == b.sequences == ["ACGT", "GGCA", "T" * 141, "ACGTAC"]
+    assert a.skipped_alphabet == b.skipped_alphabet == 1
+    for x, y in ((a.pool, b.pool), (a.pool, ReadPool.from_strings(a.sequences))):
+        assert x.to_strings() == y.to_strings()
+
+
+def _text_mode_read_fastq(path):
+    """The FASTQ reader as it was in text mode with universal newlines: the
+    reference the bytes reader must match on files without a lone CR."""
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        lines = [ln.rstrip("\n") for ln in fh]
+    lines = [ln for ln in lines if ln.strip()]
+    if len(lines) % 4:
+        raise FormatError(f"{path}: FASTQ record count is not a multiple of 4 lines")
+    sequences, skipped = [], 0
+    for k in range(0, len(lines), 4):
+        head, seq, plus = lines[k], lines[k + 1], lines[k + 2]
+        if not head.startswith("@") or not plus.startswith("+"):
+            raise FormatError(f"{path}: malformed FASTQ record near line {k + 1}")
+        seq = seq.upper()
+        if seq.translate(str.maketrans("", "", "ACGT")):
+            skipped += 1
+        else:
+            sequences.append(seq)
+    if not sequences:
+        raise EmptyLibraryError(f"{path}: no parseable records")
+    return sequences, skipped
+
+
+_ACGT_PIECES = [b"A", b"C", b"G", b"T", b"acgt", b"gA"]
+_OTHER_PIECES = [b"N", b"n", b"U", b" ", b"\t", b"\x0b\x0c\x1c", b"\xe9", b"\xc3\xa9", b"\xff",
+                 b"\x00"]
+_BLANK_LINES = [b"", b" ", b"\t", b" \x0c\x1f ", b"\x0b"]
+
+
+@st.composite
+def _fastq_files(draw):
+    lines = []
+    for k in range(draw(st.integers(0, 8))):
+        pieces = draw(st.lists(st.sampled_from(_ACGT_PIECES), min_size=1, max_size=30))
+        if draw(st.integers(0, 2)) == 0:
+            pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(_OTHER_PIECES)))
+        seq = b"".join(pieces)
+        head = draw(st.sampled_from([b"@", b"@", b"@", b">", b" @"])) + b"r%d" % k
+        plus = draw(st.sampled_from([b"+", b"+", b"+", b"+ r", b"-"]))
+        lines += [head, seq, plus, b"I" * len(seq)]
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(_BLANK_LINES)))
+    if lines and draw(st.integers(0, 9)) == 0:
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    eol = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([b"", eol]))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_fastq_files())
+def test_fastq_bytes_reader_matches_text_mode(tmp_path, data):
+    path = tmp_path / "h.fastq"
+    path.write_bytes(data)
+
+    def outcome(read):
+        try:
+            return read()
+        except (FormatError, EmptyLibraryError) as exc:
+            return type(exc).__name__, str(exc)
+
+    def new():
+        result = read_sequences(path, "fastq")
+        return result.sequences, result.skipped_alphabet
+
+    assert outcome(new) == outcome(lambda: _text_mode_read_fastq(path))
 
 
 def test_fastq_malformed(tmp_path):

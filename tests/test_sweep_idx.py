@@ -153,6 +153,17 @@ def test_idx_rejects_bad_magic(tmp_path):
         read_idx_images(short)
 
 
+def test_idx_rejects_header_promising_more_than_the_file(tmp_path):
+    huge = tmp_path / "huge.idx"
+    huge.write_bytes(bytes.fromhex("00000803") + b"\xff" * 12 + b"\x00" * 64)
+    with pytest.raises(FormatError, match="shorter than its header promises"):
+        read_idx_images(huge)
+    labels = tmp_path / "labels.idx"
+    labels.write_bytes(bytes.fromhex("00000801") + b"\xff" * 4 + b"\x07" * 9)
+    with pytest.raises(FormatError, match="shorter than its header promises"):
+        read_idx_labels(labels)
+
+
 # ---------------------------------------------------------------------------
 # dataset degradation
 # ---------------------------------------------------------------------------
