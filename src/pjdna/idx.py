@@ -9,6 +9,7 @@ also arrive as plain text, one integer per line.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from typing import Sequence
 
@@ -34,11 +35,20 @@ _LABEL_MAGIC = 0x00000801
 
 
 def _read_promised(fh, size: int, path) -> bytes:
-    """The ``size`` data bytes a header promises, checked against the file
-    size before reading so a hostile header cannot ask for a huge buffer."""
-    if os.fstat(fh.fileno()).st_size - fh.tell() < size:
+    """The ``size`` data bytes a header promises.
+
+    A regular file's size is checked before reading, so a hostile header
+    cannot ask for a huge buffer; a pipe has no size up front, so it is read
+    to its end, which never asks for more than it holds.
+    """
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode):
+        data = fh.read(size) if st.st_size - fh.tell() >= size else b""
+    else:
+        data = fh.read()[:size]
+    if len(data) != size:
         raise FormatError(f"{path}: IDX data shorter than its header promises")
-    return fh.read(size)
+    return data
 
 
 def read_idx_images(path) -> np.ndarray:

@@ -286,9 +286,11 @@ def digit_rows_to_blocks(digits: np.ndarray, cfg: JrConfig) -> np.ndarray:
     nblocks = width // cfg.group_size
     groups = digits.reshape(n, nblocks, cfg.group_size)
     w = cfg.place_weights
-    blocks = np.int64(w[0]) * groups[:, :, 0]  # takes the memory order of ``digits``
+    # an explicit int64 dtype, since promotion from a uint8 array times a
+    # scalar differs across numpy versions; the sum keeps the digits' order
+    blocks = np.multiply(groups[:, :, 0], w[0], dtype=np.int64)
     for k in range(1, cfg.group_size):
-        blocks += np.int64(w[k]) * groups[:, :, k]
+        blocks += np.multiply(groups[:, :, k], w[k], dtype=np.int64)
     return blocks
 
 

@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyLibraryError, FormatError
 from .strand import ReadPool, Strand
@@ -26,8 +25,14 @@ __all__ = ["ReadFileResult", "write_fasta", "write_fastq", "read_sequences", "sn
 
 _DROP_ACGT = str.maketrans("", "", "ACGT")
 
-# Bytes ``str.strip`` removes; a line of only these is blank.
-_SPACE = np.array([chr(c).isspace() for c in range(128)] + [False] * 128)
+# Per byte: bit 0 unless ``str.strip`` removes it (a line without it is
+# blank), bit 1 unless it is A, C, G or T in either case.
+_BYTE_CLASS = np.array(
+    [(c >= 128 or not chr(c).isspace()) | (chr(c & 0xDF) not in "ACGT") << 1 for c in range(256)],
+    np.uint8,
+)
+# Bytes classed per call of ``np.take``, which copies its indices as intp.
+_TAKE_CHUNK = 1 << 16
 
 
 @dataclass
@@ -120,15 +125,6 @@ def _read_fasta(path) -> ReadFileResult:
     return ReadFileResult(ReadPool.from_strings(sequences), skipped)
 
 
-def _by_length(lengths: np.ndarray):
-    """Yield (length, positions) for each distinct value in ``lengths``."""
-    if not lengths.size:
-        return
-    order = np.argsort(lengths, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
-        yield int(lengths[group[0]]), group
-
-
 def _read_fastq(path) -> ReadFileResult:
     buf = np.fromfile(path, np.uint8)
     if not buf.size:
@@ -136,42 +132,29 @@ def _read_fastq(path) -> ReadFileResult:
     ends = np.append(np.flatnonzero(buf == ord("\n")), buf.size)
     begins = np.append(0, ends[:-1] + 1)
     ends -= (ends > begins) & (buf[ends - 1] == ord("\r"))
-    lengths = ends - begins
 
-    blank = lengths == 0
-    maybe = np.flatnonzero(~blank & _SPACE[buf[np.minimum(begins, buf.size - 1)]])
-    for n, group in _by_length(lengths[maybe]):
-        lines = sliding_window_view(buf, n)[begins[maybe[group]]]
-        blank[maybe[group]] = _SPACE[lines].all(axis=1)
-    begins, lengths = begins[~blank], lengths[~blank]
+    # OR of the byte classes over each line: reduceat reduces from one index
+    # to the next, so it takes the line bounds interleaved, and a spare last
+    # byte keeps the final bound in range
+    classes = np.zeros(buf.size + 1, np.uint8)
+    for k in range(0, buf.size, _TAKE_CHUNK):
+        part = buf[k : k + _TAKE_CHUNK]
+        np.take(_BYTE_CLASS, part, out=classes[k : k + part.size], mode="clip")
+    line_class = np.bitwise_or.reduceat(classes, np.column_stack([begins, ends]).ravel())[::2]
+    del classes
+    keep = (ends > begins) & (line_class & 1 == 1)  # not blank
+    begins, ends, line_class = begins[keep], ends[keep], line_class[keep]
     if begins.size % 4:
         raise FormatError(f"{path}: FASTQ record count is not a multiple of 4 lines")
     bad = (buf[begins[0::4]] != ord("@")) | (buf[begins[2::4]] != ord("+"))
     if bad.any():
         k = 4 * int(bad.argmax())
         raise FormatError(f"{path}: malformed FASTQ record near line {k + 1}")
-    return _gather_sequences(buf, begins[1::4], lengths[1::4])
 
-
-def _gather_sequences(buf: np.ndarray, begins: np.ndarray, lengths: np.ndarray) -> ReadFileResult:
-    """Upper-case copies of the lines ``buf[begins[i] : begins[i] + lengths[i]]``
-    in one pool, one length at a time; a line holding a byte outside ACGT is
-    skipped and counted."""
-    out = np.empty(int(lengths.sum()), np.uint8)
-    starts = np.empty_like(begins)
-    ok = np.empty(begins.size, bool)
-    at = 0
-    for n, group in _by_length(lengths):
-        rows = out[at : at + n * group.size].reshape(group.size, n)
-        rows[...] = sliding_window_view(buf, n)[begins[group]]
-        # clearing bit 5 upper-cases a-z, and yields A, C, G or T only from
-        # those letters in either case
-        rows &= 0xDF
-        acgt = (rows == ord("A")) | (rows == ord("C")) | (rows == ord("G")) | (rows == ord("T"))
-        ok[group] = acgt.all(axis=1)
-        starts[group] = at + n * np.arange(group.size)
-        at += rows.size
-    pool = ReadPool(out, starts[ok], lengths[ok])
+    ok = line_class[1::4] & 2 == 0
+    starts = begins[1::4]
+    buf &= 0xDF  # upper-cases a-z; the pool keeps only the ACGT lines
+    pool = ReadPool(buf, starts[ok], (ends[1::4] - starts)[ok])
     return ReadFileResult(pool, int(ok.size - ok.sum()))
 
 

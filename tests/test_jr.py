@@ -97,6 +97,18 @@ def test_block_digit_bijection_exhaustive():
         assert not CFG.is_encodable(value)
 
 
+def test_digit_rows_to_blocks_all_tuples_in_int64():
+    """uint8 digit rows in either memory order sum to int64 block values,
+    including those past the byte range (432 = 144 * 3 and up)."""
+    tuples = enumerate_digit_tuples(CFG.group_radices)
+    digits = np.array(tuples, np.uint8).reshape(-1, 4 * CFG.group_size)  # 4 blocks a row
+    want = np.arange(CFG.block_capacity).reshape(-1, 4)
+    for rows in (digits, np.asfortranarray(digits)):
+        got = jr.digit_rows_to_blocks(rows, CFG)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
 def test_block_digit_errors():
     with pytest.raises(RangeError):
         jr.block_to_digits(512)

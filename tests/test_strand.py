@@ -307,7 +307,9 @@ def _text_mode_read_fastq(path):
 _ACGT_PIECES = [b"A", b"C", b"G", b"T", b"acgt", b"gA"]
 _OTHER_PIECES = [b"N", b"n", b"U", b" ", b"\t", b"\x0b\x0c\x1c", b"\xe9", b"\xc3\xa9", b"\xff",
                  b"\x00"]
-_BLANK_LINES = [b"", b" ", b"\t", b" \x0c\x1f ", b"\x0b"]
+# blank lines, and two that only look blank: \x85 and \xa0 are not ASCII
+# whitespace, so text mode kept them as content
+_BLANK_LINES = [b"", b" ", b"\t", b" \x0c\x1f ", b"\x0b", b"\x85", b" \xa0"]
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """Loss sweeps and IDX dataset machinery."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,34 @@ def test_idx_rejects_header_promising_more_than_the_file(tmp_path):
     labels.write_bytes(bytes.fromhex("00000801") + b"\xff" * 4 + b"\x07" * 9)
     with pytest.raises(FormatError, match="shorter than its header promises"):
         read_idx_labels(labels)
+
+
+def _pipe(data: bytes) -> int:
+    """The read end of a pipe already holding ``data``."""
+    r, w = os.pipe()
+    os.write(w, data)
+    os.close(w)
+    return r
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_idx_reads_from_a_pipe(tmp_path, rng):
+    imgs = rng.integers(0, 256, (3, 4, 5), dtype=np.uint8)
+    write_idx_images(tmp_path / "im.idx", imgs)
+    data = (tmp_path / "im.idx").read_bytes()
+    cases = [(data + b"\x00" * 3, None),  # trailing bytes are ignored, as in a file
+             (data[:-1], FormatError),
+             (bytes.fromhex("00000803") + b"\xff" * 12, FormatError)]
+    for content, error in cases:
+        fd = _pipe(content)
+        try:
+            if error is None:
+                assert np.array_equal(read_idx_images(f"/dev/fd/{fd}"), imgs)
+            else:
+                with pytest.raises(error, match="shorter than its header promises"):
+                    read_idx_images(f"/dev/fd/{fd}")
+        finally:
+            os.close(fd)
 
 
 # ---------------------------------------------------------------------------
