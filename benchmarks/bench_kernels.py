@@ -2,8 +2,8 @@
 
 Run:  python benchmarks/bench_kernels.py
 
-Workloads mirror the hot paths: whole-library codec passes on a
-10,660-strand image and harmonic fill of a quarter-masked image.  Outputs are asserted equal between paths before
+The workload mirrors the hot path: whole-library codec passes on a
+10,660-strand image.  Outputs are asserted equal between paths before
 timing, so the numbers compare identical work.
 """
 
@@ -45,26 +45,16 @@ def bench_codec(rng):
     yield "decode_positions", (codes, rot, prev0)
 
 
-def bench_fill(rng):
-    img = rng.random((256, 256)) * 255
-    mask = rng.random((256, 256)) < 0.25
-    a = NUMPY_IMPL["harmonic_fill"](img, mask, 0.5, 10_000)
-    b = JIT_IMPL["harmonic_fill"](img, mask, 0.5, 10_000)
-    assert np.array_equal(a, b)
-    yield "harmonic_fill 256^2", (img, mask, 0.5, 10_000)
-
-
 def main():
     if not JIT_AVAILABLE:
         print("numba is not installed; nothing to compare")
         return
     rng = np.random.default_rng(0)
     rows = []
-    for gen in (bench_codec, bench_fill):
-        for name, args in gen(rng):
-            t_np = timeit(NUMPY_IMPL[name.split()[0]], *args)
-            t_nb = timeit(JIT_IMPL[name.split()[0]], *args)
-            rows.append((name, t_np, t_nb))
+    for name, args in bench_codec(rng):
+        t_np = timeit(NUMPY_IMPL[name], *args)
+        t_nb = timeit(JIT_IMPL[name], *args)
+        rows.append((name, t_np, t_nb))
     print(f"{'kernel':<24} {'numpy':>10} {'numba':>10} {'speedup':>9}")
     for name, t_np, t_nb in rows:
         print(f"{name:<24} {t_np * 1e3:>8.2f}ms {t_nb * 1e3:>8.2f}ms {t_np / t_nb:>8.1f}x")

@@ -17,6 +17,7 @@ so downstream metadata can say so.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -32,6 +33,8 @@ __all__ = [
     "ReadSet",
     "preset",
     "PRESET_NAMES",
+    "check_drop_rate",
+    "keep_mask",
     "drop_strands",
     "corrupt_reads",
     "consensus",
@@ -156,18 +159,35 @@ def _seq_of(item) -> str:
     return item.sequence if isinstance(item, Strand) else item
 
 
+def check_drop_rate(p: float) -> None:
+    """Raise :class:`ConfigError` unless ``p`` lies in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise ConfigError(f"drop probability must lie in [0, 1], got {p}")
+
+
+def keep_mask(count: int, p: float, seed) -> np.ndarray:
+    """Survival flags of ``count`` elements, each dropped with probability ``p``.
+
+    ``seed`` is an integer or a tuple of integers (Python or NumPy); position
+    ``j`` survives when the ``j``-th uniform of ``default_rng(seed + (0,))``
+    is at least ``p``, so survivor sets at increasing ``p`` are nested.
+    """
+    check_drop_rate(p)
+    try:
+        entropy = (operator.index(seed),)
+    except TypeError:
+        entropy = tuple(map(operator.index, seed))
+    return np.random.default_rng(entropy + (0,)).random(count) >= p
+
+
 def drop_strands(items: Sequence, p: float, seed) -> list:
     """Remove each element independently with probability ``p``.
 
-    ``seed`` may be an int or a tuple of ints.  The same seed always draws
-    the same per-position uniforms, so survivor sets at increasing ``p`` are
-    nested.
+    ``seed`` may be an int or a tuple of ints; the survivors are those
+    :func:`keep_mask` flags.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"drop probability must lie in [0, 1], got {p}")
-    entropy = (seed, 0) if isinstance(seed, int) else tuple(seed) + (0,)
-    u = np.random.default_rng(entropy).random(len(items))
-    return [x for x, ui in zip(items, u) if ui >= p]
+    keep = keep_mask(len(items), p, seed)
+    return [x for x, k in zip(items, keep.tolist()) if k]
 
 
 def corrupt_reads(strands: Sequence, profile: ChannelProfile) -> ReadSet:

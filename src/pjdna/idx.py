@@ -17,9 +17,9 @@ import numpy as np
 
 from . import jr
 from .errors import FormatError
-from .partition import decode_image, encode_image
-from .channel import drop_strands
-from .strand import DEFAULT_LAYOUT, StrandLayout
+from .channel import check_drop_rate, keep_mask
+from .partition import TileManifest, _image_from_tiles, _image_tile_blocks
+from .strand import DEFAULT_LAYOUT, StrandLayout, assemble_codes, parse_codes
 
 __all__ = [
     "read_idx_images",
@@ -32,6 +32,10 @@ __all__ = [
 
 _IMAGE_MAGIC = 0x00000803
 _LABEL_MAGIC = 0x00000801
+
+# Strands degraded together, in whole images; bounds a chunk's temporaries
+# to a few MiB.
+_DEGRADE_CHUNK = 640
 
 
 def _read_promised(fh, size: int, path) -> bytes:
@@ -125,25 +129,30 @@ def degrade_dataset(
 
     ``images_in``/``images_out`` are IDX paths; ``masks_out`` (optional)
     receives the per-image missing masks as a 0/1 uint8 IDX stack.  Image i
-    uses the derived seed (seed, i), so the dataset can be regenerated one
-    image at a time.  Returns a summary with the masked-fraction
+    loses the strands ``channel.drop_strands(strands, rate, (seed, i))``
+    would drop, so the dataset can be regenerated one image at a time.  The
+    stack is worked in chunks of whole images, each stage one array pass
+    per chunk: tile, encode to one code matrix, drop, decode the surviving
+    rows, scatter their tiles.  Returns a summary with the masked-fraction
     distribution across images.
     """
+    check_drop_rate(rate)
     images = read_idx_images(images_in)
     n, rows, cols = images.shape
     out = np.empty_like(images)
     masks = np.empty_like(images) if masks_out is not None else None
     fractions = np.empty(n, np.float64)
-    strands_per_image = None
-    for i in range(n):
-        strands, manifest = encode_image(images[i], cfg, layout, tile_pixels)
+    strands_per_image = 0
+    if n:
+        manifest = TileManifest.for_image(cols, rows, cfg, layout, tile_pixels)
         strands_per_image = manifest.strand_count
-        survivors = drop_strands(strands, rate, (seed, i))
-        recovered = decode_image(((s.index_value, s.payload) for s in survivors), manifest)
-        out[i] = recovered.image
-        fractions[i] = recovered.masked_fraction
-        if masks is not None:
-            masks[i] = recovered.missing_mask.astype(np.uint8)
+        step = max(1, _DEGRADE_CHUNK // strands_per_image)
+        for a in range(0, n, step):
+            chunk = slice(a, a + step)
+            out[chunk], missing = _degrade_images(images[chunk], a, rate, seed, manifest)
+            fractions[chunk] = missing.reshape(missing.shape[0], -1).mean(axis=1)
+            if masks is not None:
+                masks[chunk] = missing
     write_idx_images(images_out, out)
     if masks is not None:
         write_idx_images(masks_out, masks)
@@ -152,9 +161,29 @@ def degrade_dataset(
         "shape": [int(rows), int(cols)],
         "rate": float(rate),
         "seed": int(seed),
-        "strands_per_image": int(strands_per_image) if strands_per_image else 0,
+        "strands_per_image": int(strands_per_image),
         "masked_fraction_mean": float(fractions.mean()) if n else 0.0,
         "masked_fraction_std": float(fractions.std()) if n else 0.0,
         "masked_fraction_min": float(fractions.min()) if n else 0.0,
         "masked_fraction_max": float(fractions.max()) if n else 0.0,
     }
+
+
+def _degrade_images(
+    images: np.ndarray, first: int, rate: float, seed: int, manifest: TileManifest
+) -> tuple[np.ndarray, np.ndarray]:
+    """Degraded images and missing masks of ``images``, stack images
+    ``first, first + 1, ...``."""
+    k, n, tp = images.shape[0], manifest.strand_count, manifest.tile_pixels
+    cfg, layout = manifest.cfg, manifest.layout
+    index = np.tile(np.arange(n, dtype=np.int64), k)
+    codes = assemble_codes(index, _image_tile_blocks(images, manifest), layout, cfg)
+    keep = np.concatenate([keep_mask(n, rate, (seed, first + j)) for j in range(k)])
+    ok, tile, blocks = parse_codes(codes[keep], layout, cfg)
+    image = np.repeat(np.arange(k), n)[keep][ok]
+    tiles = np.zeros((k, n, tp), np.uint8)
+    seen = np.zeros((k, n), bool)
+    # a tile's pixels are the leading bytes of its payload
+    tiles[image, tile] = jr.pack_block_rows(blocks, cfg.bits_per_block)[:, :tp]
+    seen[image, tile] = True
+    return _image_from_tiles(tiles, seen, manifest)

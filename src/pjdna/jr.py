@@ -55,6 +55,7 @@ __all__ = [
     "seq_from_codes",
     "pack_block_rows",
     "unpack_block_rows",
+    "bit_rows_to_blocks",
 ]
 
 ALPHABET = "ACGT"
@@ -297,15 +298,27 @@ def digit_rows_to_blocks(digits: np.ndarray, cfg: JrConfig) -> np.ndarray:
 def pack_block_rows(blocks: np.ndarray, bits: int) -> np.ndarray:
     """(n, B) block values -> (n, ceil(B*bits/8)) uint8 rows, MSB-first."""
     n, nblocks = blocks.shape
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
-    bit_rows = ((blocks[:, :, None].astype(np.int64) >> shifts) & 1).astype(np.uint8)
+    bit_rows = np.empty((n, nblocks, bits), np.uint8)
+    for k in range(bits):
+        bit_rows[:, :, k] = (blocks >> (bits - 1 - k)) & 1
     return np.packbits(bit_rows.reshape(n, nblocks * bits), axis=1)
+
+
+def bit_rows_to_blocks(bit_rows: np.ndarray, nblocks: int, bits: int) -> np.ndarray:
+    """The leading ``nblocks * bits`` columns of a 0/1 matrix -> (n, nblocks)
+    int64 block values, MSB-first."""
+    n = bit_rows.shape[0]
+    groups = bit_rows[:, : nblocks * bits].reshape(n, nblocks, bits)
+    blocks = np.zeros((n, nblocks), np.int64)
+    for k in range(bits):
+        blocks <<= 1
+        blocks |= groups[:, :, k]
+    return blocks
+
 
 def unpack_block_rows(data: np.ndarray, nblocks: int, bits: int) -> np.ndarray:
     """Inverse of :func:`pack_block_rows` for rows of packed payload bytes."""
-    flat = np.unpackbits(data, axis=1)[:, : nblocks * bits]
-    w = (1 << np.arange(bits - 1, -1, -1, dtype=np.int64))
-    return flat.reshape(data.shape[0], nblocks, bits).astype(np.int64) @ w
+    return bit_rows_to_blocks(np.unpackbits(data, axis=1), nblocks, bits)
 
 
 def encode_block_rows(blocks: np.ndarray, cfg: JrConfig, prev0: np.ndarray) -> np.ndarray:

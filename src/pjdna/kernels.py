@@ -21,7 +21,6 @@ __all__ = [
     "JIT_AVAILABLE",
     "encode_positions",
     "decode_positions",
-    "harmonic_fill",
     "NUMPY_IMPL",
     "JIT_IMPL",
 ]
@@ -69,46 +68,6 @@ def _decode_positions_loop(codes, rot, prev0):
     return digits, viol
 
 
-def _harmonic_fill_loop(pixels, mask, tol, max_iter):
-    h, w = pixels.shape
-    cur = np.empty((h, w), np.float64)
-    for i in range(h):
-        for j in range(w):
-            cur[i, j] = 0.0 if mask[i, j] else pixels[i, j]
-    nxt = cur.copy()
-    for _ in range(max_iter):
-        delta = 0.0
-        for i in range(h):
-            for j in range(w):
-                if not mask[i, j]:
-                    continue
-                s = 0.0
-                c = 0.0
-                if i > 0:
-                    s += cur[i - 1, j]
-                    c += 1.0
-                if i < h - 1:
-                    s += cur[i + 1, j]
-                    c += 1.0
-                if j > 0:
-                    s += cur[i, j - 1]
-                    c += 1.0
-                if j < w - 1:
-                    s += cur[i, j + 1]
-                    c += 1.0
-                v = s / c
-                d = abs(v - cur[i, j])
-                if d > delta:
-                    delta = d
-                nxt[i, j] = v
-        tmp = cur
-        cur = nxt
-        nxt = tmp
-        if delta < tol:
-            break
-    return cur
-
-
 # ---------------------------------------------------------------------------
 # numpy twins
 # ---------------------------------------------------------------------------
@@ -143,32 +102,9 @@ def _decode_positions_np(codes, rot, prev0):
     return digits.T, viol
 
 
-def _harmonic_fill_np(pixels, mask, tol, max_iter):
-    h, w = pixels.shape
-    cur = np.where(mask, 0.0, pixels.astype(np.float64))
-    cnt = np.zeros((h, w), np.float64)
-    cnt[1:, :] += 1.0
-    cnt[:-1, :] += 1.0
-    cnt[:, 1:] += 1.0
-    cnt[:, :-1] += 1.0
-    for _ in range(max_iter):
-        s = np.zeros((h, w), np.float64)
-        s[1:, :] += cur[:-1, :]
-        s[:-1, :] += cur[1:, :]
-        s[:, 1:] += cur[:, :-1]
-        s[:, :-1] += cur[:, 1:]
-        v = s / cnt
-        delta = float(np.abs(v[mask] - cur[mask]).max())
-        cur = np.where(mask, v, cur)
-        if delta < tol:
-            break
-    return cur
-
-
 NUMPY_IMPL = {
     "encode_positions": _encode_positions_np,
     "decode_positions": _decode_positions_np,
-    "harmonic_fill": _harmonic_fill_np,
 }
 
 try:
@@ -178,7 +114,6 @@ try:
     JIT_IMPL = {
         "encode_positions": njit(cache=True)(_encode_positions_loop),
         "decode_positions": njit(cache=True)(_decode_positions_loop),
-        "harmonic_fill": njit(cache=True)(_harmonic_fill_loop),
     }
 except ImportError:  # pragma: no cover - exercised only without numba
     JIT_AVAILABLE = False
@@ -190,7 +125,6 @@ _ACTIVE = JIT_IMPL if JIT_ENABLED else NUMPY_IMPL
 
 encode_positions = _ACTIVE["encode_positions"]
 decode_positions = _ACTIVE["decode_positions"]
-harmonic_fill = _ACTIVE["harmonic_fill"]
 
 
 def warmup() -> None:
@@ -200,9 +134,3 @@ def warmup() -> None:
     prev0 = np.zeros(1, np.uint8)
     codes = encode_positions(digits, rot, prev0)
     decode_positions(codes, rot, prev0)
-    harmonic_fill(
-        np.zeros((3, 3), np.float64),
-        np.array([[False] * 3, [False, True, False], [False] * 3]),
-        0.5,
-        10,
-    )

@@ -200,13 +200,31 @@ class RecoveredImage:
         return float(self.missing_mask.mean()) if self.missing_mask.size else 0.0
 
 
-def _tile_bits_to_blocks(bits: np.ndarray, manifest: TileManifest) -> np.ndarray:
-    n = bits.shape[0]
+def _image_tile_blocks(images: np.ndarray, manifest: TileManifest) -> np.ndarray:
+    """Payload blocks of a ``(k, height, width)`` uint8 stack: tile ``t`` of
+    image ``i`` is row ``i * strand_count + t``."""
+    k = images.shape[0]
+    n, tp = manifest.strand_count, manifest.tile_pixels
+    flat = np.zeros((k, n * tp), np.uint8)
+    flat[:, : manifest.width * manifest.height] = images.reshape(k, -1)
+    bits = np.zeros((k * n, manifest.payload_capacity), np.uint8)
+    bits[:, : 8 * tp] = np.unpackbits(flat.reshape(k * n, tp), axis=1)
     cfg = manifest.cfg
-    groups = cfg.groups_per_payload
-    return bits.reshape(n, groups, cfg.bits_per_block).astype(np.int64) @ (
-        1 << np.arange(cfg.bits_per_block - 1, -1, -1, dtype=np.int64)
-    )
+    return jr.bit_rows_to_blocks(bits, cfg.groups_per_payload, cfg.bits_per_block)
+
+
+def _image_from_tiles(
+    tiles: np.ndarray, seen: np.ndarray, manifest: TileManifest
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`_image_tile_blocks` on ``(k, strand_count,
+    tile_pixels)`` tile bytes: the ``(k, height, width)`` images and their
+    missing masks, True under every tile not ``seen``."""
+    k = tiles.shape[0]
+    shape = (k, manifest.height, manifest.width)
+    hw = manifest.height * manifest.width
+    images = tiles.reshape(k, -1)[:, :hw].reshape(shape)
+    missing = np.repeat(~seen, manifest.tile_pixels, axis=1)[:, :hw].reshape(shape)
+    return images, missing
 
 
 def encode_image(
@@ -225,24 +243,14 @@ def encode_image(
         raise ConfigError("image must be a 2-D uint8 array")
     h, w = img.shape
     manifest = TileManifest.for_image(w, h, cfg, layout, tile_pixels)
-    n, tp = manifest.strand_count, manifest.tile_pixels
-    flat = np.zeros(n * tp, np.uint8)
-    flat[: h * w] = img.reshape(-1)
-    tile_bytes = flat.reshape(n, tp)
-    bits = np.unpackbits(tile_bytes, axis=1)
-    if manifest.pad_bits_per_tile:
-        bits = np.concatenate(
-            [bits, np.zeros((n, manifest.pad_bits_per_tile), np.uint8)], axis=1
-        )
-    blocks = _tile_bits_to_blocks(bits, manifest)
-    strands = assemble_many(np.arange(n, dtype=np.int64), blocks, layout, cfg)
+    blocks = _image_tile_blocks(img[None], manifest)
+    strands = assemble_many(np.arange(manifest.strand_count, dtype=np.int64), blocks, layout, cfg)
     return strands, manifest
 
 
-def _payloads_to_bits(payloads: list[bytes], manifest: TileManifest) -> np.ndarray:
+def _payload_rows(payloads: list[bytes], manifest: TileManifest) -> np.ndarray:
     nbytes = manifest.layout.payload_bytes_len(manifest.cfg)
-    mat = np.frombuffer(b"".join(payloads), np.uint8).reshape(len(payloads), nbytes)
-    return np.unpackbits(mat, axis=1)[:, : manifest.payload_capacity]
+    return np.frombuffer(b"".join(payloads), np.uint8).reshape(len(payloads), nbytes)
 
 
 def _dedupe_sorted(indices: np.ndarray) -> np.ndarray:
@@ -268,8 +276,7 @@ def decode_image(
         raise ConfigError("decode_image needs an image-mode manifest")
     pairs = list(accepted)
     n, tp = manifest.strand_count, manifest.tile_pixels
-    h, w = manifest.height, manifest.width
-    flat = np.zeros(n * tp, np.uint8)
+    tiles = np.zeros((n, tp), np.uint8)
     seen = np.zeros(n, bool)
     stray = 0
     if pairs:
@@ -281,13 +288,10 @@ def decode_image(
         idx = np.fromiter((p[0] for p in pairs), np.int64, len(pairs))
         keep = _dedupe_sorted(idx)
         idx = idx[keep]
-        payloads = [pairs[i][1] for i in keep]
-        bits = _payloads_to_bits(payloads, manifest)
-        tile_bytes = np.packbits(bits[:, : 8 * tp], axis=1)
-        flat[(idx[:, None] * tp + np.arange(tp)).reshape(-1)] = tile_bytes.reshape(-1)
+        # a tile's pixels are the leading bytes of its payload
+        tiles[idx] = _payload_rows([pairs[i][1] for i in keep], manifest)[:, :tp]
         seen[idx] = True
-    image = flat[: h * w].reshape(h, w)
-    mask_flat = np.repeat(~seen, tp)[: h * w]
+    image, missing = _image_from_tiles(tiles[None], seen[None], manifest)
     stats = {
         "strands_expected": n,
         "strands_recovered": int(seen.sum()),
@@ -296,7 +300,7 @@ def decode_image(
     }
     if parse_stats:
         stats.update(parse_stats)
-    return RecoveredImage(image=image, missing_mask=mask_flat.reshape(h, w), stats=stats)
+    return RecoveredImage(image=image[0], missing_mask=missing[0], stats=stats)
 
 
 def encode_raw(
@@ -313,7 +317,8 @@ def encode_raw(
     bits = np.unpackbits(np.frombuffer(data, np.uint8))
     padded = np.zeros(n * capacity, np.uint8)
     padded[: bits.size] = bits
-    blocks = _tile_bits_to_blocks(padded.reshape(n, capacity), manifest)
+    rows = padded.reshape(n, capacity)
+    blocks = jr.bit_rows_to_blocks(rows, cfg.groups_per_payload, cfg.bits_per_block)
     strands = assemble_many(np.arange(n, dtype=np.int64), blocks, layout, cfg)
     return strands, manifest
 
@@ -346,7 +351,8 @@ def decode_raw(
         idx = np.fromiter((p[0] for p in pairs), np.int64, len(pairs))
         keep = _dedupe_sorted(idx)
         idx = idx[keep]
-        rows = _payloads_to_bits([pairs[i][1] for i in keep], manifest)
+        rows = _payload_rows([pairs[i][1] for i in keep], manifest)
+        rows = np.unpackbits(rows, axis=1)[:, :capacity]
         starts = idx * capacity
         pos = (starts[:, None] + np.arange(capacity)).reshape(-1)
         bits[pos] = rows.reshape(-1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,6 +34,9 @@ _BYTE_CLASS = np.array(
 )
 # Bytes classed per call of ``np.take``, which copies its indices as intp.
 _TAKE_CHUNK = 1 << 16
+# Records joined per write: about 80 KiB of FASTQ text at 141 nt, so a
+# write never holds the whole file.
+_WRITE_CHUNK = 256
 
 
 @dataclass
@@ -52,11 +56,12 @@ class ReadFileResult:
 
 def write_fasta(path, strands: Iterable[Strand]) -> int:
     """Write one record per strand; returns the record count."""
+    strands = iter(strands)
     n = 0
     with open(path, "w", encoding="ascii") as fh:
-        for s in strands:
-            fh.write(f">pj|{s.index_value}\n{s.sequence}\n")
-            n += 1
+        while chunk := list(islice(strands, _WRITE_CHUNK)):
+            fh.write("".join([f">pj|{s.index_value}\n{s.sequence}\n" for s in chunk]))
+            n += len(chunk)
     return n
 
 
@@ -67,9 +72,18 @@ def write_fastq(path, reads: Sequence[str], origins: Sequence[int] | None = None
     for diagnostics only; decoding never reads them.
     """
     with open(path, "w", encoding="ascii") as fh:
-        for k, seq in enumerate(reads):
-            tag = f" origin={origins[k]}" if origins is not None else ""
-            fh.write(f"@pj.read.{k}{tag}\n{seq}\n+\n{'I' * len(seq)}\n")
+        for a in range(0, len(reads), _WRITE_CHUNK):
+            part = reads[a : a + _WRITE_CHUNK]
+            ids = range(a, a + len(part))
+            lines = ["+"] * (4 * len(part))
+            if origins is None:
+                lines[0::4] = [f"@pj.read.{k}" for k in ids]
+            else:
+                lines[0::4] = [f"@pj.read.{k} origin={origins[k]}" for k in ids]
+            lines[1::4] = part
+            lines[3::4] = ["I" * len(seq) for seq in part]
+            lines.append("")  # the newline after the last line
+            fh.write("\n".join(lines))
     return len(reads)
 
 

@@ -29,8 +29,10 @@ __all__ = [
     "ReadPool",
     "assemble_strand",
     "assemble_many",
+    "assemble_codes",
     "parse_strand",
     "parse_many",
+    "parse_codes",
 ]
 
 # Fixed default primers: repeat-free (so junction runs stay short) and with no
@@ -223,18 +225,19 @@ def _payload_to_blocks(payload: bytes, layout: StrandLayout, cfg: jr.JrConfig) -
     return jr.unpack_block_rows(row, layout.payload_groups(cfg), cfg.bits_per_block)[0]
 
 
-def assemble_many(
+def assemble_codes(
     index_values: np.ndarray,
     payload_blocks: np.ndarray,
     layout: StrandLayout = DEFAULT_LAYOUT,
     cfg: jr.JrConfig = jr.DEFAULT_CONFIG,
-) -> list[Strand]:
-    """Assemble one strand per row of ``payload_blocks``."""
+) -> np.ndarray:
+    """The data regions of :func:`assemble_many` as a ``(n, data_nt)`` code
+    matrix, primers left off; the checks are the same."""
     layout.validate(cfg)
     index_values = np.asarray(index_values, np.int64)
     n = index_values.shape[0]
     if n == 0:
-        return []
+        return np.empty((0, layout.data_nt), np.uint8)
     cap = layout.index_capacity(cfg)
     if index_values.min() < 0 or index_values.max() >= cap:
         raise CapacityError(f"index values must lie in [0, {cap})")
@@ -243,14 +246,25 @@ def assemble_many(
     idx_blocks = _index_to_blocks(index_values, layout.index_groups(cfg), cfg.block_limit)
     blocks = np.concatenate([idx_blocks, payload_blocks.astype(np.int64)], axis=1)
     prev0 = np.full(n, jr.ALPHABET.index(layout.prev_init()), np.uint8)
-    codes = jr.encode_block_rows(blocks, cfg, prev0)
+    return jr.encode_block_rows(blocks, cfg, prev0)
+
+
+def assemble_many(
+    index_values: np.ndarray,
+    payload_blocks: np.ndarray,
+    layout: StrandLayout = DEFAULT_LAYOUT,
+    cfg: jr.JrConfig = jr.DEFAULT_CONFIG,
+) -> list[Strand]:
+    """Assemble one strand per row of ``payload_blocks``."""
+    codes = assemble_codes(index_values, payload_blocks, layout, cfg)
+    if codes.shape[0] == 0:
+        return []
     packed = jr.pack_block_rows(payload_blocks.astype(np.int64), cfg.bits_per_block)
     p5, p3 = layout.primer5, layout.primer3
-    strands = []
-    for i in range(n):
-        seq = p5 + jr.seq_from_codes(codes[i]) + p3
-        strands.append(Strand(int(index_values[i]), packed[i].tobytes(), seq))
-    return strands
+    return [
+        Strand(int(i), row.tobytes(), p5 + jr.seq_from_codes(c) + p3)
+        for i, row, c in zip(np.asarray(index_values, np.int64), packed, codes)
+    ]
 
 
 def assemble_strand(
@@ -355,19 +369,32 @@ def _parse_rows(
     counts["reject_primer"] += int((~keep).sum())
 
     data = jr._ASCII_CODE[rows[keep, n5 : n5 + layout.data_nt]]
-    m = data.shape[0]
-    ok = ~(data == 255).any(axis=1)  # non-ACGT inside the data region
-    prev0 = np.full(m, jr.ALPHABET.index(layout.prev_init()), np.uint8)
-    blocks, viol = jr.decode_code_rows(data, cfg, prev0)
+    ok, indices, payload = parse_codes(data, layout, cfg)
+    counts["reject_corrupt"] += int((~ok).sum())
+    counts["accepted"] += int(indices.size)
+    return indices, payload
+
+
+def parse_codes(
+    codes: np.ndarray,
+    layout: StrandLayout = DEFAULT_LAYOUT,
+    cfg: jr.JrConfig = jr.DEFAULT_CONFIG,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode a ``(n, data_nt)`` matrix of data-region codes, 255 marking a
+    character outside ACGT.
+
+    Returns ``(ok, indices, payload_blocks)``: ``ok`` flags the rows with no
+    bad character, rotating violation or out-of-range block, and the other
+    two hold the decoded rows flagged ``ok``, in order.
+    """
+    ok = ~(codes == 255).any(axis=1)
+    prev0 = np.full(codes.shape[0], jr.ALPHABET.index(layout.prev_init()), np.uint8)
+    blocks, viol = jr.decode_code_rows(codes, cfg, prev0)
     ok &= viol < 0
     ok &= (blocks < cfg.block_limit).all(axis=1)
-    counts["reject_corrupt"] += int((~ok).sum())
-
     blocks = blocks[ok]
     n_idx = layout.index_groups(cfg)
-    indices = _blocks_to_index(blocks[:, :n_idx], cfg.block_limit)
-    counts["accepted"] += int(indices.size)
-    return indices, blocks[:, n_idx:]
+    return ok, _blocks_to_index(blocks[:, :n_idx], cfg.block_limit), blocks[:, n_idx:]
 
 
 def parse_strand(

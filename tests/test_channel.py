@@ -97,6 +97,18 @@ def test_drop_deterministic_and_nested():
     assert set(b) <= set(a)
 
 
+def test_drop_accepts_numpy_integer_seeds():
+    items = list(range(500))
+    assert drop_strands(items, 0.3, np.int64(3)) == drop_strands(items, 0.3, 3)
+    assert drop_strands(items, 0.3, np.uint32(3)) == drop_strands(items, 0.3, 3)
+    expect = drop_strands(items, 0.3, (3, 7))
+    for seed in [(np.int64(3), 7), (3, np.int32(7)), [np.uint8(3), np.int64(7)], np.array([3, 7])]:
+        assert drop_strands(items, 0.3, seed) == expect
+    assert expect != drop_strands(items, 0.3, 3)
+    with pytest.raises(TypeError):
+        drop_strands(items, 0.3, 3.0)
+
+
 def test_drop_binomial_band():
     """Survivor counts stay inside the 3-sigma binomial band in >=99/100 seeds."""
     items = list(range(10000))

@@ -344,6 +344,16 @@ def test_degrade_dataset_hostile_idx_header_exits_4(tmp_path, capsys):
     assert not (tmp_path / "out.idx").exists()
 
 
+@pytest.mark.parametrize("count", [0, 3])
+def test_degrade_dataset_bad_rate_exits_2(tmp_path, rng, capsys, count):
+    write_idx_images(tmp_path / "in.idx", rng.integers(0, 256, (count, 28, 28), dtype=np.uint8))
+    assert run("degrade-dataset", "--in", tmp_path / "in.idx", "--rate", "1.5",
+               "--out", tmp_path / "out.idx") == 2
+    assert "drop probability must lie in [0, 1], got 1.5" in capsys.readouterr().err
+    assert not (tmp_path / "out.idx").exists()
+    assert not (tmp_path / "out.idx.meta.json").exists()
+
+
 def test_tally_cli(tmp_path, capsys):
     write_idx_labels(tmp_path / "truth.idx", [1, 2, 3, 4])
     (tmp_path / "orig.txt").write_text("1\n2\n9\n4\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pjdna.errors import ConfigError, ShapeError
-from pjdna.inpaint import inpaint
+from pjdna.inpaint import _harmonic_solve, inpaint
 from pjdna.metrics import em_decode, em_ssim, ssim, tally_outcomes
 
 
@@ -149,6 +149,46 @@ def test_inpaint_deterministic_and_idempotent(rng):
 def test_inpaint_shape_error():
     with pytest.raises(ShapeError):
         inpaint(np.zeros((4, 4), np.uint8), np.zeros((4, 5), bool))
+
+
+def _exact_harmonic_fill(img, mask):
+    """The masked 4-neighbour Laplace system, built as a sparse matrix and
+    solved directly."""
+    sparse = pytest.importorskip("scipy.sparse")
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    h, w = img.shape
+    unknown = -np.ones((h, w), np.int64)
+    unknown[mask] = np.arange(int(mask.sum()))
+    rows, cols, vals = [], [], []
+    b = np.zeros(int(mask.sum()))
+    for (i, j), k in zip(np.argwhere(mask), unknown[mask]):
+        for a, c in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+            if not (0 <= a < h and 0 <= c < w):
+                continue
+            rows.append(k)
+            cols.append(k)
+            vals.append(1.0)
+            if mask[a, c]:
+                rows.append(k)
+                cols.append(unknown[a, c])
+                vals.append(-1.0)
+            else:
+                b[k] += float(img[a, c])
+    A = sparse.csr_matrix((vals, (rows, cols)), shape=(b.size, b.size))
+    return linalg.spsolve(A, b)
+
+
+@pytest.mark.parametrize("loss", [0.3, 0.9])
+def test_inpaint_matches_sparse_direct_solve(rng, loss):
+    yy, xx = np.mgrid[0:40, 0:56]
+    img = np.clip(128 + 80 * np.sin(xx / 5.0) * np.cos(yy / 7.0)
+                  + rng.normal(0, 20, xx.shape), 0, 255).astype(np.uint8)
+    mask = rng.random(img.shape) < loss
+    exact = _exact_harmonic_fill(img, mask)
+    assert np.abs(_harmonic_solve(img, mask, 1e-6, 10_000)[mask] - exact).max() < 0.01
+    got = inpaint(img, mask)[mask].astype(int)
+    assert np.abs(got - np.clip(np.rint(exact), 0, 255)).max() <= 1
+    assert np.array_equal(inpaint(img, mask)[~mask], img[~mask])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pjdna import jr
+from pjdna import jr, seqio
 from pjdna.errors import (
     CapacityError,
     ConfigError,
@@ -388,3 +388,23 @@ def test_write_fastq_constant_quality(tmp_path):
     assert lines[0] == "@pj.read.0 origin=4"
     assert lines[3] == "IIII"
     assert lines[7] == "II"
+
+
+@pytest.mark.parametrize("chunk", [2, 5, 256])
+def test_writers_give_the_same_bytes_in_any_chunking(tmp_path, rng, monkeypatch, chunk):
+    monkeypatch.setattr(seqio, "_WRITE_CHUNK", chunk)
+    reads = ["ACGT", "GG", "", "TTTAC", "C"]
+    assert write_fastq(tmp_path / "a.fastq", reads, origins=[4, 2, 0, 9, 1]) == 5
+    assert (tmp_path / "a.fastq").read_text() == "".join(
+        f"@pj.read.{k} origin={o}\n{s}\n+\n{'I' * len(s)}\n"
+        for k, (s, o) in enumerate(zip(reads, [4, 2, 0, 9, 1]))
+    )
+    assert write_fastq(tmp_path / "b.fastq", reads) == 5
+    assert (tmp_path / "b.fastq").read_text() == "".join(
+        f"@pj.read.{k}\n{s}\n+\n{'I' * len(s)}\n" for k, s in enumerate(reads)
+    )
+    strands = [assemble_strand(i, random_payload(rng)) for i in range(5)]
+    assert write_fasta(tmp_path / "c.fasta", iter(strands)) == 5
+    assert (tmp_path / "c.fasta").read_text() == "".join(
+        f">pj|{s.index_value}\n{s.sequence}\n" for s in strands
+    )

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from pjdna.channel import ChannelProfile
+from pjdna import idx
+from pjdna.channel import ChannelProfile, drop_strands
 from pjdna.errors import ConfigError, FormatError
 from pjdna.idx import (
     degrade_dataset,
@@ -15,6 +16,7 @@ from pjdna.idx import (
     write_idx_images,
     write_idx_labels,
 )
+from pjdna.partition import decode_image, encode_image
 from pjdna.sweep import CSV_HEADER, loss_sweep
 
 
@@ -235,3 +237,60 @@ def test_degrade_deterministic(tmp_path, rng):
     degrade_dataset(src, 0.15, 9, a)
     degrade_dataset(src, 0.15, 9, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _degrade_one_at_a_time(images, rate, seed, tile_pixels):
+    """Reference: every image through encode -> drop -> decode on its own."""
+    out = np.zeros_like(images)
+    masks = np.zeros_like(images)
+    fractions = np.zeros(len(images))
+    strands_per_image = 0
+    for i, img in enumerate(images):
+        strands, manifest = encode_image(img, tile_pixels=tile_pixels)
+        strands_per_image = manifest.strand_count
+        survivors = drop_strands(strands, rate, (seed, i))
+        rec = decode_image([(s.index_value, s.payload) for s in survivors], manifest)
+        out[i] = rec.image
+        masks[i] = rec.missing_mask
+        fractions[i] = rec.masked_fraction
+    n = len(images)
+    summary = {
+        "images": n,
+        "shape": list(images.shape[1:]),
+        "rate": rate,
+        "seed": seed,
+        "strands_per_image": strands_per_image,
+        "masked_fraction_mean": float(fractions.mean()) if n else 0.0,
+        "masked_fraction_std": float(fractions.std()) if n else 0.0,
+        "masked_fraction_min": float(fractions.min()) if n else 0.0,
+        "masked_fraction_max": float(fractions.max()) if n else 0.0,
+    }
+    return out, masks, summary
+
+
+@pytest.mark.parametrize("chunk", [None, 100, 1])
+@pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize(
+    "count, shape, tile_pixels",
+    [(7, (28, 28), None), (9, (5, 7), None), (9, (5, 7), 3), (0, (28, 28), None)],
+)
+def test_degrade_matches_one_image_at_a_time(
+    tmp_path, rng, monkeypatch, chunk, rate, count, shape, tile_pixels
+):
+    """The chunked stack pass writes the bytes the per-image calls would,
+    whatever the chunk size (100 strands split 7 images of 40 as 2+2+2+1
+    and 9 images of 12 as 8+1; 1 strand gives one image per chunk)."""
+    if chunk is not None:
+        monkeypatch.setattr(idx, "_DEGRADE_CHUNK", chunk)
+    images = rng.integers(0, 256, (count, *shape), dtype=np.uint8)
+    write_idx_images(tmp_path / "in.idx", images)
+    summary = degrade_dataset(
+        tmp_path / "in.idx", rate, 11, tmp_path / "out.idx", tmp_path / "masks.idx",
+        tile_pixels=tile_pixels,
+    )
+    out, masks, expect = _degrade_one_at_a_time(images, rate, 11, tile_pixels)
+    write_idx_images(tmp_path / "ref_out.idx", out)
+    write_idx_images(tmp_path / "ref_masks.idx", masks)
+    assert (tmp_path / "out.idx").read_bytes() == (tmp_path / "ref_out.idx").read_bytes()
+    assert (tmp_path / "masks.idx").read_bytes() == (tmp_path / "ref_masks.idx").read_bytes()
+    assert summary == expect
