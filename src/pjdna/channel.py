@@ -19,6 +19,7 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,9 +45,13 @@ __all__ = [
 # (strand, replicate); 2: one generator per strand, replicates as rows.
 CHANNEL_STREAM = 2
 
-# Reads mutated together in one numpy pass; bounds the pass's temporaries
-# to about 3 MiB at 141 nt.
+# Reads mutated together in one numpy pass; bounds the pass's draws to
+# about 1.4 MiB at 141 nt.
 _CHUNK_READS = 256
+
+# bytes.translate table from nucleotide codes to ASCII; a code outside the
+# alphabet (a strand character other than ACGT) comes out as N.
+_CODE_TO_ASCII = bytes(jr._CODE_ASCII) + b"N" * (256 - jr._CODE_ASCII.size)
 
 _PROFILE_KEYS = {
     "dropout_p",
@@ -80,6 +85,8 @@ class ChannelProfile:
                 raise ConfigError(f"{field_name} must be a number, got {v!r}")
         if not isinstance(self.seed, numbers.Integral):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for field_name in ("dropout_p", "sub_p", "ins_p", "del_p"):
             v = getattr(self, field_name)
             if not 0.0 <= v <= 1.0:
@@ -142,17 +149,25 @@ def preset(name: str, seed: int = 0) -> ChannelProfile:
 
 @dataclass
 class ReadSet:
-    """Observed reads plus per-read origin ids (diagnostics only).
+    """Observed reads as one pool, plus per-read origin ids (diagnostics only).
 
     Origins exist so simulations can be audited; nothing on the decode path
-    accepts them.
+    accepts them.  ``sequences`` and ``origins`` are lists built on first use.
     """
 
-    sequences: list[str]
-    origins: list[int]
+    pool: ReadPool
+    origin_ids: np.ndarray  # int64: the strand each read came from
+
+    @cached_property
+    def sequences(self) -> list[str]:
+        return self.pool.to_strings()
+
+    @cached_property
+    def origins(self) -> list[int]:
+        return self.origin_ids.tolist()
 
     def __len__(self) -> int:
-        return len(self.sequences)
+        return len(self.pool)
 
 
 def _seq_of(item) -> str:
@@ -168,15 +183,18 @@ def check_drop_rate(p: float) -> None:
 def keep_mask(count: int, p: float, seed) -> np.ndarray:
     """Survival flags of ``count`` elements, each dropped with probability ``p``.
 
-    ``seed`` is an integer or a tuple of integers (Python or NumPy); position
-    ``j`` survives when the ``j``-th uniform of ``default_rng(seed + (0,))``
-    is at least ``p``, so survivor sets at increasing ``p`` are nested.
+    ``seed`` is a non-negative integer or a tuple of them (Python or NumPy);
+    position ``j`` survives when the ``j``-th uniform of
+    ``default_rng(seed + (0,))`` is at least ``p``, so survivor sets at
+    increasing ``p`` are nested.
     """
     check_drop_rate(p)
     try:
         entropy = (operator.index(seed),)
     except TypeError:
         entropy = tuple(map(operator.index, seed))
+    if min(entropy, default=0) < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed!r}")
     return np.random.default_rng(entropy + (0,)).random(count) >= p
 
 
@@ -190,84 +208,123 @@ def drop_strands(items: Sequence, p: float, seed) -> list:
     return [x for x, k in zip(items, keep.tolist()) if k]
 
 
-def corrupt_reads(strands: Sequence, profile: ChannelProfile) -> ReadSet:
+def corrupt_reads(strands: ReadPool | Sequence, profile: ChannelProfile) -> ReadSet:
     """Replicate and corrupt surviving strands into a read pool.
 
-    Per strand, coverage ``k`` is drawn (fixed or Poisson), then each
-    replicate runs one left-to-right pass where every position is
-    independently deleted, else followed by a uniform random insertion, else
-    substituted uniformly over the three other nucleotides (priority in that
-    order).  Strand ``sid`` draws ``random((k, 5, n))`` from
-    ``default_rng((seed, 2, sid))``: per replicate the delete, insert and
-    substitute uniforms, the substitution shift and the inserted base.
+    ``strands`` is a :class:`~pjdna.strand.ReadPool` or a sequence of strings
+    or :class:`~pjdna.strand.Strand`.  Per strand, coverage ``k`` is drawn
+    (fixed or Poisson), then each replicate runs one left-to-right pass where
+    every position is independently deleted, else followed by a uniform
+    random insertion, else substituted uniformly over the three other
+    nucleotides (priority in that order).  Strand ``sid`` draws
+    ``random((k, 5, n))`` from ``default_rng((seed, 2, sid))``: per replicate
+    the delete, insert and substitute uniforms, the substitution shift and
+    the inserted base; a strand character outside ACGT comes out as N.
+    Without noise the reads point at the strands' own bytes, each repeated
+    ``k`` times.
     """
+    if not isinstance(strands, ReadPool):
+        strands = ReadPool.from_strings([_seq_of(item) for item in strands])
     seed = profile.seed
-    sequences: list[str] = []
-    origins: list[int] = []
-    fast = profile.noiseless
-    pending: list[tuple[str, np.ndarray]] = []  # (strand, draws) of this chunk
-    size = 0
-    for sid, item in enumerate(strands):
-        seq = _seq_of(item)
-        if profile.coverage_model == "fixed":
-            k = int(profile.coverage_mean)
-        else:
-            k = int(np.random.default_rng((seed, 1, sid)).poisson(profile.coverage_mean))
-        origins.extend([sid] * k)
-        if fast:
-            sequences.extend([seq] * k)
-            continue
-        rng = np.random.default_rng((seed, 2, sid))
-        while k:
+    if profile.coverage_model == "fixed":
+        cover = np.full(len(strands), int(profile.coverage_mean), np.int64)
+    else:
+        cover = np.fromiter(
+            (np.random.default_rng((seed, 1, sid)).poisson(profile.coverage_mean)
+             for sid in range(len(strands))),
+            np.int64,
+            len(strands),
+        )
+    origin_ids = np.repeat(np.arange(len(strands)), cover)
+    if profile.noiseless:
+        return ReadSet(strands.rows(origin_ids), origin_ids)
+    text, lengths = _mutate(strands, origin_ids, profile)
+    pool = ReadPool(np.frombuffer(text, np.uint8), np.cumsum(lengths) - lengths, lengths)
+    return ReadSet(pool, origin_ids)
+
+
+def _mutate(
+    strands: ReadPool, origin_ids: np.ndarray, profile: ChannelProfile
+) -> tuple[bytes, np.ndarray]:
+    """Every read's ASCII bytes, concatenated, and each read's length.
+
+    Reads are mutated ``_CHUNK_READS`` at a time, as nucleotide codes.  A
+    chunk's strands are padded to its longest and the padding counts as
+    deleted.  Only planes whose rate is non-zero are compared, and a chunk
+    without an insertion is one gather of its kept codes.  Each chunk's
+    codes become ASCII with one ``bytes.translate``, so no temporary spans
+    the whole result.
+    """
+    seed, del_p, ins_p, sub_p = profile.seed, profile.del_p, profile.ins_p, profile.sub_p
+    chunk_rows = min(_CHUNK_READS, origin_ids.size)
+    scratch = np.empty(chunk_rows * 5 * int(strands.lengths.max(initial=0)))
+    parts: list[bytes] = []
+    lengths = [np.empty(0, np.int64)]
+    rng, current = None, -1
+    for a in range(0, origin_ids.size, _CHUNK_READS):
+        sids, reps = np.unique(origin_ids[a : a + _CHUNK_READS], return_counts=True)
+        rows = int(reps.sum())
+        lens = strands.lengths[sids]
+        width = int(lens.max())
+        u = scratch[: rows * 5 * width].reshape(rows, 5, width)
+        row = 0
+        for sid, take, n in zip(sids.tolist(), reps.tolist(), lens.tolist()):
             # consecutive draws continue the stream, so a strand split
             # between chunks gets the rows one random((k, 5, n)) would give
-            take = min(k, _CHUNK_READS - size)
-            pending.append((seq, rng.random((take, 5, len(seq)))))
-            k -= take
-            size += take
-            if size == _CHUNK_READS:
-                sequences.extend(_mutate_chunk(pending, profile))
-                pending, size = [], 0
-    if pending:
-        sequences.extend(_mutate_chunk(pending, profile))
-    return ReadSet(sequences=sequences, origins=origins)
+            if sid != current:
+                rng, current = np.random.default_rng((seed, 2, sid)), sid
+            if n == width:
+                rng.random(out=u[row : row + take])
+            else:
+                u[row : row + take, :, :n] = rng.random((take, 5, n))
+            row += take
 
+        at = strands.starts[sids, None] + np.arange(width)
+        if lens.min() == width:
+            keep = None  # every position is inside its strand
+            codes = jr._ASCII_CODE[strands.buf[at]]
+        else:
+            inside = np.arange(width) < lens[:, None]
+            codes = np.zeros(at.shape, np.uint8)
+            codes[inside] = jr._ASCII_CODE[strands.buf[at[inside]]]
+            keep = np.repeat(inside, reps, axis=0)
+        codes = np.repeat(codes, reps, axis=0)
 
-def _mutate_chunk(pending: list[tuple[str, np.ndarray]], profile: ChannelProfile) -> list[str]:
-    """Mutate the replicates of a chunk in one pass; one read per draw row.
+        if del_p:
+            kept = u[:, 0] >= del_p
+            keep = kept if keep is None else keep & kept
+        ins = None
+        if ins_p:
+            ins = u[:, 1] < ins_p
+            if keep is not None:
+                ins &= keep
+        if sub_p:
+            sub = u[:, 2] < sub_p
+            if keep is not None:
+                sub &= keep
+            if ins is not None:
+                sub &= ~ins
+            r, c = np.nonzero(sub)
+            codes[r, c] = (codes[r, c] + 1 + (3 * u[r, 3, c]).astype(np.uint8)) % 4
 
-    Strands are padded to the chunk's longest and the padding counts as
-    deleted.  Every read is written with a trailing newline into one ASCII
-    buffer, which one split turns back into strings.
-    """
-    lens = np.array([len(seq) for seq, _ in pending])
-    reps = [u.shape[0] for _, u in pending]
-    width = int(lens.max())
-    inside = np.arange(width) < lens[:, None]
-    strand_codes = np.zeros(inside.shape, np.uint8)
-    strand_codes[inside] = jr.codes_from_seq("".join(seq for seq, _ in pending))
-    codes = np.repeat(strand_codes, reps, axis=0)
-    u = np.empty((codes.shape[0], 5, width))
-    row = 0
-    for (_, draws), n in zip(pending, lens):
-        u[row : row + draws.shape[0], :, :n] = draws
-        row += draws.shape[0]
-
-    keep = np.repeat(inside, reps, axis=0) & (u[:, 0] >= profile.del_p)
-    ins = keep & (u[:, 1] < profile.ins_p)
-    sub = keep & ~ins & (u[:, 2] < profile.sub_p)
-    codes[sub] = (codes[sub] + 1 + (3 * u[:, 3][sub]).astype(np.uint8)) % 4
-
-    # output bytes per position (kept base, plus an inserted one), then "\n"
-    step = np.ones((codes.shape[0], width + 1), np.intp)
-    step[:, :width] = keep
-    step[:, :width] += ins
-    at = np.cumsum(step).reshape(step.shape) - step
-    out = np.empty(int(at[-1, -1]) + 1, np.uint8)
-    out[at[:, :width][keep]] = jr._CODE_ASCII[codes[keep]]
-    out[at[:, :width][ins] + 1] = jr._CODE_ASCII[(4 * u[:, 4][ins]).astype(np.uint8)]
-    out[at[:, width]] = ord("\n")
-    return out.tobytes().decode("ascii").split("\n")[:-1]
+        if ins is not None and ins.any():
+            # each position gives its kept base, then its inserted one
+            pair = np.empty((rows, width, 2), np.uint8)
+            pair[:, :, 0] = codes
+            pair[:, :, 1][ins] = (4 * u[:, 4][ins]).astype(np.uint8)
+            emit = np.empty(pair.shape, bool)
+            emit[:, :, 0] = True if keep is None else keep
+            emit[:, :, 1] = ins
+            out = pair[emit]
+            lengths.append(emit.sum(axis=(1, 2)))
+        elif keep is None:
+            out = codes
+            lengths.append(np.full(rows, width, np.int64))
+        else:
+            out = codes[keep]
+            lengths.append(keep.sum(axis=1))
+        parts.append(out.tobytes().translate(_CODE_TO_ASCII))
+    return b"".join(parts), np.concatenate(lengths)
 
 
 def consensus(

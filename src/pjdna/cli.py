@@ -27,7 +27,7 @@ from .channel import (
     PRESET_NAMES,
     consensus,
     corrupt_reads,
-    drop_strands,
+    keep_mask,
     preset,
 )
 from .errors import (
@@ -58,12 +58,23 @@ def _err(msg: str) -> None:
 
 def _default_seed() -> int:
     env = os.environ.get("PJ_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"PJ_SEED must be an integer, got {env!r}") from None
-    return 0
+    if env is None:
+        return 0
+    try:
+        seed = int(env)
+    except ValueError:
+        raise ConfigError(f"PJ_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ConfigError(f"PJ_SEED must be non-negative, got {seed}")
+    return seed
+
+
+def _seed_arg(args) -> int:
+    """``--seed``, else ``PJ_SEED``, else 0; a negative seed is a ConfigError."""
+    seed = args.seed if args.seed is not None else _default_seed()
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 @contextlib.contextmanager
@@ -176,14 +187,14 @@ def _resolve_profile(args) -> ChannelProfile:
 def cmd_simulate(args) -> int:
     prof = _resolve_profile(args)
     lib = read_sequences(args.lib)
-    survivors = drop_strands(lib.sequences, prof.dropout_p, prof.seed)
+    survivors = lib.pool.rows(keep_mask(len(lib.pool), prof.dropout_p, prof.seed))
     reads = corrupt_reads(survivors, prof)
     with _atomic(args.out) as tmp:
-        write_fastq(tmp, reads.sequences, reads.origins)
+        write_fastq(tmp, reads.pool, reads.origin_ids)
     counters = {
         "library_records": lib.total_records,
         "library_skipped_alphabet": lib.skipped_alphabet,
-        "unique_strands": len(lib.sequences),
+        "unique_strands": len(lib.pool),
         "survivors": len(survivors),
         "reads": len(reads),
         "rate_provenance": prof.rate_provenance,
@@ -273,7 +284,7 @@ def cmd_sweep(args) -> int:
         rates = [float(tok) for tok in args.rates.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"--rates must be comma-separated numbers, got {args.rates!r}") from None
-    seed0 = args.seed if args.seed is not None else _default_seed()
+    seed0 = _seed_arg(args)
     seeds = list(range(seed0, seed0 + args.seeds))
     result = loss_sweep(
         img,
@@ -328,7 +339,7 @@ def cmd_inpaint(args) -> int:
 
 
 def cmd_degrade_dataset(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed_arg(args)
     summary = degrade_dataset(
         args.input,
         args.rate,

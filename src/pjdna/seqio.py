@@ -65,15 +65,25 @@ def write_fasta(path, strands: Iterable[Strand]) -> int:
     return n
 
 
-def write_fastq(path, reads: Sequence[str], origins: Sequence[int] | None = None) -> int:
+def write_fastq(
+    path, reads: ReadPool | Sequence[str], origins: Sequence[int] | None = None
+) -> int:
     """Write reads with a constant quality line.
 
-    ``origins`` (per-read source strand ids) go into the header as a comment
-    for diagnostics only; decoding never reads them.
+    ``reads`` is a :class:`~pjdna.strand.ReadPool`, turned into strings
+    ``_WRITE_CHUNK`` reads at a time, or a sequence of strings.  ``origins``
+    (per-read source strand ids, a sequence or an array) go into the header
+    as a comment for diagnostics only; decoding never reads them.
     """
+    if isinstance(origins, np.ndarray):
+        origins = origins.tolist()  # a list indexes to an int far faster
+    quality: dict[int, str] = {}  # one quality line per read length
     with open(path, "w", encoding="ascii") as fh:
         for a in range(0, len(reads), _WRITE_CHUNK):
-            part = reads[a : a + _WRITE_CHUNK]
+            if isinstance(reads, ReadPool):
+                part = reads.rows(slice(a, a + _WRITE_CHUNK)).to_strings()
+            else:
+                part = reads[a : a + _WRITE_CHUNK]
             ids = range(a, a + len(part))
             lines = ["+"] * (4 * len(part))
             if origins is None:
@@ -81,7 +91,7 @@ def write_fastq(path, reads: Sequence[str], origins: Sequence[int] | None = None
             else:
                 lines[0::4] = [f"@pj.read.{k} origin={origins[k]}" for k in ids]
             lines[1::4] = part
-            lines[3::4] = ["I" * len(seq) for seq in part]
+            lines[3::4] = [quality.get(n) or quality.setdefault(n, "I" * n) for n in map(len, part)]
             lines.append("")  # the newline after the last line
             fh.write("\n".join(lines))
     return len(reads)

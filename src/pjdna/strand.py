@@ -304,9 +304,26 @@ class ReadPool:
     def __len__(self) -> int:
         return int(self.lengths.size)
 
+    def rows(self, which) -> "ReadPool":
+        """The reads ``which`` picks (indices, a mask or a slice), over the
+        same buffer; repeated indices repeat a read without copying it."""
+        return ReadPool(self.buf, self.starts[which], self.lengths[which])
+
     def to_strings(self) -> list[str]:
-        text = self.buf.tobytes().decode("latin-1")
-        return [text[a : a + n] for a, n in zip(self.starts.tolist(), self.lengths.tolist())]
+        """The reads as strings.  Decodes only the span of ``buf`` they cover,
+        and a read repeated in a row (a noiseless copy) becomes one string."""
+        starts = self.starts.tolist()
+        ends = (self.starts + self.lengths).tolist()
+        if not starts:
+            return []
+        lo = min(starts)
+        text = self.buf[lo : max(ends)].tobytes().decode("latin-1")
+        out, a0, b0 = [], -1, -1
+        for a, b in zip(starts, ends):
+            if a != a0 or b != b0:
+                seq, a0, b0 = text[a - lo : b - lo], a, b
+            out.append(seq)
+        return out
 
 
 def parse_many(

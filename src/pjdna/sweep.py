@@ -127,7 +127,7 @@ def loss_sweep(
                 rate_provenance=base_profile.rate_provenance,
             )
             reads = corrupt_reads(survivors, prof)
-            pairs, _ = consensus(reads.sequences, layout, cfg)
+            pairs, _ = consensus(reads.pool, layout, cfg)
         else:
             pairs = [(s.index_value, s.payload) for s in survivors]
         recovered = decode_image(pairs, manifest)

@@ -1,6 +1,7 @@
 """Channel simulation: dropout, read corruption, replication, consensus."""
 
 import inspect
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from pjdna.channel import (
 from pjdna.errors import ConfigError
 from pjdna.partition import decode_image, encode_image
 from pjdna.seqio import read_sequences, write_fastq
-from pjdna.strand import assemble_many, assemble_strand, parse_many
+from pjdna.strand import ReadPool, assemble_many, assemble_strand, parse_many
 
 
 def random_strands(rng, n):
@@ -55,6 +56,17 @@ def test_profile_validation():
     with pytest.raises(ConfigError):
         ChannelProfile(coverage_mean=2.5, coverage_model="fixed")
     ChannelProfile(coverage_mean=2.5, coverage_model="poisson")
+
+
+def test_negative_seeds_are_config_errors():
+    with pytest.raises(ConfigError):
+        ChannelProfile(seed=-1)
+    with pytest.raises(ConfigError):
+        ChannelProfile.from_dict({"sub_p": 0.01, "seed": -1})
+    for seed in (-1, np.int64(-1), (3, -1), [np.int32(-2)]):
+        with pytest.raises(ConfigError):
+            channel.keep_mask(10, 0.5, seed)
+    ChannelProfile(seed=0)
 
 
 def test_profile_json_round_trip():
@@ -250,6 +262,116 @@ def test_poisson_replicates_are_prefix_of_one_stream(rng):
     assert len({len(v) for v in poisson.values()}) > 3
     for sid, reads in poisson.items():
         assert reads == fixed[sid][: len(reads)]
+
+
+def string_corrupt_reads(strands, profile, chunk=256):
+    """The mutation ``corrupt_reads`` ran before it worked on a code pool:
+    strings in, one ASCII buffer per chunk split back into strings out.
+    Kept as the reference the pool version must match byte for byte."""
+    seed = profile.seed
+    sequences, origins = [], []
+    pending, size = [], 0
+    for sid, item in enumerate(strands):
+        seq = item.sequence if isinstance(item, strand.Strand) else item
+        if profile.coverage_model == "fixed":
+            k = int(profile.coverage_mean)
+        else:
+            k = int(np.random.default_rng((seed, 1, sid)).poisson(profile.coverage_mean))
+        origins.extend([sid] * k)
+        if profile.noiseless:
+            sequences.extend([seq] * k)
+            continue
+        rng = np.random.default_rng((seed, 2, sid))
+        while k:
+            take = min(k, chunk - size)
+            pending.append((seq, rng.random((take, 5, len(seq)))))
+            k -= take
+            size += take
+            if size == chunk:
+                sequences.extend(string_mutate_chunk(pending, profile))
+                pending, size = [], 0
+    if pending:
+        sequences.extend(string_mutate_chunk(pending, profile))
+    return sequences, origins
+
+
+def string_mutate_chunk(pending, profile):
+    lens = np.array([len(seq) for seq, _ in pending])
+    reps = [u.shape[0] for _, u in pending]
+    width = int(lens.max())
+    inside = np.arange(width) < lens[:, None]
+    strand_codes = np.zeros(inside.shape, np.uint8)
+    strand_codes[inside] = jr.codes_from_seq("".join(seq for seq, _ in pending))
+    codes = np.repeat(strand_codes, reps, axis=0)
+    u = np.empty((codes.shape[0], 5, width))
+    row = 0
+    for (_, draws), n in zip(pending, lens):
+        u[row : row + draws.shape[0], :, :n] = draws
+        row += draws.shape[0]
+
+    keep = np.repeat(inside, reps, axis=0) & (u[:, 0] >= profile.del_p)
+    ins = keep & (u[:, 1] < profile.ins_p)
+    sub = keep & ~ins & (u[:, 2] < profile.sub_p)
+    codes[sub] = (codes[sub] + 1 + (3 * u[:, 3][sub]).astype(np.uint8)) % 4
+
+    step = np.ones((codes.shape[0], width + 1), np.intp)
+    step[:, :width] = keep
+    step[:, :width] += ins
+    at = np.cumsum(step).reshape(step.shape) - step
+    out = np.empty(int(at[-1, -1]) + 1, np.uint8)
+    out[at[:, :width][keep]] = jr._CODE_ASCII[codes[keep]]
+    out[at[:, :width][ins] + 1] = jr._CODE_ASCII[(4 * u[:, 4][ins]).astype(np.uint8)]
+    out[at[:, width]] = ord("\n")
+    return out.tobytes().decode("ascii").split("\n")[:-1]
+
+
+def scattered_pool(seqs):
+    """A pool whose reads sit out of order in one buffer, with bytes between."""
+    text, starts = "", [0] * len(seqs)
+    for k in reversed(range(len(seqs))):
+        text += "@x\n"
+        starts[k] = len(text)
+        text += seqs[k]
+    return ReadPool(np.frombuffer(text.encode("ascii"), np.uint8),
+                    np.array(starts, np.int64), np.array([len(s) for s in seqs], np.int64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lengths=st.one_of(
+        st.tuples(st.integers(0, 9), st.integers(1, 40)).map(lambda t: [t[1]] * t[0]),
+        st.lists(st.integers(0, 40), max_size=9),
+    ),
+    coverage=st.one_of(
+        st.integers(0, 5).map(lambda k: dict(coverage_mean=k)),
+        st.floats(0.0, 6.0).map(lambda m: dict(coverage_mean=m, coverage_model="poisson")),
+    ),
+    rates=st.tuples(*[st.sampled_from([0.0, 1.0, 0.03, 0.3])] * 3),
+    chunk=st.sampled_from([1, 7, 256]),
+    as_pool=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_pool_corruption_matches_string_reference(lengths, coverage, rates, chunk, as_pool, seed):
+    seqs = mixed_length_seqs(np.random.default_rng(seed), lengths)
+    prof = ChannelProfile(del_p=rates[0], ins_p=rates[1], sub_p=rates[2], seed=seed, **coverage)
+    expect = string_corrupt_reads(seqs, prof)
+    with mock.patch.object(channel, "_CHUNK_READS", chunk):
+        reads = corrupt_reads(scattered_pool(seqs) if as_pool else seqs, prof)
+    assert (reads.sequences, reads.origins) == expect
+    assert reads.origin_ids.tolist() == expect[1] and len(reads) == len(expect[0])
+
+
+def test_characters_outside_acgt_come_out_as_n():
+    reads = corrupt_reads(["ACNTx", "GG\u00e9A"], ChannelProfile(sub_p=1e-12, coverage_mean=2))
+    assert reads.sequences == ["ACNTN", "ACNTN", "GGNA", "GGNA"]
+
+
+def test_noiseless_reads_share_the_strand_buffer(rng):
+    seqs = mixed_length_seqs(rng, [100, 141, 160])
+    pool = scattered_pool(seqs)
+    reads = corrupt_reads(pool, ChannelProfile(coverage_mean=4))
+    assert reads.pool.buf is pool.buf
+    assert reads.sequences == [s for s in seqs for _ in range(4)]
 
 
 def test_mixed_length_batch(rng):

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: flows, determinism, exit codes, metadata."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -161,6 +162,55 @@ def test_simulate_profile_wrong_type_exits_2(workdir, capsys):
         assert "must be" in capsys.readouterr().err
 
 
+# SHA-256 of the FASTQ ``simulate --seed 3`` writes from the workdir image's
+# library, as written by the string-building mutation that preceded the code
+# pool; any change to the reads of channel stream 2 fails here.
+STREAM_2_FASTQ_SHA256 = {
+    "aging95C": "5b33047bac8b819270f79c49bee6289d85d2e758b4805bdde83d62ebf78ef934",
+    "xray": "f8df91e8e149a815be0a4d29d643a3eb8c5f942c2ce2c828d2e5840b26f159ba",
+    "poisson-indels": "2ecf713bbe096b05593f9653bfdbe6e999aa53ba977b02d77bdc8e4a184d1118",
+}
+
+
+@pytest.mark.parametrize("channel", sorted(STREAM_2_FASTQ_SHA256))
+def test_simulate_pins_channel_stream_2(workdir, channel):
+    tmp_path, _ = workdir
+    encode(tmp_path)
+    if channel == "poisson-indels":
+        (tmp_path / "p.json").write_text(json.dumps(
+            {"sub_p": 0.02, "ins_p": 0.01, "del_p": 0.01, "coverage_mean": 4.0,
+             "coverage_model": "poisson"}))
+        source = ["--profile", tmp_path / "p.json"]
+    else:
+        source = ["--preset", channel]
+    assert run("simulate", "--lib", tmp_path / "lib.fasta", *source, "--seed", "3",
+               "--out", tmp_path / "r.fastq") == 0
+    digest = hashlib.sha256((tmp_path / "r.fastq").read_bytes()).hexdigest()
+    assert digest == STREAM_2_FASTQ_SHA256[channel]
+
+
+def test_simulate_negative_seed_exits_2(workdir, capsys):
+    tmp_path, _ = workdir
+    encode(tmp_path)
+    (tmp_path / "p.json").write_text(json.dumps({"sub_p": 0.01, "seed": -1}))
+    for source in (["--preset", "xray", "--seed", "-1"], ["--profile", tmp_path / "p.json"]):
+        assert run("simulate", "--lib", tmp_path / "lib.fasta", *source,
+                   "--out", tmp_path / "r.fastq") == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "r.fastq").exists()
+
+
+def test_negative_pj_seed_exits_2(workdir, monkeypatch, capsys):
+    tmp_path, _ = workdir
+    encode(tmp_path)
+    monkeypatch.setenv("PJ_SEED", "-3")
+    assert run("simulate", "--lib", tmp_path / "lib.fasta", "--preset", "xray",
+               "--out", tmp_path / "r.fastq") == 2
+    assert run("sweep", "--in", tmp_path / "in.pgm", "--rates", "0.5", "--seeds", "1",
+               "--out", tmp_path / "s.csv") == 2
+    assert capsys.readouterr().err.count("PJ_SEED must be non-negative, got -3") == 2
+
+
 # ---------------------------------------------------------------------------
 # decode
 # ---------------------------------------------------------------------------
@@ -314,6 +364,14 @@ def test_sweep_csv_and_determinism(workdir, monkeypatch):
     assert ",100,EM," in (tmp_path / "s3.csv").read_text()
 
 
+def test_sweep_negative_seed_exits_2(workdir, capsys):
+    tmp_path, _ = workdir
+    assert run("sweep", "--in", tmp_path / "in.pgm", "--rates", "0.5", "--seeds", "3",
+               "--seed", "-1", "--out", tmp_path / "s.csv") == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_sweep_bad_rates_exit_2(workdir):
     tmp_path, _ = workdir
     assert run("sweep", "--in", tmp_path / "in.pgm", "--rates", "0,banana",
@@ -352,6 +410,15 @@ def test_degrade_dataset_bad_rate_exits_2(tmp_path, rng, capsys, count):
     assert "drop probability must lie in [0, 1], got 1.5" in capsys.readouterr().err
     assert not (tmp_path / "out.idx").exists()
     assert not (tmp_path / "out.idx.meta.json").exists()
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_degrade_dataset_negative_seed_exits_2(tmp_path, rng, capsys, count):
+    write_idx_images(tmp_path / "in.idx", rng.integers(0, 256, (count, 28, 28), dtype=np.uint8))
+    assert run("degrade-dataset", "--in", tmp_path / "in.idx", "--rate", "0.1",
+               "--seed", "-1", "--out", tmp_path / "out.idx") == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out.idx").exists()
 
 
 def test_tally_cli(tmp_path, capsys):

@@ -403,6 +403,14 @@ def test_writers_give_the_same_bytes_in_any_chunking(tmp_path, rng, monkeypatch,
     assert (tmp_path / "b.fastq").read_text() == "".join(
         f"@pj.read.{k}\n{s}\n+\n{'I' * len(s)}\n" for k, s in enumerate(reads)
     )
+    # a pool whose reads lie out of order, with bytes between, and origins
+    # as an array write the same bytes as the strings
+    pool = ReadPool(np.frombuffer(b"C|TTTAC||GG|ACGT", np.uint8),
+                    np.array([12, 9, 2, 2, 0]), np.array([4, 2, 0, 5, 1]))
+    assert write_fastq(tmp_path / "p.fastq", pool, origins=np.array([4, 2, 0, 9, 1])) == 5
+    assert (tmp_path / "p.fastq").read_bytes() == (tmp_path / "a.fastq").read_bytes()
+    assert write_fastq(tmp_path / "q.fastq", pool) == 5
+    assert (tmp_path / "q.fastq").read_bytes() == (tmp_path / "b.fastq").read_bytes()
     strands = [assemble_strand(i, random_payload(rng)) for i in range(5)]
     assert write_fasta(tmp_path / "c.fasta", iter(strands)) == 5
     assert (tmp_path / "c.fasta").read_text() == "".join(
