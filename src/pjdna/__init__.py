@@ -11,7 +11,7 @@ all-or-nothing baseline, and IDX dataset degradation for classifier studies.
 __version__ = "0.1.0"
 
 from . import errors
-from .channel import ChannelProfile, ReadSet, consensus, corrupt_reads, drop_strands, preset
+from .channel import ChannelProfile, ReadSet, consensus, corrupt_reads, drop_strands, preset, vote
 from .idx import degrade_dataset, read_idx_images, read_idx_labels, write_idx_images, write_idx_labels
 from .images import read_pbm, read_pgm, write_pbm, write_pgm
 from .inpaint import inpaint
@@ -27,7 +27,7 @@ from .jr import (
     rotate_decode,
     rotate_encode,
 )
-from .metrics import OutcomeTally, SsimParams, em_decode, em_ssim, ssim, tally_outcomes
+from .metrics import OutcomeTally, SsimParams, em_ssim, ssim, tally_outcomes
 from .partition import (
     RecoveredImage,
     TileManifest,
@@ -75,10 +75,10 @@ __all__ = [
     "preset",
     "drop_strands",
     "corrupt_reads",
+    "vote",
     "consensus",
     "SsimParams",
     "ssim",
-    "em_decode",
     "em_ssim",
     "OutcomeTally",
     "tally_outcomes",

@@ -38,6 +38,7 @@ __all__ = [
     "keep_mask",
     "drop_strands",
     "corrupt_reads",
+    "vote",
     "consensus",
 ]
 
@@ -327,31 +328,27 @@ def _mutate(
     return b"".join(parts), np.concatenate(lengths)
 
 
-def consensus(
-    sequences: ReadPool | Iterable[str],
+def vote(
+    reads: ReadPool | Iterable[str],
     layout: StrandLayout = DEFAULT_LAYOUT,
     cfg: jr.JrConfig = jr.DEFAULT_CONFIG,
     primer_tolerance: int = 0,
-) -> tuple[list[tuple[int, bytes]], dict]:
-    """Collapse raw reads into one (index, payload) pair per observed index.
+) -> ParseBatch:
+    """Parse raw reads and settle each observed index by plurality vote.
 
-    ``sequences`` is a :class:`~pjdna.strand.ReadPool` or an iterable of
+    ``reads`` is a :class:`~pjdna.strand.ReadPool` or an iterable of
     strings.  Reads are parsed individually; accepted parses group by index
     and each payload block settles by plurality vote, ties to the smallest
-    value.  Returns pairs sorted by index plus counters for every rejection
-    reason.
+    value.  Returns one row per observed index, indices ascending, with
+    counters for every rejection reason and ``indices_observed``.
     """
-    if not isinstance(sequences, ReadPool):
-        sequences = list(sequences)
-    batch: ParseBatch = parse_many(sequences, layout, cfg, primer_tolerance)
-    counts = dict(batch.counts)
-    if batch.indices.size == 0:
-        counts["indices_observed"] = 0
-        return [], counts
+    if not isinstance(reads, ReadPool):
+        reads = list(reads)
+    batch = parse_many(reads, layout, cfg, primer_tolerance)
     order = np.argsort(batch.indices, kind="stable")
     idx_sorted = batch.indices[order]
     blocks_sorted = batch.payload_blocks[order]
-    starts = np.r_[True, idx_sorted[1:] != idx_sorted[:-1]]
+    starts = np.diff(idx_sorted, prepend=-1) != 0  # indices are non-negative
     heads = np.flatnonzero(starts)
     group = np.cumsum(starts) - 1
     winners = blocks_sorted[heads]
@@ -360,10 +357,20 @@ def consensus(
     contested = np.unique(group[differs])
     if contested.size:
         winners[contested] = _column_modes(blocks_sorted, group, contested)
-    packed = jr.pack_block_rows(winners, cfg.bits_per_block)
-    pairs = [(int(idx_sorted[h]), packed[g].tobytes()) for g, h in enumerate(heads)]
-    counts["indices_observed"] = len(pairs)
-    return pairs, counts
+    counts = {**batch.counts, "indices_observed": int(heads.size)}
+    return ParseBatch(idx_sorted[heads], winners, counts)
+
+
+def consensus(
+    sequences: ReadPool | Iterable[str],
+    layout: StrandLayout = DEFAULT_LAYOUT,
+    cfg: jr.JrConfig = jr.DEFAULT_CONFIG,
+    primer_tolerance: int = 0,
+) -> tuple[list[tuple[int, bytes]], dict]:
+    """:func:`vote` as (index, packed payload) pairs sorted by index, plus
+    its counters."""
+    batch = vote(sequences, layout, cfg, primer_tolerance)
+    return list(zip(batch.indices.tolist(), batch.payload_bytes(cfg))), batch.counts
 
 
 def _column_modes(blocks: np.ndarray, group: np.ndarray, voters: np.ndarray) -> np.ndarray:

@@ -25,10 +25,10 @@ from .channel import (
     CHANNEL_STREAM,
     ChannelProfile,
     PRESET_NAMES,
-    consensus,
     corrupt_reads,
     keep_mask,
     preset,
+    vote,
 )
 from .errors import (
     CapacityError,
@@ -234,11 +234,11 @@ def cmd_decode(args) -> int:
         skipped_alphabet = result.skipped_alphabet
     except EmptyLibraryError:
         pool = ReadPool.from_strings([])  # total loss still decodes
-    pairs, counts = consensus(pool, manifest.layout, manifest.cfg, args.primer_mismatches)
-    counts["skipped_alphabet"] = skipped_alphabet
+    batch = vote(pool, manifest.layout, manifest.cfg, args.primer_mismatches)
+    counts = {**batch.counts, "skipped_alphabet": skipped_alphabet}
     outputs = [args.out]
     if manifest.mode == "image":
-        recovered = decode_image(pairs, manifest, parse_stats=counts)
+        recovered = decode_image(batch, manifest, parse_stats=counts)
         img = recovered.image
         if args.inpaint:
             img = inpaint(img, recovered.missing_mask)
@@ -251,7 +251,7 @@ def cmd_decode(args) -> int:
         counters = {**recovered.stats, "masked_fraction": recovered.masked_fraction,
                     "inpainted": bool(args.inpaint)}
     else:
-        data, mask, stats = decode_raw(pairs, manifest, parse_stats=counts)
+        data, mask, stats = decode_raw(batch, manifest, parse_stats=counts)
         with _atomic(args.out) as tmp:
             with open(tmp, "wb") as fh:
                 fh.write(data)

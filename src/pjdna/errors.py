@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all pjdna modules."""
+"""Exception hierarchy shared by all pjdna modules, and the integer check
+that raises :class:`ConfigError`."""
 
 
 class PjError(Exception):
@@ -65,3 +66,12 @@ class EmptyLibraryError(FormatError):
 
 class ShapeError(PjError, ValueError):
     """Array dimensions do not match."""
+
+
+def require_int(name: str, value, minimum: int = 0) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an ``int``, not a
+    ``bool``, of at least ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}")

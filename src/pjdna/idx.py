@@ -18,7 +18,7 @@ import numpy as np
 from . import jr
 from .errors import FormatError
 from .channel import check_drop_rate, keep_mask
-from .partition import TileManifest, _image_from_tiles, _image_tile_blocks
+from .partition import TileManifest, _image_from_tiles, _image_tile_blocks, _scatter_tiles
 from .strand import DEFAULT_LAYOUT, StrandLayout, assemble_codes, parse_codes
 
 __all__ = [
@@ -174,16 +174,13 @@ def _degrade_images(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Degraded images and missing masks of ``images``, stack images
     ``first, first + 1, ...``."""
-    k, n, tp = images.shape[0], manifest.strand_count, manifest.tile_pixels
+    k, n = images.shape[0], manifest.strand_count
     cfg, layout = manifest.cfg, manifest.layout
     index = np.tile(np.arange(n, dtype=np.int64), k)
     codes = assemble_codes(index, _image_tile_blocks(images, manifest), layout, cfg)
     keep = np.concatenate([keep_mask(n, rate, (seed, first + j)) for j in range(k)])
     ok, tile, blocks = parse_codes(codes[keep], layout, cfg)
-    image = np.repeat(np.arange(k), n)[keep][ok]
-    tiles = np.zeros((k, n, tp), np.uint8)
-    seen = np.zeros((k, n), bool)
-    # a tile's pixels are the leading bytes of its payload
-    tiles[image, tile] = jr.pack_block_rows(blocks, cfg.bits_per_block)[:, :tp]
-    seen[image, tile] = True
+    rows = np.repeat(np.arange(k) * n, n)[keep][ok] + tile
+    bits = jr.block_rows_to_bits(blocks, cfg.bits_per_block)
+    tiles, seen, _ = _scatter_tiles(rows, bits, k * n, manifest.payload_capacity)
     return _image_from_tiles(tiles, seen, manifest)

@@ -36,8 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import kernels
-from .errors import ConfigError, FramingError, RangeError, StreamCorruption
+from .errors import ConfigError, FramingError, RangeError, StreamCorruption, require_int
 
 __all__ = [
     "ALPHABET",
@@ -53,6 +52,7 @@ __all__ = [
     "max_homopolymer_run",
     "codes_from_seq",
     "seq_from_codes",
+    "block_rows_to_bits",
     "pack_block_rows",
     "unpack_block_rows",
     "bit_rows_to_blocks",
@@ -120,14 +120,15 @@ class JrConfig:
     def __post_init__(self):
         if not self.group_radices:
             raise ConfigError("group_radices must not be empty")
+        for r in self.group_radices:
+            require_int("every radix", r)
         if any(r not in (3, 4) for r in self.group_radices):
             raise ConfigError("every radix must be 3 (rotating) or 4 (direct)")
         if all(r == 4 for r in self.group_radices):
             raise ConfigError("a pattern of only direct positions has no homopolymer bound")
-        if self.bits_per_block < 1:
-            raise ConfigError("bits_per_block must be positive")
-        if self.groups_per_payload < 1:
-            raise ConfigError("groups_per_payload must be positive")
+        require_int("bits_per_block", self.bits_per_block, 1)
+        require_int("groups_per_payload", self.groups_per_payload, 1)
+        require_int("jump_length", self.jump_length)
         capacity = math.prod(self.group_radices)
         if (1 << self.bits_per_block) > capacity:
             raise ConfigError(
@@ -160,9 +161,9 @@ class JrConfig:
             raise ConfigError(f"config dict must have exactly the keys {sorted(keys)}")
         return cls(
             group_radices=tuple(d["group_radices"]),
-            bits_per_block=int(d["bits_per_block"]),
-            groups_per_payload=int(d["groups_per_payload"]),
-            jump_length=int(d["jump_length"]),
+            bits_per_block=d["bits_per_block"],
+            groups_per_payload=d["groups_per_payload"],
+            jump_length=d["jump_length"],
         )
 
     def to_dict(self) -> dict:
@@ -295,13 +296,18 @@ def digit_rows_to_blocks(digits: np.ndarray, cfg: JrConfig) -> np.ndarray:
     return blocks
 
 
-def pack_block_rows(blocks: np.ndarray, bits: int) -> np.ndarray:
-    """(n, B) block values -> (n, ceil(B*bits/8)) uint8 rows, MSB-first."""
+def block_rows_to_bits(blocks: np.ndarray, bits: int) -> np.ndarray:
+    """(n, B) block values -> (n, B*bits) 0/1 uint8 matrix, MSB-first."""
     n, nblocks = blocks.shape
     bit_rows = np.empty((n, nblocks, bits), np.uint8)
     for k in range(bits):
         bit_rows[:, :, k] = (blocks >> (bits - 1 - k)) & 1
-    return np.packbits(bit_rows.reshape(n, nblocks * bits), axis=1)
+    return bit_rows.reshape(n, nblocks * bits)
+
+
+def pack_block_rows(blocks: np.ndarray, bits: int) -> np.ndarray:
+    """(n, B) block values -> (n, ceil(B*bits/8)) uint8 rows, MSB-first."""
+    return np.packbits(block_rows_to_bits(blocks, bits), axis=1)
 
 
 def bit_rows_to_blocks(bit_rows: np.ndarray, nblocks: int, bits: int) -> np.ndarray:
@@ -321,11 +327,47 @@ def unpack_block_rows(data: np.ndarray, nblocks: int, bits: int) -> np.ndarray:
     return bit_rows_to_blocks(np.unpackbits(data, axis=1), nblocks, bits)
 
 
+def encode_positions(digits: np.ndarray, rot: np.ndarray, prev0: np.ndarray) -> np.ndarray:
+    """(n, width) digit matrix -> code matrix.  Column ``j`` is rotating where
+    ``rot[j]``; ``prev0`` holds each row's code before its first column."""
+    n, width = digits.shape
+    out = np.empty((n, width), np.uint8)
+    prev = prev0.astype(np.uint8, copy=True)
+    for j in range(width):
+        if rot[j]:
+            out[:, j] = (prev + 1 + digits[:, j]) % 4
+        else:
+            out[:, j] = digits[:, j]
+        prev = out[:, j]
+    return out
+
+
+def decode_positions(
+    codes: np.ndarray, rot: np.ndarray, prev0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`encode_positions`: the digit matrix, and per row the
+    column of the first rotating violation, or -1."""
+    # walk the rows of the transpose: a column of a row-major matrix is strided
+    cols = np.ascontiguousarray(codes.T)
+    digits = np.empty_like(cols)
+    viol = np.full(codes.shape[0], -1, np.int32)
+    prev = prev0.astype(np.uint8, copy=False)
+    for j, c in enumerate(cols):
+        if rot[j]:
+            hit = (c == prev) & (viol < 0)
+            viol[hit] = j
+            digits[j] = (c + 3 - prev) % 4
+        else:
+            digits[j] = c
+        prev = c
+    return digits.T, viol
+
+
 def encode_block_rows(blocks: np.ndarray, cfg: JrConfig, prev0: np.ndarray) -> np.ndarray:
     """Encode a (n, B) block matrix into a (n, B*group_size) code matrix."""
     digits = blocks_to_digit_rows(blocks, cfg)
     rot = cfg.rotating_mask(blocks.shape[1])
-    return kernels.encode_positions(digits, rot, prev0)
+    return encode_positions(digits, rot, prev0)
 
 
 def decode_code_rows(
@@ -339,7 +381,7 @@ def decode_code_rows(
     """
     n_groups = codes.shape[1] // cfg.group_size
     rot = cfg.rotating_mask(n_groups)
-    digits, viol = kernels.decode_positions(codes, rot, prev0)
+    digits, viol = decode_positions(codes, rot, prev0)
     return digit_rows_to_blocks(digits, cfg), viol
 
 

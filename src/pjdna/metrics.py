@@ -15,7 +15,6 @@ from .errors import ConfigError, ShapeError
 __all__ = [
     "SsimParams",
     "ssim",
-    "em_decode",
     "em_ssim",
     "OutcomeTally",
     "tally_outcomes",
@@ -79,23 +78,12 @@ def ssim(a: np.ndarray, b: np.ndarray, params: SsimParams = DEFAULT_SSIM) -> flo
     return float((num / den).mean())
 
 
-def em_decode(
-    strands_present: int, strands_total: int, original: np.ndarray
-) -> np.ndarray | None:
-    """All-or-nothing baseline: the file decodes only when nothing is lost.
+def em_ssim(strands_present: int, strands_total: int) -> float:
+    """SSIM of the all-or-nothing baseline: 1 when no strand is lost, else 0.
 
     Models schemes whose strands are interdependent (shared headers, chained
-    blocks): any missing strand fails the whole file.  Callers score a
-    failure as SSIM 0.
+    blocks), where any missing strand fails the whole file.
     """
-    if not 0 <= strands_present <= strands_total:
-        raise ConfigError("strand counts are inconsistent")
-    if strands_present == strands_total:
-        return np.array(original, copy=True)
-    return None
-
-
-def em_ssim(strands_present: int, strands_total: int) -> float:
     if not 0 <= strands_present <= strands_total:
         raise ConfigError("strand counts are inconsistent")
     return 1.0 if strands_present == strands_total else 0.0

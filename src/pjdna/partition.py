@@ -20,8 +20,8 @@ from typing import Iterable
 import numpy as np
 
 from . import jr
-from .errors import CapacityError, ConfigError, FormatError
-from .strand import DEFAULT_LAYOUT, Strand, StrandLayout, assemble_many
+from .errors import CapacityError, ConfigError, FormatError, require_int
+from .strand import DEFAULT_LAYOUT, ParseBatch, Strand, StrandLayout, assemble_many
 
 __all__ = [
     "TileManifest",
@@ -64,6 +64,10 @@ class TileManifest:
     total_bits: int | None = None
 
     def __post_init__(self):
+        for name, minimum in (("strand_count", 0), ("pad_bits_per_tile", 0), ("width", 1),
+                              ("height", 1), ("tile_pixels", 1), ("total_bits", 0)):
+            if getattr(self, name) is not None:
+                require_int(name, getattr(self, name), minimum)
         self.layout.validate(self.cfg)
         capacity = self.layout.payload_bits(self.cfg)
         if self.mode == "image":
@@ -82,8 +86,8 @@ class TileManifest:
             if self.pad_bits_per_tile != capacity - 8 * self.tile_pixels:
                 raise ConfigError("pad_bits_per_tile does not match tile_pixels and capacity")
         elif self.mode == "raw":
-            if self.total_bits is None or self.total_bits < 0:
-                raise ConfigError("raw manifests need total_bits >= 0")
+            if self.total_bits is None:
+                raise ConfigError("raw manifests need total_bits")
             if self.width is not None or self.height is not None or self.tile_pixels is not None:
                 raise ConfigError("raw manifests must not carry image geometry")
             expect = -(-self.total_bits // capacity) if self.total_bits else 0
@@ -200,15 +204,20 @@ class RecoveredImage:
         return float(self.missing_mask.mean()) if self.missing_mask.size else 0.0
 
 
+def _zero_pad(a: np.ndarray, shape) -> np.ndarray:
+    """``a`` in the leading corner of a zero uint8 array of ``shape``."""
+    out = np.zeros(shape, np.uint8)
+    out[tuple(map(slice, a.shape))] = a
+    return out
+
+
 def _image_tile_blocks(images: np.ndarray, manifest: TileManifest) -> np.ndarray:
     """Payload blocks of a ``(k, height, width)`` uint8 stack: tile ``t`` of
     image ``i`` is row ``i * strand_count + t``."""
     k = images.shape[0]
     n, tp = manifest.strand_count, manifest.tile_pixels
-    flat = np.zeros((k, n * tp), np.uint8)
-    flat[:, : manifest.width * manifest.height] = images.reshape(k, -1)
-    bits = np.zeros((k * n, manifest.payload_capacity), np.uint8)
-    bits[:, : 8 * tp] = np.unpackbits(flat.reshape(k * n, tp), axis=1)
+    pixels = _zero_pad(images.reshape(k, -1), (k, n * tp)).reshape(k * n, tp)
+    bits = _zero_pad(np.unpackbits(pixels, axis=1), (k * n, manifest.payload_capacity))
     cfg = manifest.cfg
     return jr.bit_rows_to_blocks(bits, cfg.groups_per_payload, cfg.bits_per_block)
 
@@ -216,15 +225,67 @@ def _image_tile_blocks(images: np.ndarray, manifest: TileManifest) -> np.ndarray
 def _image_from_tiles(
     tiles: np.ndarray, seen: np.ndarray, manifest: TileManifest
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`_image_tile_blocks` on ``(k, strand_count,
-    tile_pixels)`` tile bytes: the ``(k, height, width)`` images and their
+    """Inverse of :func:`_image_tile_blocks` on the tile bits of
+    :func:`_scatter_tiles`: the ``(k, height, width)`` images and their
     missing masks, True under every tile not ``seen``."""
-    k = tiles.shape[0]
-    shape = (k, manifest.height, manifest.width)
+    tp = manifest.tile_pixels
+    seen = seen.reshape(-1, manifest.strand_count)
+    shape = (seen.shape[0], manifest.height, manifest.width)
     hw = manifest.height * manifest.width
-    images = tiles.reshape(k, -1)[:, :hw].reshape(shape)
-    missing = np.repeat(~seen, manifest.tile_pixels, axis=1)[:, :hw].reshape(shape)
+    # a tile's pixels are the leading bytes of its payload
+    pixels = np.packbits(tiles[:, : 8 * tp], axis=1).reshape(shape[0], -1)
+    images = pixels[:, :hw].reshape(shape)
+    missing = np.repeat(~seen, tp, axis=1)[:, :hw].reshape(shape)
     return images, missing
+
+
+def _scatter_tiles(
+    rows: np.ndarray, bits: np.ndarray, n_rows: int, capacity: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Place payload bit rows ``bits`` (m, capacity) at tile rows ``rows``.
+
+    Returns the ``(n_rows, capacity)`` tile bits, zero where nothing
+    arrived, the mask of tiles that arrived, and the number of entries whose
+    row lies outside ``[0, n_rows)``, which are dropped.  When a row repeats,
+    its last entry wins.
+    """
+    backwards = np.flatnonzero((rows >= 0) & (rows < n_rows))[::-1]
+    _, first = np.unique(rows[backwards], return_index=True)
+    keep = backwards[first]
+    tiles = np.zeros((n_rows, capacity), np.uint8)
+    seen = np.zeros(n_rows, bool)
+    tiles[rows[keep]] = bits[keep]
+    seen[rows[keep]] = True
+    return tiles, seen, int(rows.size - backwards.size)
+
+
+def _decode_tiles(
+    accepted: ParseBatch | Iterable[tuple[int, bytes]],
+    manifest: TileManifest,
+    parse_stats: dict | None,
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Tile bits, seen mask and stats of a vote result or of (index,
+    packed payload) pairs."""
+    cfg, capacity = manifest.cfg, manifest.payload_capacity
+    if isinstance(accepted, ParseBatch):
+        rows = accepted.indices
+        bits = jr.block_rows_to_bits(accepted.payload_blocks, cfg.bits_per_block)
+    else:
+        pairs = list(accepted)
+        rows = np.fromiter((i for i, _ in pairs), np.int64, len(pairs))
+        packed = np.frombuffer(b"".join(p for _, p in pairs), np.uint8)
+        nbytes = manifest.layout.payload_bytes_len(cfg)
+        bits = np.unpackbits(packed.reshape(len(pairs), nbytes), axis=1)[:, :capacity]
+    tiles, seen, stray = _scatter_tiles(rows, bits, manifest.strand_count, capacity)
+    recovered = int(seen.sum())
+    stats = {
+        "strands_expected": manifest.strand_count,
+        "strands_recovered": recovered,
+        "tiles_missing": manifest.strand_count - recovered,
+        "stray_indices": stray,
+        **(parse_stats or {}),
+    }
+    return tiles, seen, stats
 
 
 def encode_image(
@@ -248,58 +309,23 @@ def encode_image(
     return strands, manifest
 
 
-def _payload_rows(payloads: list[bytes], manifest: TileManifest) -> np.ndarray:
-    nbytes = manifest.layout.payload_bytes_len(manifest.cfg)
-    return np.frombuffer(b"".join(payloads), np.uint8).reshape(len(payloads), nbytes)
-
-
-def _dedupe_sorted(indices: np.ndarray) -> np.ndarray:
-    """Positions of the last occurrence of each index after a stable sort."""
-    order = np.argsort(indices, kind="stable")
-    sorted_idx = indices[order]
-    last = np.nonzero(np.append(sorted_idx[1:] != sorted_idx[:-1], True))[0]
-    return order[last]
-
-
 def decode_image(
-    accepted: Iterable[tuple[int, bytes]],
+    accepted: ParseBatch | Iterable[tuple[int, bytes]],
     manifest: TileManifest,
     parse_stats: dict | None = None,
 ) -> RecoveredImage:
     """Rebuild the image from whatever tiles arrived; never fails on loss.
 
-    Tiles with no accepted strand decode to zeros and are flagged in the
-    missing mask.  Duplicate indices resolve to the last entry after sorting
-    by index; indices outside the manifest are counted and ignored.
+    ``accepted`` is the :class:`~pjdna.strand.ParseBatch` of
+    :func:`pjdna.channel.vote`, or (index, packed payload) pairs.  Tiles
+    with no accepted strand decode to zeros and are flagged in the missing
+    mask.  Duplicate indices resolve to the last entry; indices outside the
+    manifest are counted and ignored.
     """
     if manifest.mode != "image":
         raise ConfigError("decode_image needs an image-mode manifest")
-    pairs = list(accepted)
-    n, tp = manifest.strand_count, manifest.tile_pixels
-    tiles = np.zeros((n, tp), np.uint8)
-    seen = np.zeros(n, bool)
-    stray = 0
-    if pairs:
-        idx = np.fromiter((p[0] for p in pairs), np.int64, len(pairs))
-        valid = (idx >= 0) & (idx < n)
-        stray = int((~valid).sum())
-        pairs = [p for p, v in zip(pairs, valid) if v]
-    if pairs:
-        idx = np.fromiter((p[0] for p in pairs), np.int64, len(pairs))
-        keep = _dedupe_sorted(idx)
-        idx = idx[keep]
-        # a tile's pixels are the leading bytes of its payload
-        tiles[idx] = _payload_rows([pairs[i][1] for i in keep], manifest)[:, :tp]
-        seen[idx] = True
-    image, missing = _image_from_tiles(tiles[None], seen[None], manifest)
-    stats = {
-        "strands_expected": n,
-        "strands_recovered": int(seen.sum()),
-        "tiles_missing": int(n - seen.sum()),
-        "stray_indices": stray,
-    }
-    if parse_stats:
-        stats.update(parse_stats)
+    tiles, seen, stats = _decode_tiles(accepted, manifest, parse_stats)
+    image, missing = _image_from_tiles(tiles, seen, manifest)
     return RecoveredImage(image=image[0], missing_mask=missing[0], stats=stats)
 
 
@@ -310,61 +336,29 @@ def encode_raw(
 ) -> tuple[list[Strand], TileManifest]:
     """Encode an arbitrary byte stream into capacity-sized payload slices."""
     manifest = TileManifest.for_raw(8 * len(data), cfg, layout)
-    n = manifest.strand_count
-    if n == 0:
-        return [], manifest
-    capacity = manifest.payload_capacity
-    bits = np.unpackbits(np.frombuffer(data, np.uint8))
-    padded = np.zeros(n * capacity, np.uint8)
-    padded[: bits.size] = bits
-    rows = padded.reshape(n, capacity)
-    blocks = jr.bit_rows_to_blocks(rows, cfg.groups_per_payload, cfg.bits_per_block)
+    n, capacity = manifest.strand_count, manifest.payload_capacity
+    bits = _zero_pad(np.unpackbits(np.frombuffer(data, np.uint8)), (n * capacity,))
+    blocks = jr.bit_rows_to_blocks(bits.reshape(n, capacity), cfg.groups_per_payload,
+                                   cfg.bits_per_block)
     strands = assemble_many(np.arange(n, dtype=np.int64), blocks, layout, cfg)
     return strands, manifest
 
 
 def decode_raw(
-    accepted: Iterable[tuple[int, bytes]],
+    accepted: ParseBatch | Iterable[tuple[int, bytes]],
     manifest: TileManifest,
     parse_stats: dict | None = None,
 ) -> tuple[bytes, np.ndarray, dict]:
     """Rebuild the byte stream; returns (data, missing bit mask, stats).
 
-    Missing strands leave zero-filled, mask-flagged gaps of exactly one
-    payload capacity at their offset.
+    ``accepted`` is as for :func:`decode_image`.  Missing strands leave
+    zero-filled, mask-flagged gaps of exactly one payload capacity at their
+    offset.
     """
     if manifest.mode != "raw":
         raise ConfigError("decode_raw needs a raw-mode manifest")
-    pairs = list(accepted)
-    n = manifest.strand_count
-    capacity = manifest.payload_capacity
+    tiles, seen, stats = _decode_tiles(accepted, manifest, parse_stats)
     total_bits = manifest.total_bits
-    bits = np.zeros(n * capacity, np.uint8)
-    seen = np.zeros(n, bool)
-    stray = 0
-    if pairs:
-        idx = np.fromiter((p[0] for p in pairs), np.int64, len(pairs))
-        valid = (idx >= 0) & (idx < n)
-        stray = int((~valid).sum())
-        pairs = [p for p, v in zip(pairs, valid) if v]
-    if pairs:
-        idx = np.fromiter((p[0] for p in pairs), np.int64, len(pairs))
-        keep = _dedupe_sorted(idx)
-        idx = idx[keep]
-        rows = _payload_rows([pairs[i][1] for i in keep], manifest)
-        rows = np.unpackbits(rows, axis=1)[:, :capacity]
-        starts = idx * capacity
-        pos = (starts[:, None] + np.arange(capacity)).reshape(-1)
-        bits[pos] = rows.reshape(-1)
-        seen[idx] = True
-    mask = np.repeat(~seen, capacity)[:total_bits]
-    data = np.packbits(bits[:total_bits]).tobytes() if total_bits else b""
-    stats = {
-        "strands_expected": n,
-        "strands_recovered": int(seen.sum()),
-        "tiles_missing": int(n - seen.sum()),
-        "stray_indices": stray,
-    }
-    if parse_stats:
-        stats.update(parse_stats)
+    data = np.packbits(tiles.reshape(-1)[:total_bits]).tobytes()
+    mask = np.repeat(~seen, manifest.payload_capacity)[:total_bits]
     return data, mask, stats

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import jr
-from .errors import CapacityError, ConfigError, LayoutError, RangeError, StrandReject
+from .errors import CapacityError, ConfigError, LayoutError, RangeError, StrandReject, require_int
 
 __all__ = [
     "DEFAULT_PRIMER5",
@@ -104,8 +104,8 @@ class StrandLayout:
         return cls(
             primer5=str(d["primer5"]),
             primer3=str(d["primer3"]),
-            index_nt=int(d["index_nt"]),
-            payload_nt=int(d["payload_nt"]),
+            index_nt=d["index_nt"],
+            payload_nt=d["payload_nt"],
         )
 
     def to_dict(self) -> dict:
@@ -144,6 +144,8 @@ class StrandLayout:
         return self.primer5[-1] if self.primer5 else "A"
 
     def validate(self, cfg: jr.JrConfig) -> None:
+        require_int("index_nt", self.index_nt)
+        require_int("payload_nt", self.payload_nt)
         if self.index_nt <= 0 or self.index_nt % cfg.group_size:
             raise ConfigError(f"index_nt {self.index_nt} is not a positive multiple of group size")
         if self.payload_nt <= 0 or self.payload_nt % cfg.group_size:
@@ -184,9 +186,14 @@ class Strand:
 
 @dataclass
 class ParseBatch:
-    """Accepted parses plus per-reason reject counters."""
+    """Accepted parses plus per-reason reject counters.
 
-    indices: np.ndarray  # int64, sorted by input order
+    From :func:`parse_many` the rows are in input order; from
+    :func:`pjdna.channel.vote` the indices are unique and ascending and the
+    blocks are each index's winners.
+    """
+
+    indices: np.ndarray  # int64
     payload_blocks: np.ndarray  # (n_accepted, payload groups) int64
     counts: dict
 

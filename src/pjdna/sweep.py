@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import jr
-from .channel import ChannelProfile, consensus, corrupt_reads, drop_strands
+from .channel import ChannelProfile, corrupt_reads, drop_strands, vote
 from .errors import ConfigError
 from .inpaint import inpaint
 from .metrics import em_ssim, ssim
@@ -109,7 +109,6 @@ def loss_sweep(
 
     strands, manifest = encode_image(img, cfg, layout, tile_pixels)
     n = len(strands)
-    clean_pairs = [(s.index_value, s.payload) for s in strands]
     noisy = base_profile is not None and not base_profile.noiseless
 
     def run_cell(rate: float, seed: int) -> list[SweepRow]:
@@ -126,11 +125,10 @@ def loss_sweep(
                 name=base_profile.name,
                 rate_provenance=base_profile.rate_provenance,
             )
-            reads = corrupt_reads(survivors, prof)
-            pairs, _ = consensus(reads.pool, layout, cfg)
+            accepted = vote(corrupt_reads(survivors, prof).pool, layout, cfg)
         else:
-            pairs = [(s.index_value, s.payload) for s in survivors]
-        recovered = decode_image(pairs, manifest)
+            accepted = [(s.index_value, s.payload) for s in survivors]
+        recovered = decode_image(accepted, manifest)
         raw = ssim(img, recovered.image)
         inpainted = None
         if run_inpaint:

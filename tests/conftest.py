@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from pjdna import kernels
-
 # criterion number -> (description, passed, detail)
 ACCEPTANCE_RESULTS: dict[int, tuple[str, bool, str]] = {}
 
@@ -20,12 +18,6 @@ def batch_max_runs(codes: np.ndarray) -> np.ndarray:
 
 def record_criterion(num: int, description: str, passed: bool, detail: str = "") -> None:
     ACCEPTANCE_RESULTS[num] = (description, passed, detail)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jit kernels before any timed assertion runs
-    kernels.warmup()
 
 
 @pytest.fixture()

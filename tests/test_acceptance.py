@@ -1,8 +1,7 @@
 """Acceptance gate: one test per criterion, each recording a PASS/FAIL line.
 
 Statistical criteria run on frozen seeds, so every assertion is
-deterministic; timed criteria measure the operative section only (the JIT
-warmup fixture in conftest runs first).
+deterministic; timed criteria measure the operative section only.
 """
 
 import time

@@ -278,6 +278,50 @@ def test_decode_inpaint_flag(workdir):
     assert not np.array_equal(plain, filled)
 
 
+# (encode source, channel preset or None for ``--lib``, extra decode flags)
+DECODE_CASES = {
+    "aging95C-mask-inpaint": ("image", "aging95C", ["--inpaint"]),
+    "xray-primer-mismatches-2": ("image", "xray", ["--primer-mismatches", "2"]),
+    "lib-fasta": ("image", None, []),
+    "raw-aging95C-mask": ("raw", "aging95C", []),
+}
+
+# SHA-256 over the output, the mask and the ``.meta.json`` sidecar that
+# ``decode`` writes in each case, as written by the pair-list decoder that
+# preceded the array vote result; any change to what decode writes fails here.
+DECODE_SHA256 = {
+    "aging95C-mask-inpaint": "9c4b9d855704d8506fbec5b0178f8b37b91303683f8ede0e476ddf72dc659fed",
+    "xray-primer-mismatches-2": "4b317eb24542109f2c3da8bb4c9e04ffc1c088d06298a8253e78bf91fd25de30",
+    "lib-fasta": "df2466f2e538f4cad981c58ff8863ef4e8e7a28d95fac1f5b5bf6be1f32f4707",
+    "raw-aging95C-mask": "0989f0c513ef4a5482365e4d680bc45f74fc75c9a0004b29b025cf080d61b93f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECODE_CASES))
+def test_decode_pins_outputs(workdir, monkeypatch, case):
+    tmp_path, _ = workdir
+    monkeypatch.chdir(tmp_path)  # relative paths keep tmp_path out of the sidecars
+    mode, channel, extra = DECODE_CASES[case]
+    if mode == "raw":
+        blob = np.random.default_rng(7).integers(0, 256, 3000, dtype=np.uint8).tobytes()
+        (tmp_path / "data.bin").write_bytes(blob)
+        source, out = ["--raw", "data.bin"], "out.bin"
+    else:
+        source, out = ["--in", "in.pgm"], "out.pgm"
+    assert run("encode", *source, "--out", "lib.fasta", "--manifest", "m.json") == 0
+    if channel is None:
+        reads = ["--lib", "lib.fasta"]
+    else:
+        assert run("simulate", "--lib", "lib.fasta", "--preset", channel, "--seed", "3",
+                   "--out", "r.fastq") == 0
+        reads = ["--reads", "r.fastq"]
+    assert run("decode", *reads, "--manifest", "m.json", "--out", out,
+               "--mask", "mask.pbm", *extra) == 0
+    files = [out, "mask.pbm", out + ".meta.json"]
+    digest = hashlib.sha256(b"".join((tmp_path / f).read_bytes() for f in files)).hexdigest()
+    assert digest == DECODE_SHA256[case]
+
+
 def test_decode_bad_manifest_exits_4(workdir):
     tmp_path, _ = workdir
     encode(tmp_path)
@@ -303,6 +347,31 @@ def test_decode_manifest_field_of_wrong_type_exits_4(workdir):
         (tmp_path / "bad.json").write_text(json.dumps({**good, key: value}))
         assert run("decode", "--lib", tmp_path / "lib.fasta", "--manifest",
                    tmp_path / "bad.json", "--out", tmp_path / "x.pgm") == 4
+
+
+# Fields whose strand_count agrees with the bad geometry, so only the type
+# and sign checks can reject them; the workdir image is 48 wide, 64 high.
+HOSTILE_MANIFESTS = {
+    "negative-width": {"width": -5, "strand_count": -16},
+    "float-width": {"width": 1.5, "strand_count": 5.0},
+    "float-tile-pixels": {"tile_pixels": 20.0},
+    "bool-geometry": {"width": True, "height": True, "strand_count": 1},
+    "negative-width-and-height": {"width": -5, "height": -40, "strand_count": 10},
+    "float-radix": {"cfg": {"group_radices": [4, 3, 4.0, 4, 3], "bits_per_block": 9,
+                            "groups_per_payload": 18, "jump_length": 2}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_MANIFESTS))
+def test_decode_hostile_manifest_exits_4(workdir, capsys, case):
+    tmp_path, _ = workdir
+    encode(tmp_path)
+    good = json.loads((tmp_path / "m.json").read_text())
+    (tmp_path / "bad.json").write_text(json.dumps({**good, **HOSTILE_MANIFESTS[case]}))
+    assert run("decode", "--lib", tmp_path / "lib.fasta", "--manifest", tmp_path / "bad.json",
+               "--out", tmp_path / "x.pgm") == 4
+    assert "inconsistent manifest" in capsys.readouterr().err
+    assert not (tmp_path / "x.pgm").exists()
 
 
 def test_raw_round_trip_via_cli(tmp_path, rng):

@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from pjdna import jr, kernels
+from pjdna import jr
 from pjdna.errors import ConfigError, FramingError, RangeError, StreamCorruption
 
 CFG = jr.JrConfig()
@@ -231,7 +231,7 @@ def test_homopolymer_bound_exhaustive_all_576_groups():
     rot = CFG.rotating_mask(1)
     for prev in range(4):
         prev0 = np.full(576, prev, np.uint8)
-        codes = kernels.encode_positions(digits, rot, prev0)
+        codes = jr.encode_positions(digits, rot, prev0)
         assert int(batch_max_runs(codes).max()) <= CFG.jump_length + 1
 
 
@@ -274,7 +274,7 @@ def test_out_of_range_group_always_detected():
     for value in range(CFG.block_limit, CFG.block_capacity):
         digits = np.array([tuples[value]], np.uint8)
         prev = int(rng.integers(0, 4))
-        codes = kernels.encode_positions(digits, rot, np.array([prev], np.uint8))
+        codes = jr.encode_positions(digits, rot, np.array([prev], np.uint8))
         with pytest.raises(StreamCorruption) as exc:
             jr.jr_decode_stream(jr.seq_from_codes(codes[0]), CFG, jr.ALPHABET[prev])
         assert exc.value.kind == "range"
@@ -297,11 +297,10 @@ def test_rotating_substitution_to_predecessor_always_detected():
 
 
 # ---------------------------------------------------------------------------
-# kernel path equivalence
+# position kernels
 # ---------------------------------------------------------------------------
 
-@pytest.mark.skipif(not kernels.JIT_AVAILABLE, reason="numba not installed")
-def test_codec_kernels_paths_agree():
+def test_position_kernels_round_trip():
     rng = np.random.default_rng(17)
     rot = CFG.rotating_mask(20)
     digits = np.empty((64, 100), np.uint8)
@@ -309,12 +308,7 @@ def test_codec_kernels_paths_agree():
     for j in range(100):
         digits[:, j] = rng.integers(0, radii[j], 64)
     prev0 = rng.integers(0, 4, 64).astype(np.uint8)
-    enc_np = kernels.NUMPY_IMPL["encode_positions"](digits, rot, prev0)
-    enc_nb = kernels.JIT_IMPL["encode_positions"](digits, rot, prev0)
-    assert np.array_equal(enc_np, enc_nb)
-    d_np, v_np = kernels.NUMPY_IMPL["decode_positions"](enc_np, rot, prev0)
-    d_nb, v_nb = kernels.JIT_IMPL["decode_positions"](enc_np, rot, prev0)
-    assert np.array_equal(d_np, d_nb)
-    assert np.array_equal(v_np, v_nb)
-    assert np.array_equal(d_np, digits)
-    assert (v_np == -1).all()
+    codes = jr.encode_positions(digits, rot, prev0)
+    back, viol = jr.decode_positions(codes, rot, prev0)
+    assert np.array_equal(back, digits)
+    assert (viol == -1).all()

@@ -7,7 +7,7 @@ import pytest
 
 from pjdna.errors import ConfigError, ShapeError
 from pjdna.inpaint import _harmonic_solve, inpaint
-from pjdna.metrics import em_decode, em_ssim, ssim, tally_outcomes
+from pjdna.metrics import em_ssim, ssim, tally_outcomes
 
 
 def ssim_oracle(a, b, side=11, sigma=1.5, k1=0.01, k2=0.03, data_range=255.0):
@@ -87,16 +87,12 @@ def test_ssim_shape_errors(rng):
 # baseline
 # ---------------------------------------------------------------------------
 
-def test_em_decode_all_or_nothing(rng):
-    img = rng.integers(0, 256, (10, 10), dtype=np.uint8)
-    out = em_decode(10660, 10660, img)
-    assert np.array_equal(out, img)
+def test_em_ssim_all_or_nothing():
     assert em_ssim(10660, 10660) == 1.0
-    assert em_decode(10659, 10660, img) is None
     assert em_ssim(10659, 10660) == 0.0
-    assert em_decode(0, 10660, img) is None
+    assert em_ssim(0, 10660) == 0.0
     with pytest.raises(ConfigError):
-        em_decode(11, 10, img)
+        em_ssim(11, 10)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pjdna import jr
 from pjdna.errors import CapacityError, ConfigError, FormatError
@@ -13,7 +15,7 @@ from pjdna.partition import (
     encode_image,
     encode_raw,
 )
-from pjdna.strand import DEFAULT_LAYOUT
+from pjdna.strand import DEFAULT_LAYOUT, ParseBatch
 
 CFG = jr.JrConfig()
 
@@ -191,6 +193,93 @@ def test_raw_single_missing_strand_gap(rng):
     assert (bits_out[lo:hi] == 0).all()
     assert np.array_equal(bits_out[:lo], bits_in[:lo])
     assert np.array_equal(bits_out[hi:], bits_in[hi:])
+
+
+# ---------------------------------------------------------------------------
+# the tile scatter against the pair-list decoder it replaced
+# ---------------------------------------------------------------------------
+
+def reference_tiles(pairs, manifest):
+    """The pair-list decoders' shared steps, as they were: stray count,
+    last-entry-wins dedupe after a stable sort, payload rows."""
+    n = manifest.strand_count
+    stray = 0
+    if pairs:
+        idx = np.fromiter((p[0] for p in pairs), np.int64, len(pairs))
+        valid = (idx >= 0) & (idx < n)
+        stray = int((~valid).sum())
+        pairs = [p for p, v in zip(pairs, valid) if v]
+    idx = np.fromiter((p[0] for p in pairs), np.int64, len(pairs))
+    order = np.argsort(idx, kind="stable")
+    last = np.nonzero(np.append(idx[order][1:] != idx[order][:-1], True))[0]
+    keep = order[last] if pairs else np.empty(0, np.int64)
+    nbytes = manifest.layout.payload_bytes_len(manifest.cfg)
+    rows = np.frombuffer(b"".join(pairs[i][1] for i in keep), np.uint8).reshape(-1, nbytes)
+    stats = {"strands_expected": n, "strands_recovered": len(keep),
+             "tiles_missing": n - len(keep), "stray_indices": stray}
+    return idx[keep], rows, stats
+
+
+def reference_decode_image(pairs, manifest):
+    n, tp = manifest.strand_count, manifest.tile_pixels
+    idx, rows, stats = reference_tiles(pairs, manifest)
+    tiles = np.zeros((n, tp), np.uint8)
+    seen = np.zeros(n, bool)
+    tiles[idx] = rows[:, :tp]
+    seen[idx] = True
+    hw, shape = manifest.width * manifest.height, (manifest.height, manifest.width)
+    missing = np.repeat(~seen, tp)[:hw].reshape(shape)
+    return tiles.reshape(-1)[:hw].reshape(shape), missing, stats
+
+
+def reference_decode_raw(pairs, manifest):
+    n, capacity = manifest.strand_count, manifest.payload_capacity
+    idx, rows, stats = reference_tiles(pairs, manifest)
+    bits = np.zeros(n * capacity, np.uint8)
+    seen = np.zeros(n, bool)
+    pos = (idx[:, None] * capacity + np.arange(capacity)).reshape(-1)
+    bits[pos] = np.unpackbits(rows, axis=1)[:, :capacity].reshape(-1)
+    seen[idx] = True
+    total = manifest.total_bits
+    return np.packbits(bits[:total]).tobytes(), np.repeat(~seen, capacity)[:total], stats
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_decoders_match_pair_list_reference(data):
+    nbytes = DEFAULT_LAYOUT.payload_bytes_len(CFG)
+    if data.draw(st.booleans(), "image"):
+        manifest = TileManifest.for_image(
+            data.draw(st.integers(1, 12), "width"), data.draw(st.integers(1, 6), "height"),
+            CFG, DEFAULT_LAYOUT, data.draw(st.integers(1, 20), "tile_pixels"))
+    else:
+        manifest = TileManifest.for_raw(8 * data.draw(st.integers(0, 80), "bytes"),
+                                        CFG, DEFAULT_LAYOUT)
+    n = manifest.strand_count
+    # a narrow index range makes duplicates common; strays fall on both sides
+    indices = data.draw(st.lists(st.integers(-3, n + 2), max_size=24), "indices")
+    payloads = [data.draw(st.binary(min_size=nbytes, max_size=nbytes)) for _ in indices]
+    form = data.draw(st.sampled_from(["list", "generator", "batch"]), "form")
+    pairs = list(zip(indices, payloads))
+    accepted = pairs if form == "list" else iter(pairs)
+    if form == "batch":
+        rows = np.frombuffer(b"".join(payloads), np.uint8).reshape(-1, nbytes)
+        blocks = jr.unpack_block_rows(rows, CFG.groups_per_payload, CFG.bits_per_block)
+        accepted = ParseBatch(np.array(indices, np.int64), blocks, {"accepted": len(indices)})
+        pairs = list(zip(indices, accepted.payload_bytes(CFG)))
+    parse_stats = data.draw(st.sampled_from([None, {"accepted": len(indices)}]), "stats")
+    if manifest.mode == "image":
+        image, missing, stats = reference_decode_image(pairs, manifest)
+        rec = decode_image(accepted, manifest, parse_stats=parse_stats)
+        assert np.array_equal(rec.image, image)
+        assert np.array_equal(rec.missing_mask, missing)
+        got = rec.stats
+    else:
+        out, mask, stats = reference_decode_raw(pairs, manifest)
+        got_out, got_mask, got = decode_raw(accepted, manifest, parse_stats=parse_stats)
+        assert got_out == out
+        assert np.array_equal(got_mask, mask)
+    assert got == {**stats, **(parse_stats or {})}
 
 
 # ---------------------------------------------------------------------------
