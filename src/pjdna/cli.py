@@ -39,6 +39,7 @@ from .errors import (
     PjError,
     RangeError,
     ShapeError,
+    require_int,
 )
 from .idx import degrade_dataset, read_labels
 from .images import read_pbm, read_pgm, write_pbm, write_pgm
@@ -212,24 +213,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _detect_reads_format(path, override: str) -> str:
-    if override != "auto":
-        return override
-    name = str(path).lower()
-    if name.endswith((".fasta", ".fa", ".fna")):
-        return "fasta"
-    if name.endswith((".fastq", ".fq")):
-        return "fastq"
-    return "auto"  # fall through to content sniffing
-
-
 def cmd_decode(args) -> int:
     manifest = TileManifest.load(args.manifest)
     src = args.reads or args.lib
-    fmt = _detect_reads_format(src, args.input_format)
     skipped_alphabet = 0
     try:
-        result = read_sequences(src, fmt)
+        result = read_sequences(src, args.input_format)
         pool = result.pool
         skipped_alphabet = result.skipped_alphabet
     except EmptyLibraryError:
@@ -285,6 +274,7 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"--rates must be comma-separated numbers, got {args.rates!r}") from None
     seed0 = _seed_arg(args)
+    require_int("--seeds", args.seeds, 1)
     seeds = list(range(seed0, seed0 + args.seeds))
     result = loss_sweep(
         img,

@@ -51,6 +51,15 @@ def default_tile_pixels(layout: StrandLayout, cfg: jr.JrConfig) -> int:
     return layout.payload_bits(cfg) // 8
 
 
+def _require_tile_fit(tile_pixels, capacity: int) -> None:
+    """Raise :class:`ConfigError` unless ``tile_pixels`` is an int >= 1 that fits ``capacity``."""
+    require_int("tile_pixels", tile_pixels, 1)
+    if tile_pixels * 8 > capacity:
+        raise ConfigError(
+            f"tile_pixels {tile_pixels} needs {tile_pixels * 8} bits, payload holds {capacity}"
+        )
+
+
 @dataclass(frozen=True)
 class TileManifest:
     mode: str  # "image" | "raw"
@@ -75,11 +84,7 @@ class TileManifest:
                 raise ConfigError("image manifests need width, height and tile_pixels")
             if self.total_bits is not None:
                 raise ConfigError("image manifests must not carry total_bits")
-            if self.tile_pixels * 8 > capacity:
-                raise ConfigError(
-                    f"tile_pixels {self.tile_pixels} needs {self.tile_pixels * 8} bits, "
-                    f"payload holds {capacity}"
-                )
+            _require_tile_fit(self.tile_pixels, capacity)
             expect = -(-self.width * self.height // self.tile_pixels)
             if self.strand_count != expect:
                 raise ConfigError(f"strand_count must be {expect}, got {self.strand_count}")
@@ -93,6 +98,8 @@ class TileManifest:
             expect = -(-self.total_bits // capacity) if self.total_bits else 0
             if self.strand_count != expect:
                 raise ConfigError(f"strand_count must be {expect}, got {self.strand_count}")
+            if self.pad_bits_per_tile != 0:
+                raise ConfigError(f"pad_bits_per_tile must be 0, got {self.pad_bits_per_tile}")
         else:
             raise ConfigError(f"unknown manifest mode {self.mode!r}")
         if self.strand_count > self.layout.index_capacity(self.cfg):
@@ -113,6 +120,7 @@ class TileManifest:
         if tile_pixels is None:
             tile_pixels = default_tile_pixels(layout, cfg)
         capacity = layout.payload_bits(cfg)
+        _require_tile_fit(tile_pixels, capacity)
         return cls(
             mode="image",
             cfg=cfg,

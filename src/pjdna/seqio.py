@@ -5,9 +5,10 @@ FASTA headers follow the grammar ``>pj|<decimal index>`` with an optional
 wrapping and plain 4-line FASTQ (quality lines ignored), uppercases
 sequences, and skips any record containing characters outside ACGT.
 
-FASTQ is read as bytes: a line ends at ``\n`` and one ``\r`` before it is
-dropped (CRLF), so a lone ``\r`` is content.  Either reader returns its
-reads as one :class:`~pjdna.strand.ReadPool`.
+Both are read as bytes into one :class:`~pjdna.strand.ReadPool`, in the
+format the first non-blank byte names.  A FASTA line ends at ``\n``, ``\r``
+or ``\r\n``, edge whitespace ignored; a FASTQ line ends at ``\n`` and one
+``\r`` before it is dropped (CRLF), so a lone ``\r`` is content.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ from .strand import ReadPool, Strand
 
 __all__ = ["ReadFileResult", "write_fasta", "write_fastq", "read_sequences", "sniff_format"]
 
-_DROP_ACGT = str.maketrans("", "", "ACGT")
-
 # Per byte: bit 0 unless ``str.strip`` removes it (a line without it is
 # blank), bit 1 unless it is A, C, G or T in either case.
 _BYTE_CLASS = np.array(
     [(c >= 128 or not chr(c).isspace()) | (chr(c & 0xDF) not in "ACGT") << 1 for c in range(256)],
     np.uint8,
 )
+_FIRST_BYTE_FORMAT = {ord(">"): "fasta", ord("@"): "fastq"}
 # Bytes classed per call of ``np.take``, which copies its indices as intp.
 _TAKE_CHUNK = 1 << 16
 # Records joined per write: about 80 KiB of FASTQ text at 141 nt, so a
@@ -97,75 +97,81 @@ def write_fastq(
     return len(reads)
 
 
-def sniff_format(path) -> str:
-    """Return "fasta" or "fastq" from the first non-blank byte."""
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            if line.startswith(">"):
-                return "fasta"
-            if line.startswith("@"):
-                return "fastq"
-            raise FormatError(f"{path}: neither FASTA nor FASTQ")
+def _format_of(path, buf: np.ndarray) -> str:
+    """"fasta" or "fastq" from the first non-blank byte of ``buf``."""
+    for k in range(0, buf.size, _TAKE_CHUNK):
+        part = buf[k : k + _TAKE_CHUNK]
+        solid = part[_BYTE_CLASS[part] & 1 == 1]
+        if solid.size:
+            if solid[0] not in _FIRST_BYTE_FORMAT:
+                raise FormatError(f"{path}: neither FASTA nor FASTQ")
+            return _FIRST_BYTE_FORMAT[solid[0]]
     raise EmptyLibraryError(f"{path}: no records")
 
 
-def _clean(record_lines: list[str]) -> str | None:
-    seq = "".join(record_lines).upper()
-    if not seq or seq.translate(_DROP_ACGT):  # anything left is outside ACGT
-        return None
-    return seq
+def sniff_format(path) -> str:
+    """Return "fasta" or "fastq" from the first non-blank byte."""
+    return _format_of(path, np.fromfile(path, np.uint8))
 
 
-def _read_fasta(path) -> ReadFileResult:
-    sequences: list[str] = []
-    skipped = 0
-    current: list[str] | None = None
-
-    def flush():
-        nonlocal skipped
-        if current is None:
-            return
-        seq = _clean(current)
-        if seq is None:
-            skipped += 1
-        else:
-            sequences.append(seq)
-
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith(">"):
-                flush()
-                current = []
-            elif current is not None:
-                current.append(line)
-            else:
-                raise FormatError(f"{path}: sequence data before the first FASTA header")
-    flush()
-    return ReadFileResult(ReadPool.from_strings(sequences), skipped)
+def _classes(buf: np.ndarray) -> np.ndarray:
+    """``_BYTE_CLASS`` of each byte, and a spare last byte for ``_or_lines``."""
+    classes = np.zeros(buf.size + 1, np.uint8)
+    for k in range(0, buf.size, _TAKE_CHUNK):
+        part = buf[k : k + _TAKE_CHUNK]
+        np.take(_BYTE_CLASS, part, out=classes[k : k + part.size], mode="clip")
+    return classes
 
 
-def _read_fastq(path) -> ReadFileResult:
-    buf = np.fromfile(path, np.uint8)
+def _or_lines(classes: np.ndarray, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """OR of the byte classes over each non-empty line ``[begin, end)``:
+    reduceat reduces from one index to the next, so it takes the line bounds
+    interleaved, and the spare last byte keeps the final bound in range."""
+    return np.bitwise_or.reduceat(classes, np.column_stack([begins, ends]).ravel())[::2]
+
+
+def _read_fasta(path, buf: np.ndarray) -> ReadFileResult:
+    # a line ends at \n, \r or \r\n (which leaves a blank line between)
+    ends = np.append(np.flatnonzero((buf == ord("\n")) | (buf == ord("\r"))), buf.size)
+    begins = np.append(0, ends[:-1] + 1)
+    classes = _classes(buf)
+    line_class = _or_lines(classes, begins, ends)
+    keep = (ends > begins) & (line_class & 1 == 1)  # not blank
+    begins, ends, line_class = begins[keep], ends[keep], line_class[keep]
+    # str.strip: move the blank edges of a line onto its outer non-blank bytes
+    edge = classes[begins] & classes[ends - 1] & 1 == 0
+    if edge.any():
+        solid = np.flatnonzero(classes[:-1] & 1)
+        begins[edge] = solid[np.searchsorted(solid, begins[edge])]
+        ends[edge] = solid[np.searchsorted(solid, ends[edge]) - 1] + 1
+        line_class[edge] = _or_lines(classes, begins[edge], ends[edge])
+    del classes
+
+    head = buf[begins] == ord(">")
+    if head.size and not head[0]:
+        raise FormatError(f"{path}: sequence data before the first FASTA header")
+    n = int(head.sum())
+    record = np.cumsum(head)[~head] - 1  # the record of each sequence line
+    begins, ends, line_class = begins[~head], ends[~head], line_class[~head]
+    lengths = np.bincount(record, ends - begins, n).astype(np.int64)
+    ok = (lengths > 0) & (np.bincount(record, line_class & 2, n) == 0)
+
+    # gather the kept records' lines: a running sum of +1 at begins, -1 at ends
+    mark = np.zeros(buf.size + 1, np.int8)
+    mark[begins[ok[record]]] = 1
+    mark[ends[ok[record]]] = -1
+    seq = buf[np.cumsum(mark[:-1], dtype=np.int8).view(bool)] & 0xDF  # upper-cased ACGT
+    lengths = lengths[ok]
+    return ReadFileResult(ReadPool(seq, np.cumsum(lengths) - lengths, lengths), n - int(ok.sum()))
+
+
+def _read_fastq(path, buf: np.ndarray) -> ReadFileResult:
     if not buf.size:
         return ReadFileResult(ReadPool.from_strings([]))
     ends = np.append(np.flatnonzero(buf == ord("\n")), buf.size)
     begins = np.append(0, ends[:-1] + 1)
     ends -= (ends > begins) & (buf[ends - 1] == ord("\r"))
-
-    # OR of the byte classes over each line: reduceat reduces from one index
-    # to the next, so it takes the line bounds interleaved, and a spare last
-    # byte keeps the final bound in range
-    classes = np.zeros(buf.size + 1, np.uint8)
-    for k in range(0, buf.size, _TAKE_CHUNK):
-        part = buf[k : k + _TAKE_CHUNK]
-        np.take(_BYTE_CLASS, part, out=classes[k : k + part.size], mode="clip")
-    line_class = np.bitwise_or.reduceat(classes, np.column_stack([begins, ends]).ravel())[::2]
-    del classes
+    line_class = _or_lines(_classes(buf), begins, ends)
     keep = (ends > begins) & (line_class & 1 == 1)  # not blank
     begins, ends, line_class = begins[keep], ends[keep], line_class[keep]
     if begins.size % 4:
@@ -185,15 +191,17 @@ def _read_fastq(path) -> ReadFileResult:
 def read_sequences(path, fmt: str = "auto") -> ReadFileResult:
     """Read all parseable sequences from a FASTA or FASTQ file.
 
+    ``fmt`` "auto" takes the format from the content, not the file name.
     Raises :class:`EmptyLibraryError` when no record survives; records with
     non-ACGT characters are skipped and counted, not fatal.
     """
+    buf = np.fromfile(path, np.uint8)
     if fmt == "auto":
-        fmt = sniff_format(path)
+        fmt = _format_of(path, buf)
     if fmt == "fasta":
-        result = _read_fasta(path)
+        result = _read_fasta(path, buf)
     elif fmt == "fastq":
-        result = _read_fastq(path)
+        result = _read_fastq(path, buf)
     else:
         raise FormatError(f"unknown sequence format {fmt!r}")
     if not len(result.pool):

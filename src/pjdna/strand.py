@@ -345,9 +345,11 @@ def parse_many(
     joined into one first.  Rejects carry no payload: a read of the wrong
     length counts as "length", a primer Hamming distance above
     ``primer_tolerance`` as "primer", and a rotating violation /
-    out-of-range block / bad character as "corrupt".
+    out-of-range block / bad character as "corrupt".  A negative
+    ``primer_tolerance`` is a :class:`ConfigError`.
     """
     layout.validate(cfg)
+    require_int("primer_tolerance", primer_tolerance, 0)
     pool = reads if isinstance(reads, ReadPool) else ReadPool.from_strings(reads)
     total = layout.total_nt
     starts = pool.starts[pool.lengths == total]

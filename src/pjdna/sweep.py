@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -114,17 +114,7 @@ def loss_sweep(
     def run_cell(rate: float, seed: int) -> list[SweepRow]:
         survivors = drop_strands(strands, rate, seed)
         if noisy:
-            prof = ChannelProfile(
-                dropout_p=0.0,
-                sub_p=base_profile.sub_p,
-                ins_p=base_profile.ins_p,
-                del_p=base_profile.del_p,
-                coverage_mean=base_profile.coverage_mean,
-                coverage_model=base_profile.coverage_model,
-                seed=seed,
-                name=base_profile.name,
-                rate_provenance=base_profile.rate_provenance,
-            )
+            prof = replace(base_profile, dropout_p=0.0, seed=seed)
             accepted = vote(corrupt_reads(survivors, prof).pool, layout, cfg)
         else:
             accepted = [(s.index_value, s.payload) for s in survivors]

@@ -77,6 +77,15 @@ def test_encode_tile_pixels_flag(workdir):
     assert manifest.pad_bits_per_tile == 162 - 80
 
 
+@pytest.mark.parametrize("tile_pixels", [0, -3, 21])
+def test_encode_bad_tile_pixels_exits_2(workdir, capsys, tile_pixels):
+    tmp_path, _ = workdir
+    assert run("encode", "--in", tmp_path / "in.pgm", "--out", tmp_path / "l.fasta",
+               "--manifest", tmp_path / "mt.json", "--tile-pixels", tile_pixels) == 2
+    assert "tile_pixels" in capsys.readouterr().err
+    assert not (tmp_path / "l.fasta").exists()
+
+
 def test_encode_expected_cat_scale_count(tmp_path, rng):
     img = rng.integers(0, 256, (409, 285), dtype=np.uint8)
     write_pgm(tmp_path / "cat.pgm", img)
@@ -264,6 +273,30 @@ def test_decode_empty_reads_total_loss(workdir):
     assert read_pbm(tmp_path / "mask.pbm").all()
 
 
+def test_decode_takes_the_format_from_the_content(workdir):
+    tmp_path, _ = workdir
+    encode(tmp_path)
+    (tmp_path / "lib.fastq").write_bytes((tmp_path / "lib.fasta").read_bytes())
+    for name in ("lib.fasta", "lib.fastq"):
+        assert run("decode", "--lib", tmp_path / name, "--manifest", tmp_path / "m.json",
+                   "--out", tmp_path / f"{name}.pgm", "--mask", tmp_path / f"{name}.pbm") == 0
+    for ext in ("pgm", "pbm"):
+        assert (tmp_path / f"lib.fasta.{ext}").read_bytes() == (
+            tmp_path / f"lib.fastq.{ext}").read_bytes()
+    # --input-format still overrides the content
+    assert run("decode", "--lib", tmp_path / "lib.fasta", "--input-format", "fastq",
+               "--manifest", tmp_path / "m.json", "--out", tmp_path / "x.pgm") == 4
+
+
+def test_decode_negative_primer_mismatches_exits_2(workdir, capsys):
+    tmp_path, _ = workdir
+    encode(tmp_path)
+    assert run("decode", "--lib", tmp_path / "lib.fasta", "--manifest", tmp_path / "m.json",
+               "--out", tmp_path / "x.pgm", "--primer-mismatches", "-1") == 2
+    assert "primer_tolerance must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "x.pgm").exists()
+
+
 def test_decode_inpaint_flag(workdir):
     tmp_path, img = workdir
     encode(tmp_path)
@@ -359,6 +392,10 @@ HOSTILE_MANIFESTS = {
     "negative-width-and-height": {"width": -5, "height": -40, "strand_count": 10},
     "float-radix": {"cfg": {"group_radices": [4, 3, 4.0, 4, 3], "bits_per_block": 9,
                             "groups_per_payload": 18, "jump_length": 2}},
+    # a raw manifest over the image's 154 strands of 162 payload bits, whose
+    # tiles carry no pad
+    "raw-pad-bits": {"mode": "raw", "width": None, "height": None, "tile_pixels": None,
+                     "total_bits": 154 * 162, "pad_bits_per_tile": 7},
 }
 
 
@@ -438,6 +475,14 @@ def test_sweep_negative_seed_exits_2(workdir, capsys):
     assert run("sweep", "--in", tmp_path / "in.pgm", "--rates", "0.5", "--seeds", "3",
                "--seed", "-1", "--out", tmp_path / "s.csv") == 2
     assert "seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_no_seeds_exits_2(workdir, capsys):
+    tmp_path, _ = workdir
+    assert run("sweep", "--in", tmp_path / "in.pgm", "--rates", "0.5", "--seeds", "0",
+               "--out", tmp_path / "s.csv") == 2
+    assert "--seeds must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
 
 

@@ -332,23 +332,93 @@ def _fastq_files(draw):
     return eol.join(lines) + draw(st.sampled_from([b"", eol]))
 
 
+def _outcome(read):
+    try:
+        return read()
+    except (FormatError, EmptyLibraryError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _read_pair(path, fmt):
+    result = read_sequences(path, fmt)
+    return result.sequences, result.skipped_alphabet
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=_fastq_files())
 def test_fastq_bytes_reader_matches_text_mode(tmp_path, data):
     path = tmp_path / "h.fastq"
     path.write_bytes(data)
+    assert _outcome(lambda: _read_pair(path, "fastq")) == _outcome(
+        lambda: _text_mode_read_fastq(path))
 
-    def outcome(read):
-        try:
-            return read()
-        except (FormatError, EmptyLibraryError) as exc:
-            return type(exc).__name__, str(exc)
 
-    def new():
-        result = read_sequences(path, "fastq")
-        return result.sequences, result.skipped_alphabet
+def _text_mode_read_fasta(path):
+    """The FASTA reader as it was in text mode with universal newlines: the
+    reference the bytes reader must match on every file."""
+    sequences, skipped, record = [], 0, None
 
-    assert outcome(new) == outcome(lambda: _text_mode_read_fastq(path))
+    def flush():
+        nonlocal skipped
+        if record is not None:
+            seq = "".join(record).upper()
+            if not seq or seq.translate(str.maketrans("", "", "ACGT")):
+                skipped += 1
+            else:
+                sequences.append(seq)
+
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith(">"):
+                flush()
+                record = []
+            elif record is not None:
+                record.append(line)
+            else:
+                raise FormatError(f"{path}: sequence data before the first FASTA header")
+    flush()
+    if not sequences:
+        raise EmptyLibraryError(f"{path}: no parseable records")
+    return sequences, skipped
+
+
+# edges a line may carry: ASCII whitespace that str.strip removes, and \xa0
+# and \x85, which are not ASCII and so were content in text mode
+_FASTA_EDGES = [b"", b"", b"", b" ", b"\t", b"\x0b\x0c", b" \x1c\x1f", b"\xa0", b"\x85"]
+
+
+@st.composite
+def _fasta_files(draw):
+    def sequence_line():
+        pieces = draw(st.lists(st.sampled_from(_ACGT_PIECES), min_size=1, max_size=12))
+        if draw(st.integers(0, 2)) == 0:  # a lone \r ends the line in text mode
+            other = draw(st.sampled_from(_OTHER_PIECES + [b"\r", b"a\rc"]))
+            pieces.insert(draw(st.integers(0, len(pieces))), other)
+        return draw(st.sampled_from(_FASTA_EDGES)) + b"".join(pieces) + draw(
+            st.sampled_from(_FASTA_EDGES))
+
+    lines = [sequence_line() for _ in range(draw(st.sampled_from([0] * 9 + [1])))]
+    for k in range(draw(st.integers(0, 6))):
+        edge = draw(st.sampled_from(_FASTA_EDGES))
+        lines.append(edge + b">pj|%d" % k + draw(st.sampled_from([b"", b" x\ty", b"|\xe9"])))
+        lines += [sequence_line() for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BLANK_LINES)))
+    eol = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    eols = [draw(st.sampled_from([eol] * 6 + [b"\n", b"\r\n", b"\r"])) for _ in lines]
+    return b"".join(ln + e for ln, e in zip(lines, eols))[: draw(st.sampled_from([None, -1]))]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_fasta_files())
+def test_fasta_bytes_reader_matches_text_mode(tmp_path, data):
+    path = tmp_path / "h.fasta"
+    path.write_bytes(data)
+    assert _outcome(lambda: _read_pair(path, "fasta")) == _outcome(
+        lambda: _text_mode_read_fasta(path))
 
 
 def test_fastq_malformed(tmp_path):
@@ -375,6 +445,9 @@ def test_sniff_format(tmp_path):
     fq = tmp_path / "b.txt"
     fq.write_text("@x\nACGT\n+\nIIII\n")
     assert sniff_format(fq) == "fastq"
+    padded = tmp_path / "d.txt"  # the first non-blank byte decides
+    padded.write_bytes(b"\r\n \t>x\nACGT\n")
+    assert sniff_format(padded) == "fasta"
     junk = tmp_path / "c.txt"
     junk.write_text("ACGT\n")
     with pytest.raises(FormatError):

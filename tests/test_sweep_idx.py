@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pjdna import idx
-from pjdna.channel import ChannelProfile, drop_strands
+from pjdna.channel import ChannelProfile, drop_strands, preset
 from pjdna.errors import ConfigError, FormatError
 from pjdna.idx import (
     degrade_dataset,
@@ -109,6 +109,22 @@ def test_sweep_noisy_profile_path(gradient):
     res = loss_sweep(gradient, [0.1], [0, 1], base_profile=prof)
     for row in res.scheme_rows("PM"):
         assert 0.0 < row.ssim_raw <= 1.0
+
+
+# (masked fraction, raw SSIM) of the PM row of each (rate, seed) cell, rates
+# 0.1 and 0.5 by seeds 0 and 1, as the sweep gave them when it built each
+# cell's profile field by field
+NOISY_SWEEP_PM = {
+    "aging95C": [0.103125, 0.425312, 0.1, 0.496773, 0.428125, 0.071199, 0.490625, 0.066619],
+    "xray": [0.165625, 0.186542, 0.159375, 0.178715, 0.45, 0.055041, 0.515625, 0.0436],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOISY_SWEEP_PM))
+def test_sweep_noisy_presets_pin_rows(gradient, name):
+    res = loss_sweep(gradient, [0.1, 0.5], [0, 1], base_profile=preset(name, 9))
+    got = [x for r in res.scheme_rows("PM") for x in (r.masked_fraction, r.ssim_raw)]
+    assert got == pytest.approx(NOISY_SWEEP_PM[name], abs=2e-6)
 
 
 def test_sweep_rejects_bad_rate(gradient):
