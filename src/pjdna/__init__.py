@@ -37,7 +37,7 @@ from .partition import (
     encode_raw,
 )
 from .seqio import read_sequences, write_fasta, write_fastq
-from .strand import Strand, StrandLayout, assemble_strand, parse_strand
+from .strand import Strand, StrandLayout, StrandSet, assemble_strand, parse_strand
 from .sweep import SweepResult, SweepRow, loss_sweep
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
     "max_homopolymer_run",
     "Strand",
     "StrandLayout",
+    "StrandSet",
     "assemble_strand",
     "parse_strand",
     "read_sequences",

@@ -26,7 +26,15 @@ import numpy as np
 
 from . import jr
 from .errors import ConfigError
-from .strand import DEFAULT_LAYOUT, ParseBatch, ReadPool, Strand, StrandLayout, parse_many
+from .strand import (
+    DEFAULT_LAYOUT,
+    ParseBatch,
+    ReadPool,
+    Strand,
+    StrandLayout,
+    StrandSet,
+    parse_many,
+)
 
 __all__ = [
     "CHANNEL_STREAM",
@@ -49,10 +57,6 @@ CHANNEL_STREAM = 2
 # Reads mutated together in one numpy pass; bounds the pass's draws to
 # about 1.4 MiB at 141 nt.
 _CHUNK_READS = 256
-
-# bytes.translate table from nucleotide codes to ASCII; a code outside the
-# alphabet (a strand character other than ACGT) comes out as N.
-_CODE_TO_ASCII = bytes(jr._CODE_ASCII) + b"N" * (256 - jr._CODE_ASCII.size)
 
 _PROFILE_KEYS = {
     "dropout_p",
@@ -199,32 +203,40 @@ def keep_mask(count: int, p: float, seed) -> np.ndarray:
     return np.random.default_rng(entropy + (0,)).random(count) >= p
 
 
-def drop_strands(items: Sequence, p: float, seed) -> list:
+def drop_strands(items: StrandSet | Sequence, p: float, seed) -> StrandSet | list:
     """Remove each element independently with probability ``p``.
 
     ``seed`` may be an int or a tuple of ints; the survivors are those
-    :func:`keep_mask` flags.
+    :func:`keep_mask` flags, as a :class:`~pjdna.strand.StrandSet` of its
+    rows when ``items`` is one and as a list otherwise.
     """
     keep = keep_mask(len(items), p, seed)
+    if isinstance(items, StrandSet):
+        return items[keep]
     return [x for x, k in zip(items, keep.tolist()) if k]
 
 
-def corrupt_reads(strands: ReadPool | Sequence, profile: ChannelProfile) -> ReadSet:
+def corrupt_reads(
+    strands: ReadPool | StrandSet | Sequence, profile: ChannelProfile
+) -> ReadSet:
     """Replicate and corrupt surviving strands into a read pool.
 
-    ``strands`` is a :class:`~pjdna.strand.ReadPool` or a sequence of strings
-    or :class:`~pjdna.strand.Strand`.  Per strand, coverage ``k`` is drawn
-    (fixed or Poisson), then each replicate runs one left-to-right pass where
-    every position is independently deleted, else followed by a uniform
-    random insertion, else substituted uniformly over the three other
-    nucleotides (priority in that order).  Strand ``sid`` draws
+    ``strands`` is a :class:`~pjdna.strand.ReadPool`, a
+    :class:`~pjdna.strand.StrandSet` (read through its ``pool``) or a
+    sequence of strings or :class:`~pjdna.strand.Strand`.  Per strand,
+    coverage ``k`` is drawn (fixed or Poisson), then each replicate runs one
+    left-to-right pass where every position is independently deleted, else
+    followed by a uniform random insertion, else substituted uniformly over
+    the three other nucleotides (priority in that order).  Strand ``sid`` draws
     ``random((k, 5, n))`` from ``default_rng((seed, 2, sid))``: per replicate
     the delete, insert and substitute uniforms, the substitution shift and
     the inserted base; a strand character outside ACGT comes out as N.
     Without noise the reads point at the strands' own bytes, each repeated
     ``k`` times.
     """
-    if not isinstance(strands, ReadPool):
+    if isinstance(strands, StrandSet):
+        strands = strands.pool
+    elif not isinstance(strands, ReadPool):
         strands = ReadPool.from_strings([_seq_of(item) for item in strands])
     seed = profile.seed
     if profile.coverage_model == "fixed":
@@ -283,11 +295,11 @@ def _mutate(
         at = strands.starts[sids, None] + np.arange(width)
         if lens.min() == width:
             keep = None  # every position is inside its strand
-            codes = jr._ASCII_CODE[strands.buf[at]]
+            codes = jr.ascii_codes(strands.buf[at])
         else:
             inside = np.arange(width) < lens[:, None]
             codes = np.zeros(at.shape, np.uint8)
-            codes[inside] = jr._ASCII_CODE[strands.buf[at[inside]]]
+            codes[inside] = jr.ascii_codes(strands.buf[at[inside]])
             keep = np.repeat(inside, reps, axis=0)
         codes = np.repeat(codes, reps, axis=0)
 
@@ -324,7 +336,7 @@ def _mutate(
         else:
             out = codes[keep]
             lengths.append(keep.sum(axis=1))
-        parts.append(out.tobytes().translate(_CODE_TO_ASCII))
+        parts.append(out.tobytes().translate(jr._CODE_TRANSLATE))
     return b"".join(parts), np.concatenate(lengths)
 
 

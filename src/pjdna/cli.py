@@ -141,6 +141,8 @@ def cmd_encode(args) -> int:
         strands, manifest = encode_image(img, cfg, layout, args.tile_pixels)
         source = args.input
     else:
+        if args.tile_pixels is not None:
+            raise ConfigError("--tile-pixels applies to --in images, not to --raw")
         with open(args.raw, "rb") as fh:
             data = fh.read()
         strands, manifest = encode_raw(data, cfg, layout)
@@ -216,15 +218,15 @@ def cmd_simulate(args) -> int:
 def cmd_decode(args) -> int:
     manifest = TileManifest.load(args.manifest)
     src = args.reads or args.lib
-    skipped_alphabet = 0
+    skipped_alphabet, reads_format = 0, None
     try:
         result = read_sequences(src, args.input_format)
         pool = result.pool
-        skipped_alphabet = result.skipped_alphabet
+        skipped_alphabet, reads_format = result.skipped_alphabet, result.format
     except EmptyLibraryError:
         pool = ReadPool.from_strings([])  # total loss still decodes
     batch = vote(pool, manifest.layout, manifest.cfg, args.primer_mismatches)
-    counts = {**batch.counts, "skipped_alphabet": skipped_alphabet}
+    counts = {**batch.counts, "skipped_alphabet": skipped_alphabet, "reads_format": reads_format}
     outputs = [args.out]
     if manifest.mode == "image":
         recovered = decode_image(batch, manifest, parse_stats=counts)

@@ -52,6 +52,7 @@ __all__ = [
     "max_homopolymer_run",
     "codes_from_seq",
     "seq_from_codes",
+    "ascii_codes",
     "block_rows_to_bits",
     "pack_block_rows",
     "unpack_block_rows",
@@ -67,6 +68,26 @@ _ASCII_CODE = np.full(256, 255, np.uint8)
 for _i, _ch in enumerate(ALPHABET):
     _ASCII_CODE[ord(_ch)] = _i
 _CODE_ASCII = np.frombuffer(ALPHABET.encode("ascii"), np.uint8).copy()
+# bytes.translate table from nucleotide codes to ASCII; a code outside the
+# alphabet comes out as N.
+_CODE_TRANSLATE = bytes(_CODE_ASCII) + b"N" * (256 - _CODE_ASCII.size)
+_ACGT_BYTES = tuple(ALPHABET.encode("ascii"))
+
+
+def ascii_codes(data: np.ndarray) -> np.ndarray:
+    """``_ASCII_CODE`` of every byte of a uint8 array, by arithmetic:
+    ``((b >> 1) ^ (b >> 2)) & 3`` maps A, C, G, T to 0..3, and any byte
+    other than those four becomes 255.  Indexing the table would turn every
+    byte into an ``intp`` index first."""
+    codes = data >> np.uint8(1)
+    codes ^= data >> np.uint8(2)
+    codes &= np.uint8(3)
+    valid = data == _ACGT_BYTES[0]
+    for b in _ACGT_BYTES[1:]:
+        valid |= data == b
+    if not valid.all():
+        np.copyto(codes, 255, where=~valid)
+    return codes
 
 
 def codes_from_seq(seq: str) -> np.ndarray:

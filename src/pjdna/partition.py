@@ -21,7 +21,7 @@ import numpy as np
 
 from . import jr
 from .errors import CapacityError, ConfigError, FormatError, require_int
-from .strand import DEFAULT_LAYOUT, ParseBatch, Strand, StrandLayout, assemble_many
+from .strand import DEFAULT_LAYOUT, ParseBatch, StrandLayout, StrandSet, assemble_many
 
 __all__ = [
     "TileManifest",
@@ -301,11 +301,12 @@ def encode_image(
     cfg: jr.JrConfig = jr.DEFAULT_CONFIG,
     layout: StrandLayout = DEFAULT_LAYOUT,
     tile_pixels: int | None = None,
-) -> tuple[list[Strand], TileManifest]:
+) -> tuple[StrandSet, TileManifest]:
     """Encode an 8-bit grayscale image, one tile per strand.
 
     Tile ``t`` covers the row-major pixel run ``[t*tile_pixels, (t+1)*tile_pixels)``;
-    the final tile is zero padded.  No strand depends on any other.
+    the final tile is zero padded.  No strand depends on any other.  Strand
+    ``t`` is row ``t`` of the returned :class:`~pjdna.strand.StrandSet`.
     """
     img = np.asarray(img)
     if img.ndim != 2 or img.dtype != np.uint8:
@@ -341,8 +342,9 @@ def encode_raw(
     data: bytes,
     cfg: jr.JrConfig = jr.DEFAULT_CONFIG,
     layout: StrandLayout = DEFAULT_LAYOUT,
-) -> tuple[list[Strand], TileManifest]:
-    """Encode an arbitrary byte stream into capacity-sized payload slices."""
+) -> tuple[StrandSet, TileManifest]:
+    """Encode an arbitrary byte stream into capacity-sized payload slices,
+    slice ``t`` in row ``t`` of the returned :class:`~pjdna.strand.StrandSet`."""
     manifest = TileManifest.for_raw(8 * len(data), cfg, layout)
     n, capacity = manifest.strand_count, manifest.payload_capacity
     bits = _zero_pad(np.unpackbits(np.frombuffer(data, np.uint8)), (n * capacity,))

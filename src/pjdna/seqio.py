@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyLibraryError, FormatError
-from .strand import ReadPool, Strand
+from .errors import EmptyLibraryError, FormatError, RangeError
+from .strand import ReadPool, Strand, StrandSet
 
 __all__ = ["ReadFileResult", "write_fasta", "write_fastq", "read_sequences", "sniff_format"]
 
@@ -34,8 +33,8 @@ _BYTE_CLASS = np.array(
 _FIRST_BYTE_FORMAT = {ord(">"): "fasta", ord("@"): "fastq"}
 # Bytes classed per call of ``np.take``, which copies its indices as intp.
 _TAKE_CHUNK = 1 << 16
-# Records joined per write: about 80 KiB of FASTQ text at 141 nt, so a
-# write never holds the whole file.
+# Records per write: about 80 KiB of FASTQ or 40 KiB of FASTA text at
+# 141 nt, so a write never holds the whole file.
 _WRITE_CHUNK = 256
 
 
@@ -43,6 +42,7 @@ _WRITE_CHUNK = 256
 class ReadFileResult:
     pool: ReadPool
     skipped_alphabet: int = 0
+    format: str | None = None  # "fasta" or "fastq": how the file was read
 
     @cached_property
     def sequences(self) -> list[str]:
@@ -54,15 +54,46 @@ class ReadFileResult:
         return len(self.pool) + self.skipped_alphabet
 
 
-def write_fasta(path, strands: Iterable[Strand]) -> int:
-    """Write one record per strand; returns the record count."""
-    strands = iter(strands)
-    n = 0
-    with open(path, "w", encoding="ascii") as fh:
-        while chunk := list(islice(strands, _WRITE_CHUNK)):
-            fh.write("".join([f">pj|{s.index_value}\n{s.sequence}\n" for s in chunk]))
-            n += len(chunk)
-    return n
+def write_fasta(path, strands: StrandSet | Iterable[Strand]) -> int:
+    """Write one record ``>pj|<index>`` per strand; returns the record count.
+
+    ``strands`` is a :class:`~pjdna.strand.StrandSet` or any iterable of
+    :class:`~pjdna.strand.Strand`, which is joined into the same arrays
+    once.  Records are laid out ``_WRITE_CHUNK`` rows at a time in a byte
+    matrix, the index right-aligned with its leading zeros masked out, and
+    the kept bytes are written with one boolean compress per chunk.
+    """
+    if isinstance(strands, StrandSet):
+        index_values, rows, lengths = strands.index_values, strands.rows, None
+    else:
+        items = list(strands)
+        index_values = np.fromiter((s.index_value for s in items), np.int64, len(items))
+        seqs = [s.sequence for s in items]
+        lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+        rows = np.zeros((len(seqs), int(lengths.max(initial=0))), np.uint8)
+        rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.frombuffer(
+            "".join(seqs).encode("ascii"), np.uint8)
+    if index_values.min(initial=0) < 0:
+        raise RangeError("FASTA index values must be non-negative")
+    digits = len(str(int(index_values.max(initial=0))))
+    powers = 10 ** np.arange(digits - 1, -1, -1, dtype=np.int64)
+    lead = np.append(powers[:-1], 0)  # a digit shows once the value reaches it
+    seq_at = 4 + digits + 1  # after ">pj|", the digits and a newline
+    with open(path, "wb") as fh:
+        for a in range(0, index_values.size, _WRITE_CHUNK):
+            b = a + _WRITE_CHUNK
+            idx = index_values[a:b, None]
+            out = np.empty((idx.shape[0], seq_at + rows.shape[1] + 1), np.uint8)
+            keep = np.ones(out.shape, bool)
+            out[:, :4] = np.frombuffer(b">pj|", np.uint8)
+            out[:, 4 : seq_at - 1] = idx // powers % 10 + ord("0")
+            keep[:, 4 : seq_at - 1] = idx >= lead
+            out[:, seq_at - 1] = out[:, -1] = ord("\n")
+            out[:, seq_at:-1] = rows[a:b]
+            if lengths is not None:  # strands of unequal lengths, padded
+                keep[:, seq_at:-1] = np.arange(rows.shape[1]) < lengths[a:b, None]
+            fh.write(out[keep].tobytes())
+    return int(index_values.size)
 
 
 def write_fastq(
@@ -162,12 +193,13 @@ def _read_fasta(path, buf: np.ndarray) -> ReadFileResult:
     mark[ends[ok[record]]] = -1
     seq = buf[np.cumsum(mark[:-1], dtype=np.int8).view(bool)] & 0xDF  # upper-cased ACGT
     lengths = lengths[ok]
-    return ReadFileResult(ReadPool(seq, np.cumsum(lengths) - lengths, lengths), n - int(ok.sum()))
+    pool = ReadPool(seq, np.cumsum(lengths) - lengths, lengths)
+    return ReadFileResult(pool, n - int(ok.sum()), "fasta")
 
 
 def _read_fastq(path, buf: np.ndarray) -> ReadFileResult:
     if not buf.size:
-        return ReadFileResult(ReadPool.from_strings([]))
+        return ReadFileResult(ReadPool.from_strings([]), 0, "fastq")
     ends = np.append(np.flatnonzero(buf == ord("\n")), buf.size)
     begins = np.append(0, ends[:-1] + 1)
     ends -= (ends > begins) & (buf[ends - 1] == ord("\r"))
@@ -185,7 +217,7 @@ def _read_fastq(path, buf: np.ndarray) -> ReadFileResult:
     starts = begins[1::4]
     buf &= 0xDF  # upper-cases a-z; the pool keeps only the ACGT lines
     pool = ReadPool(buf, starts[ok], (ends[1::4] - starts)[ok])
-    return ReadFileResult(pool, int(ok.size - ok.sum()))
+    return ReadFileResult(pool, int(ok.size - ok.sum()), "fastq")
 
 
 def read_sequences(path, fmt: str = "auto") -> ReadFileResult:

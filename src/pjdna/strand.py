@@ -11,7 +11,9 @@ stays within the default bound of 3.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +27,7 @@ __all__ = [
     "DEFAULT_PRIMER3",
     "StrandLayout",
     "Strand",
+    "StrandSet",
     "ParseBatch",
     "ReadPool",
     "assemble_strand",
@@ -184,6 +187,47 @@ class Strand:
     sequence: str
 
 
+@dataclass(frozen=True, eq=False)
+class StrandSet:
+    """Assembled strands as arrays: row ``i`` is one strand.
+
+    An integer item is a :class:`Strand`, built on access; a slice, index
+    array or mask gives a ``StrandSet`` of those rows.
+    """
+
+    index_values: np.ndarray  # int64 (n,)
+    payload_blocks: np.ndarray  # int64 (n, payload groups)
+    rows: np.ndarray  # uint8 (n, total_nt): the ASCII strands, primers included
+    bits_per_block: int
+
+    def __len__(self) -> int:
+        return int(self.index_values.shape[0])
+
+    def __getitem__(self, which):
+        try:
+            i = operator.index(which)
+        except TypeError:
+            return StrandSet(self.index_values[which], self.payload_blocks[which],
+                             self.rows[which], self.bits_per_block)
+        return Strand(int(self.index_values[i]), self._packed[i].tobytes(),
+                      self.rows[i].tobytes().decode("ascii"))
+
+    def __iter__(self):
+        for i, payload, row in zip(self.index_values.tolist(), self._packed, self.rows):
+            yield Strand(i, payload.tobytes(), row.tobytes().decode("ascii"))
+
+    @cached_property
+    def _packed(self) -> np.ndarray:
+        return jr.pack_block_rows(self.payload_blocks, self.bits_per_block)
+
+    @property
+    def pool(self) -> ReadPool:
+        """The strands as a :class:`ReadPool` over ``rows``, without a copy."""
+        n, width = self.rows.shape
+        return ReadPool(self.rows.reshape(-1), np.arange(n, dtype=np.int64) * width,
+                        np.full(n, width, np.int64))
+
+
 @dataclass
 class ParseBatch:
     """Accepted parses plus per-reason reject counters.
@@ -261,17 +305,22 @@ def assemble_many(
     payload_blocks: np.ndarray,
     layout: StrandLayout = DEFAULT_LAYOUT,
     cfg: jr.JrConfig = jr.DEFAULT_CONFIG,
-) -> list[Strand]:
-    """Assemble one strand per row of ``payload_blocks``."""
+) -> StrandSet:
+    """Assemble one strand per row of ``payload_blocks`` into one
+    :class:`StrandSet`; no :class:`Strand` is built."""
     codes = assemble_codes(index_values, payload_blocks, layout, cfg)
-    if codes.shape[0] == 0:
-        return []
-    packed = jr.pack_block_rows(payload_blocks.astype(np.int64), cfg.bits_per_block)
-    p5, p3 = layout.primer5, layout.primer3
-    return [
-        Strand(int(i), row.tobytes(), p5 + jr.seq_from_codes(c) + p3)
-        for i, row, c in zip(np.asarray(index_values, np.int64), packed, codes)
-    ]
+    n5, data_nt = len(layout.primer5), layout.data_nt
+    rows = np.empty((codes.shape[0], layout.total_nt), np.uint8)
+    rows[:, :n5] = np.frombuffer(layout.primer5.encode("ascii"), np.uint8)
+    data = codes.tobytes().translate(jr._CODE_TRANSLATE)
+    rows[:, n5 : n5 + data_nt] = np.frombuffer(data, np.uint8).reshape(codes.shape)
+    rows[:, n5 + data_nt :] = np.frombuffer(layout.primer3.encode("ascii"), np.uint8)
+    return StrandSet(
+        np.asarray(index_values, np.int64),
+        np.asarray(payload_blocks, np.int64),
+        rows,
+        cfg.bits_per_block,
+    )
 
 
 def assemble_strand(
@@ -394,7 +443,7 @@ def _parse_rows(
         keep &= (rows[:, total - n3 :] != p3).sum(axis=1) <= primer_tolerance
     counts["reject_primer"] += int((~keep).sum())
 
-    data = jr._ASCII_CODE[rows[keep, n5 : n5 + layout.data_nt]]
+    data = jr.ascii_codes(rows[keep, n5 : n5 + layout.data_nt])
     ok, indices, payload = parse_codes(data, layout, cfg)
     counts["reject_corrupt"] += int((~ok).sum())
     counts["accepted"] += int(indices.size)

@@ -1,9 +1,10 @@
 """Strand-loss sweeps: tile-mapped recovery vs the all-or-nothing baseline.
 
-Each (rate, seed) cell encodes once-shared strands, drops them, decodes the
-survivors, and scores SSIM against the original.  The baseline scheme ("EM")
-sees the same drop event and scores 1.0 only when nothing was lost.  Rows
-come out ordered by (rate, seed, scheme) no matter how cells were executed.
+Each (rate, seed) cell drops rows of the once-encoded strand batch, decodes
+the survivors, and scores SSIM against the original.  The baseline scheme
+("EM") sees the same drop event and scores 1.0 only when nothing was lost.
+Rows come out ordered by (rate, seed, scheme) no matter how cells were
+executed.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from . import jr
-from .channel import ChannelProfile, corrupt_reads, drop_strands, vote
+from .channel import ChannelProfile, corrupt_reads, keep_mask, vote
 from .errors import ConfigError
 from .inpaint import inpaint
 from .metrics import em_ssim, ssim
 from .partition import decode_image, encode_image
-from .strand import DEFAULT_LAYOUT, StrandLayout
+from .strand import DEFAULT_LAYOUT, ParseBatch, StrandLayout
 
 __all__ = ["SweepRow", "SweepResult", "loss_sweep", "CSV_HEADER"]
 
@@ -107,17 +108,17 @@ def loss_sweep(
     rates = sorted(set(float(r) for r in rates))
     seeds = [int(s) for s in seeds]
 
-    strands, manifest = encode_image(img, cfg, layout, tile_pixels)
-    n = len(strands)
+    lib, manifest = encode_image(img, cfg, layout, tile_pixels)
+    n = len(lib)
     noisy = base_profile is not None and not base_profile.noiseless
 
     def run_cell(rate: float, seed: int) -> list[SweepRow]:
-        survivors = drop_strands(strands, rate, seed)
+        keep = keep_mask(n, rate, seed)
         if noisy:
             prof = replace(base_profile, dropout_p=0.0, seed=seed)
-            accepted = vote(corrupt_reads(survivors, prof).pool, layout, cfg)
+            accepted = vote(corrupt_reads(lib.pool.rows(keep), prof).pool, layout, cfg)
         else:
-            accepted = [(s.index_value, s.payload) for s in survivors]
+            accepted = ParseBatch(lib.index_values[keep], lib.payload_blocks[keep], {})
         recovered = decode_image(accepted, manifest)
         raw = ssim(img, recovered.image)
         inpainted = None
@@ -125,10 +126,10 @@ def loss_sweep(
             repaired = inpaint(recovered.image, recovered.missing_mask)
             inpainted = ssim(img, repaired)
         pm = SweepRow(rate, seed, "PM", raw, inpainted, recovered.masked_fraction)
-        ok = len(survivors) == n
-        em_val = em_ssim(len(survivors), n)
+        survived = int(keep.sum())
+        em_val = em_ssim(survived, n)
         em = SweepRow(rate, seed, "EM", em_val, em_val if run_inpaint else None,
-                      0.0 if ok else 1.0)
+                      0.0 if survived == n else 1.0)
         return [em, pm]
 
     cells = [(rate, seed) for rate in rates for seed in seeds]

@@ -20,7 +20,7 @@ from pjdna.channel import (
 from pjdna.errors import ConfigError
 from pjdna.partition import decode_image, encode_image
 from pjdna.seqio import read_sequences, write_fastq
-from pjdna.strand import ReadPool, assemble_many, assemble_strand, parse_many
+from pjdna.strand import ReadPool, StrandSet, assemble_many, assemble_strand, parse_many
 
 
 def random_strands(rng, n):
@@ -536,3 +536,19 @@ def test_loss10_masked_fraction(rng):
     survivors = drop_strands(strands, prof.dropout_p, prof.seed)
     rec = decode_image([(s.index_value, s.payload) for s in survivors], manifest)
     assert abs(rec.masked_fraction - 0.10) < 0.05
+
+
+def test_channel_takes_a_strand_set_as_its_rows(rng):
+    """Dropping and corrupting a strand batch gives what its strands as a
+    list give, and noiseless reads point at the batch's own rows."""
+    batch, _ = encode_image(rng.integers(0, 256, (30, 40), dtype=np.uint8))
+    strands = list(batch)
+    survivors = drop_strands(batch, 0.3, 5)
+    assert isinstance(survivors, StrandSet)
+    assert list(survivors) == drop_strands(strands, 0.3, 5)
+    for prof in (preset("aging95C", seed=4), ChannelProfile(ins_p=0.01, del_p=0.01, seed=2)):
+        got, expect = corrupt_reads(survivors, prof), corrupt_reads(list(survivors), prof)
+        assert got.sequences == expect.sequences and got.origins == expect.origins
+    clean = corrupt_reads(batch, preset("clean"))
+    assert np.shares_memory(clean.pool.buf, batch.rows)
+    assert clean.sequences == [s.sequence for s in strands for _ in range(10)]

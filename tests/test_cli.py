@@ -86,6 +86,16 @@ def test_encode_bad_tile_pixels_exits_2(workdir, capsys, tile_pixels):
     assert not (tmp_path / "l.fasta").exists()
 
 
+def test_encode_raw_rejects_tile_pixels(tmp_path, capsys):
+    (tmp_path / "r.bin").write_bytes(np.random.default_rng(3).bytes(3000))
+    for value in ("0", "10", "21"):
+        assert run("encode", "--raw", tmp_path / "r.bin", "--out", tmp_path / "rl.fasta",
+                   "--manifest", tmp_path / "rm.json", "--tile-pixels", value) == 2
+        assert "--tile-pixels" in capsys.readouterr().err
+    assert not (tmp_path / "rl.fasta").exists()
+    assert not (tmp_path / "rm.json").exists()
+
+
 def test_encode_expected_cat_scale_count(tmp_path, rng):
     img = rng.integers(0, 256, (409, 285), dtype=np.uint8)
     write_pgm(tmp_path / "cat.pgm", img)
@@ -288,6 +298,21 @@ def test_decode_takes_the_format_from_the_content(workdir):
                "--manifest", tmp_path / "m.json", "--out", tmp_path / "x.pgm") == 4
 
 
+def test_decode_sidecar_records_the_format_read(workdir):
+    tmp_path, _ = workdir
+    encode(tmp_path)
+    (tmp_path / "lib.fastq").write_bytes((tmp_path / "lib.fasta").read_bytes())
+    assert run("simulate", "--lib", tmp_path / "lib.fasta", "--preset", "clean",
+               "--out", tmp_path / "reads.fasta") == 0
+    (tmp_path / "empty.fastq").write_text("")
+    for name, fmt in (("lib.fastq", "fasta"), ("reads.fasta", "fastq"), ("empty.fastq", None)):
+        assert run("decode", "--reads", tmp_path / name, "--manifest", tmp_path / "m.json",
+                   "--out", tmp_path / f"{name}.pgm") == 0
+        meta = json.loads((tmp_path / f"{name}.pgm.meta.json").read_text())
+        assert meta["parameters"]["input_format"] == "auto"
+        assert meta["counters"]["reads_format"] == fmt
+
+
 def test_decode_negative_primer_mismatches_exits_2(workdir, capsys):
     tmp_path, _ = workdir
     encode(tmp_path)
@@ -350,9 +375,15 @@ def test_decode_pins_outputs(workdir, monkeypatch, case):
         reads = ["--reads", "r.fastq"]
     assert run("decode", *reads, "--manifest", "m.json", "--out", out,
                "--mask", "mask.pbm", *extra) == 0
-    files = [out, "mask.pbm", out + ".meta.json"]
-    digest = hashlib.sha256(b"".join((tmp_path / f).read_bytes() for f in files)).hexdigest()
-    assert digest == DECODE_SHA256[case]
+    # the sidecar's ``reads_format`` counter came later than these digests:
+    # check it, then hash the sidecar as it reads without it
+    sidecar = (tmp_path / (out + ".meta.json")).read_text()
+    meta = json.loads(sidecar)
+    assert sidecar == json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    assert meta["counters"].pop("reads_format") == ("fastq" if channel else "fasta")
+    sidecar = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    data = b"".join((tmp_path / f).read_bytes() for f in [out, "mask.pbm"]) + sidecar.encode()
+    assert hashlib.sha256(data).hexdigest() == DECODE_SHA256[case]
 
 
 def test_decode_bad_manifest_exits_4(workdir):

@@ -1,0 +1,68 @@
+"""Golden outputs: the SHA-256 of every primary output of ``encode``,
+``simulate`` and ``decode`` on fixed inputs, so a change to any layer that
+alters a byte of what the commands write fails here."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from pjdna.cli import main
+from pjdna.images import write_pgm
+
+# Recorded with the per-strand string writer and the table-lookup parser
+# that preceded the array strand batch.
+GOLDEN_SHA256 = {
+    "image": {
+        "lib.fasta": "927263153bb2bfc53f86a94410536a8c5a544cd6e53f1b6735e24da73c6a9166",
+        "m.json": "ffe4a2d38cef77799bdeb0b0564ed9975454824edfdee4020ec30e80c92fd9da",
+        "loss10.fastq": "9c152dc9a0b3524d62577f3159d6031c36213312c7c4f56f99c53bdcb593ef01",
+        "loss10.out": "764601eccf8f948602266ac57ede9060314d571bffe35cb03e42ab4a57f122b4",
+        "loss10.mask.pbm": "f2f7d725f69b29fa57afb02f53163adcda68bf222f7993fb335d120cc7f172bc",
+        "aging95C.fastq": "75a340f1907af6e296c7d3df338c6f8696266177b9a8df20cbee895046e1631b",
+        "aging95C.out": "74c7a325a0e1254ce6ffaa9d4d9eeafbfea3fda4d43ab5550120823edf712a28",
+        "aging95C.mask.pbm": "51a2cfad16f779164324f7c024076e1a459ba4ef6279bd6701ef660ce523c8b0",
+    },
+    "raw": {
+        "lib.fasta": "c49ee8ee7bdd2e167a24479f7720910560fb099427d36973e43c3341eb26ad78",
+        "m.json": "c18878dc08d0e6152f9964a4ae2a878371efc934610dfe8ec0dda9066c1de294",
+        "loss10.fastq": "739fd764d43bbba293cae1c3c0f81bf9a65d55d56ed3e6b92c55350f6e4fce85",
+        "loss10.out": "64c7e4bffea86cc1f2632a898c6fc36287752354b73debfad93fa74729a49561",
+        "loss10.mask.pbm": "d7c44e04ed5ffa31951662bbbe63daf7def86087277a29d70a5d10bdc5b9ee0d",
+        "aging95C.fastq": "c02f17af1462d7030b1aa4a07c3346539a9c69665f0c6d7c8eed01fcecce0f98",
+        "aging95C.out": "37b6850998d1d4fb8ab919536962c8a8f98bfefb1fcb628a50f0150278e856d2",
+        "aging95C.mask.pbm": "e8c2738cc9baa9e1670eb8cf3aa610ba1bdc1bc089e7dd863eb6224875010dd0",
+    },
+}
+
+
+def golden_outputs(tmp_path, mode: str) -> dict[str, str]:
+    """Encode a fixed 80x60 image (240 strands) or 25,000 fixed bytes (1,235
+    strands, so indices of one to four digits), simulate ``loss10`` and
+    ``aging95C`` at seed 11, decode each with ``--mask``; the digest of each
+    file written."""
+    rng = np.random.default_rng(2026)
+    if mode == "image":
+        write_pgm(tmp_path / "in.pgm", rng.integers(0, 256, (60, 80), dtype=np.uint8))
+        source = ["--in", tmp_path / "in.pgm"]
+    else:
+        (tmp_path / "in.bin").write_bytes(rng.integers(0, 256, 25_000, np.uint8).tobytes())
+        source = ["--raw", tmp_path / "in.bin"]
+    files = ["lib.fasta", "m.json"]
+    assert main([str(a) for a in ["encode", *source, "--out", tmp_path / "lib.fasta",
+                                  "--manifest", tmp_path / "m.json"]]) == 0
+    for channel in ("loss10", "aging95C"):
+        assert main([str(a) for a in ["simulate", "--lib", tmp_path / "lib.fasta", "--preset",
+                                      channel, "--seed", "11",
+                                      "--out", tmp_path / f"{channel}.fastq"]]) == 0
+        assert main([str(a) for a in ["decode", "--reads", tmp_path / f"{channel}.fastq",
+                                      "--manifest", tmp_path / "m.json",
+                                      "--out", tmp_path / f"{channel}.out",
+                                      "--mask", tmp_path / f"{channel}.mask.pbm"]]) == 0
+        files += [f"{channel}.fastq", f"{channel}.out", f"{channel}.mask.pbm"]
+    return {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in files}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_SHA256))
+def test_outputs_match_golden_digests(tmp_path, mode):
+    assert golden_outputs(tmp_path, mode) == GOLDEN_SHA256[mode]

@@ -21,13 +21,17 @@ from pjdna.strand import (
     DEFAULT_PRIMER3,
     DEFAULT_PRIMER5,
     ReadPool,
+    Strand,
     StrandLayout,
+    StrandSet,
+    assemble_many,
     assemble_strand,
     parse_many,
     parse_strand,
 )
 
 CFG = jr.JrConfig()
+CAP = DEFAULT_LAYOUT.index_capacity(CFG)
 
 
 def random_payload(rng, cfg=CFG, layout=DEFAULT_LAYOUT):
@@ -124,6 +128,37 @@ def test_assemble_payload_validation(rng):
     bad[-1] = 0x3F  # the 6 spare bits must stay zero
     with pytest.raises(RangeError):
         assemble_strand(0, bytes(bad))
+
+
+def test_strand_set_items_are_the_strands(rng):
+    indices = np.array([5, 0, 77, 3], np.int64)
+    blocks = rng.integers(0, CFG.block_limit, (4, CFG.groups_per_payload), dtype=np.int64)
+    payloads = [row.tobytes() for row in jr.pack_block_rows(blocks, CFG.bits_per_block)]
+    strands = [assemble_strand(int(i), p) for i, p in zip(indices, payloads)]
+    batch = assemble_many(indices, blocks)
+    assert isinstance(batch, StrandSet) and len(batch) == 4
+    assert batch.rows.dtype == np.uint8 and batch.rows.shape == (4, DEFAULT_LAYOUT.total_nt)
+    assert [batch[k] for k in range(4)] == list(batch) == strands
+    assert batch[np.int64(-1)] == strands[-1]
+    with pytest.raises(IndexError):
+        batch[4]
+    part = batch[np.array([True, False, True, True])]
+    assert isinstance(part, StrandSet) and list(part) == [strands[0], strands[2], strands[3]]
+    assert list(batch[1:3]) == strands[1:3]
+    pool = batch.pool
+    assert np.shares_memory(pool.buf, batch.rows)
+    assert pool.to_strings() == [s.sequence for s in strands]
+    empty = assemble_many(np.empty(0, np.int64), blocks[:0])
+    assert len(empty) == 0 and list(empty) == [] and len(empty.pool) == 0
+
+
+def test_ascii_codes_match_the_table_on_every_byte():
+    every = np.arange(256, dtype=np.uint8)
+    assert np.array_equal(jr.ascii_codes(every), jr._ASCII_CODE)
+    assert np.array_equal(jr.ascii_codes(every.reshape(16, 16)), jr._ASCII_CODE.reshape(16, 16))
+    assert np.array_equal(every, np.arange(256))  # the input is left alone
+    codes = jr.ascii_codes(np.frombuffer(b"ACGTTGCA", np.uint8))
+    assert codes.dtype == np.uint8 and codes.tolist() == [0, 1, 2, 3, 3, 2, 1, 0]
 
 
 def test_parse_round_trip_fuzz(rng):
@@ -489,3 +524,36 @@ def test_writers_give_the_same_bytes_in_any_chunking(tmp_path, rng, monkeypatch,
     assert (tmp_path / "c.fasta").read_text() == "".join(
         f">pj|{s.index_value}\n{s.sequence}\n" for s in strands
     )
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    indices=st.lists(st.one_of(st.sampled_from([0, 9, 10, 99, 100, CAP - 1]),
+                               st.integers(0, CAP - 1)), max_size=12),
+    cuts=st.lists(st.integers(0, DEFAULT_LAYOUT.total_nt), max_size=12),
+    chunk=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_write_fasta_matches_the_text_records(tmp_path, monkeypatch, indices, cuts, chunk, seed):
+    """A strand batch, its strands as a list, and strands of other lengths
+    (as a caller may build them) all write the records the text writer
+    ``f">pj|{i}\\n{seq}\\n"`` gave, in any chunking."""
+    monkeypatch.setattr(seqio, "_WRITE_CHUNK", chunk)
+    rng = np.random.default_rng(seed)
+    blocks = rng.integers(0, CFG.block_limit, (len(indices), CFG.groups_per_payload),
+                          dtype=np.int64)
+    batch = assemble_many(np.array(indices, np.int64), blocks)
+    strands = list(batch)
+    ragged = [Strand(s.index_value, s.payload, s.sequence[:k]) for s, k in zip(strands, cuts)]
+    ragged += strands[len(cuts):]
+    path = tmp_path / "lib.fasta"
+    for given_strands, expect in ((batch, strands), (strands, strands), (iter(ragged), ragged)):
+        assert write_fasta(path, given_strands) == len(indices)
+        assert path.read_bytes() == "".join(
+            f">pj|{s.index_value}\n{s.sequence}\n" for s in expect).encode("ascii")
+
+
+def test_write_fasta_rejects_negative_indices(tmp_path):
+    with pytest.raises(RangeError):
+        write_fasta(tmp_path / "lib.fasta", [Strand(-1, b"", "ACGT")])

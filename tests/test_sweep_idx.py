@@ -16,6 +16,7 @@ from pjdna.idx import (
     write_idx_images,
     write_idx_labels,
 )
+from pjdna.metrics import em_ssim, ssim
 from pjdna.partition import decode_image, encode_image
 from pjdna.sweep import CSV_HEADER, loss_sweep
 
@@ -102,6 +103,25 @@ def test_sweep_inpaint_uplift_on_gradient_up_to_half_loss(gradient):
     res = loss_sweep(gradient, [0.25, 0.5], [0, 1, 2], run_inpaint=True)
     for row in res.scheme_rows("PM"):
         assert row.ssim_inpainted >= row.ssim_raw
+
+
+def test_noiseless_sweep_matches_dropping_strands(gradient):
+    """Cells take their survivors as rows of the strand batch; the rows are
+    those of dropping the strands as a list and decoding their pairs."""
+    rates, seeds = [0.0, 0.3, 0.9, 1.0], [0, 4]
+    res = loss_sweep(gradient, rates, seeds)
+    batch, manifest = encode_image(gradient)
+    strands = list(batch)
+    expect = []
+    for rate in rates:
+        for seed in seeds:
+            survivors = drop_strands(strands, rate, seed)
+            rec = decode_image([(s.index_value, s.payload) for s in survivors], manifest)
+            expect.append((em_ssim(len(survivors), len(strands)), ssim(gradient, rec.image),
+                           rec.masked_fraction))
+    got = [(em.ssim_raw, pm.ssim_raw, pm.masked_fraction)
+           for em, pm in zip(res.rows[0::2], res.rows[1::2])]
+    assert got == expect
 
 
 def test_sweep_noisy_profile_path(gradient):
