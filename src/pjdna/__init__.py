@@ -27,7 +27,7 @@ from .jr import (
     rotate_decode,
     rotate_encode,
 )
-from .metrics import OutcomeTally, SsimParams, em_ssim, ssim, tally_outcomes
+from .metrics import OutcomeTally, SsimParams, SsimReference, em_ssim, ssim, tally_outcomes
 from .partition import (
     RecoveredImage,
     TileManifest,
@@ -79,6 +79,7 @@ __all__ = [
     "vote",
     "consensus",
     "SsimParams",
+    "SsimReference",
     "ssim",
     "em_ssim",
     "OutcomeTally",

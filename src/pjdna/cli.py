@@ -178,7 +178,7 @@ def _resolve_profile(args) -> ChannelProfile:
         with open(args.profile, "r", encoding="ascii") as fh:
             try:
                 d = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, over-long int
                 raise FormatError(f"{args.profile}: invalid JSON ({exc})") from exc
         prof = ChannelProfile.from_dict(d)
     seed = args.seed if args.seed is not None else (

@@ -8,6 +8,10 @@ from .errors import FormatError
 
 __all__ = ["read_pgm", "write_pgm", "read_pbm", "write_pbm"]
 
+# Longest header number read: 19 digits hold any size a 64-bit index can
+# reach, and int() refuses text of more than 4,300 digits with a ValueError.
+_MAX_HEADER_DIGITS = 19
+
 
 def _read_header_tokens(data: bytes, count: int, path) -> tuple[list[int], int]:
     """Parse `count` whitespace/comment-separated integers after the magic."""
@@ -29,6 +33,8 @@ def _read_header_tokens(data: bytes, count: int, path) -> tuple[list[int], int]:
             tok = data[i:j]
             if not tok.isdigit():
                 raise FormatError(f"{path}: bad header token {tok!r}")
+            if len(tok) > _MAX_HEADER_DIGITS:
+                raise FormatError(f"{path}: header number of {len(tok)} digits")
             tokens.append(int(tok))
             i = j
     if i >= len(data) or not data[i : i + 1].isspace():

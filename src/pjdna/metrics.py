@@ -14,6 +14,7 @@ from .errors import ConfigError, ShapeError
 
 __all__ = [
     "SsimParams",
+    "SsimReference",
     "ssim",
     "em_ssim",
     "OutcomeTally",
@@ -43,9 +44,52 @@ def _window_kernel(side: int, params: SsimParams, gaussian: bool) -> np.ndarray:
 
 
 def _filter_valid(img: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Separable valid-mode correlation with a 1-D kernel on both axes."""
+    """Separable valid-mode correlation with a 1-D kernel on both axes.
+
+    Both passes window axis 0, the second over a contiguous transpose: a
+    window along axis 1 has overlapping strides that BLAS cannot take, and
+    numpy's own loop over them costs about five times as much.
+    """
     out = sliding_window_view(img, k.size, axis=0) @ k
-    return sliding_window_view(out, k.size, axis=1) @ k
+    return (sliding_window_view(np.ascontiguousarray(out.T), k.size, axis=0) @ k).T
+
+
+class SsimReference:
+    """The window statistics of a reference image ``a``, computed once.
+
+    Calling it with ``b`` returns ``ssim(a, b)`` by filtering only ``b``,
+    ``b * b`` and ``a * b``.  A call reads the reference and never writes
+    it, so threads may share one.
+    """
+
+    def __init__(self, a: np.ndarray, params: SsimParams = DEFAULT_SSIM) -> None:
+        a = np.array(a, np.float64)  # a copy: the statistics must stay those of ``a``
+        if a.ndim != 2:
+            raise ShapeError("ssim expects 2-D grayscale images")
+        side = min(a.shape[0], a.shape[1], params.window)
+        if side < 1:
+            raise ShapeError("images must be non-empty")
+        self.params = params
+        self.a = a
+        self.kernel = _window_kernel(side, params, gaussian=side == params.window)
+        self.mu_a = _filter_valid(a, self.kernel)
+        self.var_a = _filter_valid(a * a, self.kernel) - self.mu_a * self.mu_a
+
+    def __call__(self, b: np.ndarray) -> float:
+        """Mean local structural similarity of ``b`` to the reference."""
+        a, k, mu_a, var_a = self.a, self.kernel, self.mu_a, self.var_a
+        b = np.asarray(b, np.float64)
+        if a.shape != b.shape:
+            raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
+        mu_b = _filter_valid(b, k)
+        var_b = _filter_valid(b * b, k) - mu_b * mu_b
+        cov = _filter_valid(a * b, k) - mu_a * mu_b
+
+        c1 = (self.params.k1 * self.params.data_range) ** 2
+        c2 = (self.params.k2 * self.params.data_range) ** 2
+        num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+        den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+        return float((num / den).mean())
 
 
 def ssim(a: np.ndarray, b: np.ndarray, params: SsimParams = DEFAULT_SSIM) -> float:
@@ -53,29 +97,10 @@ def ssim(a: np.ndarray, b: np.ndarray, params: SsimParams = DEFAULT_SSIM) -> flo
 
     Windows are 11x11 Gaussian (sigma 1.5); images smaller than the window in
     either dimension fall back to a uniform window of their shortest side.
+    To score many images against one reference, build one
+    :class:`SsimReference` and call it.
     """
-    a = np.asarray(a, np.float64)
-    b = np.asarray(b, np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
-    if a.ndim != 2:
-        raise ShapeError("ssim expects 2-D grayscale images")
-    side = min(a.shape[0], a.shape[1], params.window)
-    if side < 1:
-        raise ShapeError("images must be non-empty")
-    k = _window_kernel(side, params, gaussian=side == params.window)
-
-    mu_a = _filter_valid(a, k)
-    mu_b = _filter_valid(b, k)
-    var_a = _filter_valid(a * a, k) - mu_a * mu_a
-    var_b = _filter_valid(b * b, k) - mu_b * mu_b
-    cov = _filter_valid(a * b, k) - mu_a * mu_b
-
-    c1 = (params.k1 * params.data_range) ** 2
-    c2 = (params.k2 * params.data_range) ** 2
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    return float((num / den).mean())
+    return SsimReference(a, params)(b)
 
 
 def em_ssim(strands_present: int, strands_total: int) -> float:

@@ -192,7 +192,7 @@ class TileManifest:
         with open(path, "r", encoding="ascii") as fh:
             try:
                 d = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, over-long int
                 raise FormatError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_dict(d)
 

@@ -172,9 +172,17 @@ def _read_fasta(path, buf: np.ndarray) -> ReadFileResult:
     # str.strip: move the blank edges of a line onto its outer non-blank bytes
     edge = classes[begins] & classes[ends - 1] & 1 == 0
     if edge.any():
-        solid = np.flatnonzero(classes[:-1] & 1)
-        begins[edge] = solid[np.searchsorted(solid, begins[edge])]
-        ends[edge] = solid[np.searchsorted(solid, ends[edge]) - 1] + 1
+        # over the blank bytes only, few where non-blank ones fill the file:
+        # a blank edge reaches to the end of its run of blank bytes
+        blank = np.flatnonzero(classes[:-1] & 1 == 0)
+        starts = np.diff(blank, prepend=-2) != 1
+        run = np.cumsum(starts) - 1  # the run of each blank byte
+        run_first = blank[starts]
+        run_last = blank[np.append(starts[1:], True)]
+        at = edge & (classes[begins] & 1 == 0)
+        begins[at] = run_last[run[np.searchsorted(blank, begins[at])]] + 1
+        at = edge & (classes[ends - 1] & 1 == 0)
+        ends[at] = run_first[run[np.searchsorted(blank, ends[at] - 1)]]
         line_class[edge] = _or_lines(classes, begins[edge], ends[edge])
     del classes
 

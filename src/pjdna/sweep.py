@@ -1,7 +1,9 @@
 """Strand-loss sweeps: tile-mapped recovery vs the all-or-nothing baseline.
 
 Each (rate, seed) cell drops rows of the once-encoded strand batch, decodes
-the survivors, and scores SSIM against the original.  The baseline scheme
+the survivors, and scores SSIM against the original through one
+:class:`~pjdna.metrics.SsimReference` per sweep, so the original's window
+statistics are computed once, not twice per cell.  The baseline scheme
 ("EM") sees the same drop event and scores 1.0 only when nothing was lost.
 Rows come out ordered by (rate, seed, scheme) no matter how cells were
 executed.
@@ -20,7 +22,7 @@ from . import jr
 from .channel import ChannelProfile, corrupt_reads, keep_mask, vote
 from .errors import ConfigError
 from .inpaint import inpaint
-from .metrics import em_ssim, ssim
+from .metrics import SsimReference, em_ssim
 from .partition import decode_image, encode_image
 from .strand import DEFAULT_LAYOUT, ParseBatch, StrandLayout
 
@@ -110,6 +112,7 @@ def loss_sweep(
 
     lib, manifest = encode_image(img, cfg, layout, tile_pixels)
     n = len(lib)
+    score = SsimReference(img)
     noisy = base_profile is not None and not base_profile.noiseless
 
     def run_cell(rate: float, seed: int) -> list[SweepRow]:
@@ -120,11 +123,11 @@ def loss_sweep(
         else:
             accepted = ParseBatch(lib.index_values[keep], lib.payload_blocks[keep], {})
         recovered = decode_image(accepted, manifest)
-        raw = ssim(img, recovered.image)
+        raw = score(recovered.image)
         inpainted = None
         if run_inpaint:
             repaired = inpaint(recovered.image, recovered.missing_mask)
-            inpainted = ssim(img, repaired)
+            inpainted = score(repaired)
         pm = SweepRow(rate, seed, "PM", raw, inpainted, recovered.masked_fraction)
         survived = int(keep.sum())
         em_val = em_ssim(survived, n)

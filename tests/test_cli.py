@@ -171,6 +171,20 @@ def test_simulate_non_ascii_profile_exits_4(workdir, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+# More digits than Python's int() converts from text (4,300 by default).
+OVERLONG = "9" * 5000
+
+
+def test_simulate_overlong_profile_seed_exits_4(workdir, capsys):
+    tmp_path, _ = workdir
+    encode(tmp_path)
+    (tmp_path / "p.json").write_text('{"seed": ' + OVERLONG + "}")
+    assert run("simulate", "--lib", tmp_path / "lib.fasta", "--profile", tmp_path / "p.json",
+               "--out", tmp_path / "r.fastq") == 4
+    assert "invalid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "r.fastq").exists()
+
+
 def test_simulate_profile_wrong_type_exits_2(workdir, capsys):
     tmp_path, _ = workdir
     encode(tmp_path)
@@ -403,6 +417,18 @@ def test_decode_non_ascii_manifest_exits_4(workdir, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_decode_overlong_manifest_width_exits_4(workdir, capsys):
+    tmp_path, _ = workdir
+    encode(tmp_path)
+    good = json.loads((tmp_path / "m.json").read_text())
+    text = json.dumps({**good, "width": 0}).replace('"width": 0', '"width": ' + OVERLONG)
+    (tmp_path / "bad.json").write_text(text)
+    assert run("decode", "--lib", tmp_path / "lib.fasta", "--manifest", tmp_path / "bad.json",
+               "--out", tmp_path / "x.pgm") == 4
+    assert "invalid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "x.pgm").exists()
+
+
 def test_decode_manifest_field_of_wrong_type_exits_4(workdir):
     tmp_path, _ = workdir
     encode(tmp_path)
@@ -462,6 +488,35 @@ def test_ssim_prints_one_for_identity(workdir, capsys):
     tmp_path, _ = workdir
     assert run("ssim", tmp_path / "in.pgm", tmp_path / "in.pgm") == 0
     assert capsys.readouterr().out.strip() == "1.000000"
+
+
+@pytest.mark.parametrize("shape, message", [((64, 47), "image shapes differ"),
+                                            ((0, 48), "images must be non-empty")])
+def test_ssim_of_mismatched_or_empty_image_exits_2(workdir, capsys, shape, message):
+    tmp_path, _ = workdir
+    write_pgm(tmp_path / "other.pgm", np.zeros(shape, np.uint8))
+    first = tmp_path / ("other.pgm" if 0 in shape else "in.pgm")
+    assert run("ssim", first, tmp_path / "other.pgm") == 2
+    assert message in capsys.readouterr().err
+
+
+def test_overlong_pgm_header_exits_4(workdir, capsys):
+    tmp_path, _ = workdir
+    (tmp_path / "bad.pgm").write_bytes(b"P5\n" + OVERLONG.encode() + b" 1\n255\n")
+    assert run("ssim", tmp_path / "bad.pgm", tmp_path / "in.pgm") == 4
+    assert run("sweep", "--in", tmp_path / "bad.pgm", "--rates", "0.5", "--seeds", "1",
+               "--out", tmp_path / "s.csv") == 4
+    assert capsys.readouterr().err.count("header number") == 2
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_overlong_pbm_mask_header_exits_4(workdir, capsys):
+    tmp_path, _ = workdir
+    (tmp_path / "bad.pbm").write_bytes(b"P4\n1 " + OVERLONG.encode() + b"\n\x00")
+    assert run("inpaint", "--in", tmp_path / "in.pgm", "--mask", tmp_path / "bad.pbm",
+               "--out", tmp_path / "o.pgm") == 4
+    assert "header number" in capsys.readouterr().err
+    assert not (tmp_path / "o.pgm").exists()
 
 
 def test_inpaint_subcommand(tmp_path):

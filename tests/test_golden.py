@@ -1,6 +1,7 @@
 """Golden outputs: the SHA-256 of every primary output of ``encode``,
-``simulate`` and ``decode`` on fixed inputs, so a change to any layer that
-alters a byte of what the commands write fails here."""
+``simulate``, ``decode``, ``sweep``, ``degrade-dataset`` and ``ssim`` on
+fixed inputs, so a change to any layer that alters a byte of what the
+commands write fails here."""
 
 import hashlib
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from pjdna.cli import main
+from pjdna.idx import write_idx_images
 from pjdna.images import write_pgm
 
 # Recorded with the per-strand string writer and the table-lookup parser
@@ -36,6 +38,21 @@ GOLDEN_SHA256 = {
 }
 
 
+# Recorded with an SSIM that filtered the reference image on every call and
+# ran the second filter pass over axis-1 windows.
+GOLDEN_COMMAND_SHA256 = {
+    "sweep.t1.csv": "2e8d168f0e5a203982905c9f4b882e2fa8c29daaa72b76b8e1c02aeebfe2fdd1",
+    "sweep.t2.csv": "2e8d168f0e5a203982905c9f4b882e2fa8c29daaa72b76b8e1c02aeebfe2fdd1",
+    "degraded.idx": "a675cd20a4051e3b0547a2c4ac674a328da37fc4ada17d5badb41d0c121cffd1",
+    "masks.idx": "f8e98db49d32ca86301698614b0144a70d93bafc8e012f045379468c71bba902",
+    "ssim.stdout": "1416a0e9d213fc0af27bc5d47848535aa450bd43e0811ec1cf8280c7261e74ef",
+}
+
+
+def _fixed_image() -> np.ndarray:
+    return np.random.default_rng(2026).integers(0, 256, (60, 80), dtype=np.uint8)
+
+
 def golden_outputs(tmp_path, mode: str) -> dict[str, str]:
     """Encode a fixed 80x60 image (240 strands) or 25,000 fixed bytes (1,235
     strands, so indices of one to four digits), simulate ``loss10`` and
@@ -43,7 +60,7 @@ def golden_outputs(tmp_path, mode: str) -> dict[str, str]:
     file written."""
     rng = np.random.default_rng(2026)
     if mode == "image":
-        write_pgm(tmp_path / "in.pgm", rng.integers(0, 256, (60, 80), dtype=np.uint8))
+        write_pgm(tmp_path / "in.pgm", _fixed_image())
         source = ["--in", tmp_path / "in.pgm"]
     else:
         (tmp_path / "in.bin").write_bytes(rng.integers(0, 256, 25_000, np.uint8).tobytes())
@@ -66,3 +83,33 @@ def golden_outputs(tmp_path, mode: str) -> dict[str, str]:
 @pytest.mark.parametrize("mode", sorted(GOLDEN_SHA256))
 def test_outputs_match_golden_digests(tmp_path, mode):
     assert golden_outputs(tmp_path, mode) == GOLDEN_SHA256[mode]
+
+
+def command_outputs(tmp_path, capsys) -> dict[str, str]:
+    """``sweep --inpaint`` of the fixed 80x60 image at four rates and two
+    seeds on one and on two threads, ``degrade-dataset --masks`` of a fixed
+    12-image stack, and ``ssim`` of the fixed image against a noisy copy;
+    the digest of each CSV, IDX stack and of the printed SSIM."""
+    img = _fixed_image()
+    write_pgm(tmp_path / "in.pgm", img)
+    for threads in (1, 2):
+        assert main([str(a) for a in ["sweep", "--in", tmp_path / "in.pgm", "--rates",
+                                      "0,0.1,0.5,0.9", "--seeds", "2", "--seed", "1",
+                                      "--inpaint", "--threads", threads,
+                                      "--out", tmp_path / f"sweep.t{threads}.csv"]]) == 0
+    rng = np.random.default_rng(7)
+    write_idx_images(tmp_path / "in.idx", rng.integers(0, 256, (12, 28, 28), dtype=np.uint8))
+    assert main([str(a) for a in ["degrade-dataset", "--in", tmp_path / "in.idx", "--rate",
+                                  "0.3", "--seed", "5", "--out", tmp_path / "degraded.idx",
+                                  "--masks", tmp_path / "masks.idx"]]) == 0
+    noisy = np.clip(img + rng.normal(0, 30, img.shape), 0, 255).astype(np.uint8)
+    write_pgm(tmp_path / "noisy.pgm", noisy)
+    capsys.readouterr()
+    assert main([str(a) for a in ["ssim", tmp_path / "in.pgm", tmp_path / "noisy.pgm"]]) == 0
+    (tmp_path / "ssim.stdout").write_text(capsys.readouterr().out)
+    return {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+            for f in GOLDEN_COMMAND_SHA256}
+
+
+def test_more_commands_match_golden_digests(tmp_path, capsys):
+    assert command_outputs(tmp_path, capsys) == GOLDEN_COMMAND_SHA256

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pjdna.errors import ConfigError, ShapeError
 from pjdna.inpaint import _harmonic_solve, inpaint
-from pjdna.metrics import em_ssim, ssim, tally_outcomes
+from pjdna.metrics import SsimReference, em_ssim, ssim, tally_outcomes
 
 
 def ssim_oracle(a, b, side=11, sigma=1.5, k1=0.01, k2=0.03, data_range=255.0):
@@ -81,6 +84,84 @@ def test_ssim_shape_errors(rng):
         ssim(a, a[:6])
     with pytest.raises(ShapeError):
         ssim(a.reshape(-1), a.reshape(-1))
+    with pytest.raises(ShapeError):
+        SsimReference(a)(a[:, :6])
+    with pytest.raises(ShapeError):
+        SsimReference(a.reshape(-1))
+    for empty in (np.zeros((0, 5), np.uint8), np.zeros((5, 0)), np.zeros((0, 0))):
+        with pytest.raises(ShapeError):
+            SsimReference(empty)
+        with pytest.raises(ShapeError):
+            ssim(empty, empty)
+
+
+def _image_pairs():
+    """Pairs of equal-shape images of 1-40 x 1-40 pixels, uint8 or float in
+    [0, 255], so sides below the 11-pixel window are included."""
+    def pair(shape):
+        uint8 = hnp.arrays(np.uint8, shape)
+        real = hnp.arrays(np.float64, shape, elements=st.floats(0, 255))
+        return st.tuples(st.one_of(uint8, real), st.one_of(uint8, real))
+    return hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40).flatmap(pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(images=_image_pairs())
+def test_ssim_reference_equals_ssim_exactly(images):
+    a, b = images
+    ref = SsimReference(a)
+    assert ref(b) == ssim(a, b) == ssim(b, a)
+    assert ref(a) == 1.0
+
+
+def _scipy_filter(img, k):
+    """Valid-mode separable correlation through scipy.ndimage.correlate1d."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    out = ndimage.correlate1d(ndimage.correlate1d(img, k, axis=0), k, axis=1)
+    h = k.size // 2
+    return out[h : out.shape[0] - k.size + h + 1, h : out.shape[1] - k.size + h + 1]
+
+
+def ssim_scipy(a, b, sigma=1.5, k1=0.01, k2=0.03, data_range=255.0):
+    a = np.asarray(a, np.float64)
+    b = np.asarray(b, np.float64)
+    side = min(a.shape[0], a.shape[1], 11)
+    if side == 11:
+        x = np.arange(side) - (side - 1) / 2.0
+        k = np.exp(-(x * x) / (2 * sigma * sigma))
+    else:
+        k = np.ones(side)
+    k = k / k.sum()
+    mu_a, mu_b = _scipy_filter(a, k), _scipy_filter(b, k)
+    va = _scipy_filter(a * a, k) - mu_a**2
+    vb = _scipy_filter(b * b, k) - mu_b**2
+    cov = _scipy_filter(a * b, k) - mu_a * mu_b
+    c1 = (k1 * data_range) ** 2
+    c2 = (k2 * data_range) ** 2
+    return float((((2 * mu_a * mu_b + c1) * (2 * cov + c2))
+                  / ((mu_a**2 + mu_b**2 + c1) * (va + vb + c2))).mean())
+
+
+@pytest.mark.parametrize("shape", [(64, 48), (11, 30), (8, 9), (3, 17)])
+def test_ssim_matches_scipy_correlate(rng, shape):
+    a = rng.integers(0, 256, shape, dtype=np.uint8)
+    b = np.clip(a + rng.normal(0, 25, shape), 0, 255)
+    expect = ssim_scipy(a, b)
+    assert abs(ssim(a, b) - expect) < 1e-9
+    assert abs(SsimReference(a)(b) - expect) < 1e-9
+
+
+def test_ssim_reference_is_reusable(rng):
+    a = rng.integers(0, 256, (40, 36)).astype(np.float64)  # float, so no converting copy
+    others = [rng.integers(0, 256, a.shape, dtype=np.uint8) for _ in range(3)]
+    ref = SsimReference(a)
+    first = [ref(b) for b in others]
+    assert first == [ssim(a, b) for b in others]
+    others[1][5:20, 3:30] = 0  # the caller reuses its buffer
+    mutated = ref(others[1])
+    assert mutated == ssim(a, others[1]) != first[1]
+    a[:] = 0  # the reference holds its own copy of the image
+    assert [ref(b) for b in others] == [first[0], mutated, first[2]]
 
 
 # ---------------------------------------------------------------------------
