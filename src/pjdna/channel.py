@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -58,18 +58,6 @@ CHANNEL_STREAM = 2
 # about 1.4 MiB at 141 nt.
 _CHUNK_READS = 256
 
-_PROFILE_KEYS = {
-    "dropout_p",
-    "sub_p",
-    "ins_p",
-    "del_p",
-    "coverage_mean",
-    "coverage_model",
-    "seed",
-    "name",
-    "rate_provenance",
-}
-
 
 @dataclass(frozen=True)
 class ChannelProfile:
@@ -104,23 +92,13 @@ class ChannelProfile:
             raise ConfigError("fixed coverage needs an integer coverage_mean")
 
     def to_dict(self) -> dict:
-        return {
-            "dropout_p": self.dropout_p,
-            "sub_p": self.sub_p,
-            "ins_p": self.ins_p,
-            "del_p": self.del_p,
-            "coverage_mean": self.coverage_mean,
-            "coverage_model": self.coverage_model,
-            "seed": self.seed,
-            "name": self.name,
-            "rate_provenance": self.rate_provenance,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelProfile":
         if not isinstance(d, dict):
             raise ConfigError("profile must be a JSON object")
-        unknown = set(d) - _PROFILE_KEYS
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"profile has unknown keys: {sorted(unknown)}")
         return cls(**d)

@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__, jr
 from .channel import (
@@ -30,17 +31,7 @@ from .channel import (
     preset,
     vote,
 )
-from .errors import (
-    CapacityError,
-    ConfigError,
-    EmptyLibraryError,
-    FormatError,
-    LayoutError,
-    PjError,
-    RangeError,
-    ShapeError,
-    require_int,
-)
+from .errors import ConfigError, EmptyLibraryError, FormatError, PjError, require_int
 from .idx import degrade_dataset, read_labels
 from .images import read_pbm, read_pgm, write_pbm, write_pgm
 from .inpaint import inpaint
@@ -57,24 +48,19 @@ def _err(msg: str) -> None:
     print(f"pjdna: {msg}", file=sys.stderr)
 
 
-def _default_seed() -> int:
+def _seed_arg(args, fallback: int = 0) -> int:
+    """``--seed``, else ``PJ_SEED``, else ``fallback``; a negative seed is a
+    ConfigError."""
     env = os.environ.get("PJ_SEED")
-    if env is None:
-        return 0
-    try:
-        seed = int(env)
-    except ValueError:
-        raise ConfigError(f"PJ_SEED must be an integer, got {env!r}") from None
+    if args.seed is None and env is not None:
+        try:
+            seed, source = int(env), "PJ_SEED"
+        except ValueError:
+            raise ConfigError(f"PJ_SEED must be an integer, got {env!r}") from None
+    else:
+        seed, source = fallback if args.seed is None else args.seed, "seed"
     if seed < 0:
-        raise ConfigError(f"PJ_SEED must be non-negative, got {seed}")
-    return seed
-
-
-def _seed_arg(args) -> int:
-    """``--seed``, else ``PJ_SEED``, else 0; a negative seed is a ConfigError."""
-    seed = args.seed if args.seed is not None else _default_seed()
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+        raise ConfigError(f"{source} must be non-negative, got {seed}")
     return seed
 
 
@@ -181,10 +167,7 @@ def _resolve_profile(args) -> ChannelProfile:
             except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, over-long int
                 raise FormatError(f"{args.profile}: invalid JSON ({exc})") from exc
         prof = ChannelProfile.from_dict(d)
-    seed = args.seed if args.seed is not None else (
-        _default_seed() if os.environ.get("PJ_SEED") is not None else prof.seed
-    )
-    return ChannelProfile(**{**prof.to_dict(), "seed": int(seed)})
+    return replace(prof, seed=_seed_arg(args, prof.seed))
 
 
 def cmd_simulate(args) -> int:
@@ -456,9 +439,6 @@ def main(argv=None) -> int:
         return args.func(args) or 0
     except FileNotFoundError as exc:
         _err(f"input file not found: {exc.filename or exc}")
-        return 2
-    except (ConfigError, CapacityError, RangeError, ShapeError, LayoutError) as exc:
-        _err(str(exc))
         return 2
     except FormatError as exc:
         _err(str(exc))

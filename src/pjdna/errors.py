@@ -75,3 +75,10 @@ def require_int(name: str, value, minimum: int = 0) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+
+
+def require_derived(name: str, value, derived: int) -> None:
+    """Raise :class:`ConfigError` unless a stored ``value`` is an ``int``,
+    not a ``bool``, equal to the ``derived`` one."""
+    if not isinstance(value, int) or isinstance(value, bool) or value != derived:
+        raise ConfigError(f"{name} must be {derived}, got {value!r}")

@@ -18,7 +18,7 @@ import numpy as np
 from . import jr
 from .errors import FormatError
 from .channel import check_drop_rate, keep_mask
-from .partition import TileManifest, _image_from_tiles, _image_tile_blocks, _scatter_tiles
+from .partition import TileManifest, _scatter_tiles, _streams_from_tiles, _tile_blocks
 from .strand import DEFAULT_LAYOUT, StrandLayout, assemble_codes, parse_codes
 
 __all__ = [
@@ -177,10 +177,11 @@ def _degrade_images(
     k, n = images.shape[0], manifest.strand_count
     cfg, layout = manifest.cfg, manifest.layout
     index = np.tile(np.arange(n, dtype=np.int64), k)
-    codes = assemble_codes(index, _image_tile_blocks(images, manifest), layout, cfg)
+    codes = assemble_codes(index, _tile_blocks(images.reshape(k, -1), manifest), layout, cfg)
     keep = np.concatenate([keep_mask(n, rate, (seed, first + j)) for j in range(k)])
     ok, tile, blocks = parse_codes(codes[keep], layout, cfg)
     rows = np.repeat(np.arange(k) * n, n)[keep][ok] + tile
-    bits = jr.block_rows_to_bits(blocks, cfg.bits_per_block)
-    tiles, seen, _ = _scatter_tiles(rows, bits, k * n, manifest.payload_capacity)
-    return _image_from_tiles(tiles, seen, manifest)
+    bits = jr.block_rows_to_bits(blocks, cfg.bits_per_block)[:, : manifest.tile_bits]
+    tiles, seen, _ = _scatter_tiles(rows, bits, k * n)
+    pixels, missing = _streams_from_tiles(tiles, seen, k, manifest, 8)
+    return pixels.reshape(images.shape), missing.reshape(images.shape)

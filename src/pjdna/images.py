@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import FormatError
@@ -13,30 +15,25 @@ __all__ = ["read_pgm", "write_pgm", "read_pbm", "write_pbm"]
 _MAX_HEADER_DIGITS = 19
 
 
+# Whitespace and ``#`` comments between header numbers, and one number.
+_HEADER_SKIP = re.compile(rb"(?:\s+|#[^\n]*)*")
+_HEADER_TOKEN = re.compile(rb"\S+")
+
+
 def _read_header_tokens(data: bytes, count: int, path) -> tuple[list[int], int]:
     """Parse `count` whitespace/comment-separated integers after the magic."""
     tokens: list[int] = []
     i = 2  # past the 2-byte magic
     while len(tokens) < count:
-        if i >= len(data):
+        m = _HEADER_TOKEN.match(data, _HEADER_SKIP.match(data, i).end())
+        if m is None:
             raise FormatError(f"{path}: truncated header")
-        ch = data[i : i + 1]
-        if ch == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace():
-                j += 1
-            tok = data[i:j]
-            if not tok.isdigit():
-                raise FormatError(f"{path}: bad header token {tok!r}")
-            if len(tok) > _MAX_HEADER_DIGITS:
-                raise FormatError(f"{path}: header number of {len(tok)} digits")
-            tokens.append(int(tok))
-            i = j
+        tok, i = m.group(), m.end()
+        if not tok.isdigit():
+            raise FormatError(f"{path}: bad header token {tok!r}")
+        if len(tok) > _MAX_HEADER_DIGITS:
+            raise FormatError(f"{path}: header number of {len(tok)} digits")
+        tokens.append(int(tok))
     if i >= len(data) or not data[i : i + 1].isspace():
         raise FormatError(f"{path}: header not terminated")
     return tokens, i + 1

@@ -36,7 +36,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, FramingError, RangeError, StreamCorruption, require_int
+from .errors import (
+    ConfigError,
+    FramingError,
+    RangeError,
+    StreamCorruption,
+    require_derived,
+    require_int,
+)
 
 __all__ = [
     "ALPHABET",
@@ -113,9 +120,8 @@ def max_homopolymer_run(seq: str) -> int:
 
 
 def _cyclic_max_direct_run(radices: Sequence[int]) -> int:
-    """Longest run of radix-4 entries in the infinite tiling of the pattern."""
-    if all(r == 4 for r in radices):
-        return len(radices)  # sentinel; caller rejects unbounded patterns
+    """Longest run of radix-4 entries in the infinite tiling of the pattern,
+    capped at the pattern length."""
     doubled = list(radices) * 2
     best = cur = 0
     for r in doubled:
@@ -125,18 +131,21 @@ def _cyclic_max_direct_run(radices: Sequence[int]) -> int:
     return min(best, len(radices))
 
 
+_CONFIG_KEYS = {"group_radices", "bits_per_block", "groups_per_payload", "jump_length"}
+
+
 @dataclass(frozen=True)
 class JrConfig:
     """One jump-rotating code: radix pattern, block width, payload grouping.
 
-    ``jump_length`` documents the longest direct run in the tiled pattern and
-    is validated against the pattern at construction.
+    ``jump_length``, the longest direct run in the tiled pattern, is derived
+    from ``group_radices``.  :meth:`to_dict` still writes it, and
+    :meth:`from_dict` rejects a stored value that is not the derived one.
     """
 
     group_radices: tuple[int, ...] = (4, 3, 4, 4, 3)
     bits_per_block: int = 9
     groups_per_payload: int = 18
-    jump_length: int = 2
 
     def __post_init__(self):
         if not self.group_radices:
@@ -149,16 +158,10 @@ class JrConfig:
             raise ConfigError("a pattern of only direct positions has no homopolymer bound")
         require_int("bits_per_block", self.bits_per_block, 1)
         require_int("groups_per_payload", self.groups_per_payload, 1)
-        require_int("jump_length", self.jump_length)
         capacity = math.prod(self.group_radices)
         if (1 << self.bits_per_block) > capacity:
             raise ConfigError(
                 f"2^{self.bits_per_block} block values exceed group capacity {capacity}"
-            )
-        run = _cyclic_max_direct_run(self.group_radices)
-        if run != self.jump_length:
-            raise ConfigError(
-                f"jump_length {self.jump_length} does not match pattern (longest direct run {run})"
             )
         object.__setattr__(self, "group_radices", tuple(self.group_radices))
 
@@ -166,8 +169,8 @@ class JrConfig:
     def for_jump(cls, jump: int) -> "JrConfig":
         """Built-in preset for a jump length of 0, 1 or 2."""
         presets = {
-            0: cls(group_radices=(3,), bits_per_block=1, groups_per_payload=90, jump_length=0),
-            1: cls(group_radices=(3, 4), bits_per_block=3, groups_per_payload=45, jump_length=1),
+            0: cls(group_radices=(3,), bits_per_block=1, groups_per_payload=90),
+            1: cls(group_radices=(3, 4), bits_per_block=3, groups_per_payload=45),
             2: cls(),
         }
         try:
@@ -177,15 +180,11 @@ class JrConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "JrConfig":
-        keys = {"group_radices", "bits_per_block", "groups_per_payload", "jump_length"}
-        if set(d) != keys:
-            raise ConfigError(f"config dict must have exactly the keys {sorted(keys)}")
-        return cls(
-            group_radices=tuple(d["group_radices"]),
-            bits_per_block=d["bits_per_block"],
-            groups_per_payload=d["groups_per_payload"],
-            jump_length=d["jump_length"],
-        )
+        if set(d) != _CONFIG_KEYS:
+            raise ConfigError(f"config dict must have exactly the keys {sorted(_CONFIG_KEYS)}")
+        cfg = cls(d["group_radices"], d["bits_per_block"], d["groups_per_payload"])
+        require_derived("jump_length", d["jump_length"], cfg.jump_length)
+        return cfg
 
     def to_dict(self) -> dict:
         return {
@@ -194,6 +193,10 @@ class JrConfig:
             "groups_per_payload": self.groups_per_payload,
             "jump_length": self.jump_length,
         }
+
+    @property
+    def jump_length(self) -> int:
+        return _cyclic_max_direct_run(self.group_radices)
 
     @property
     def group_size(self) -> int:

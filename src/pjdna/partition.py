@@ -6,21 +6,23 @@ Tiles are 1-D row-major pixel runs; the manifest is a required JSON sidecar
 binding geometry and codec parameters to the strand library, keeping the
 payloads themselves free of any structural metadata.
 
-Image tiles hold ``tile_pixels`` 8-bit pixels packed MSB-first followed by
-zero pad bits up to the payload capacity.  With the default codec that is
-20 pixels = 160 bits + 2 pad bits in 162.
+Image and raw mode share one tile model (:class:`TileManifest`): the file is
+one bit stream cut into tiles, each tile's bits followed by zero pad bits up
+to the payload capacity.  An image tile holds ``tile_pixels`` 8-bit pixels
+packed MSB-first; with the default codec that is 20 pixels = 160 bits + 2
+pad bits in 162.  A raw tile fills the whole payload.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
 
 from . import jr
-from .errors import CapacityError, ConfigError, FormatError, require_int
+from .errors import CapacityError, ConfigError, FormatError, require_derived, require_int
 from .strand import DEFAULT_LAYOUT, ParseBatch, StrandLayout, StrandSet, assemble_many
 
 __all__ = [
@@ -33,17 +35,8 @@ __all__ = [
     "default_tile_pixels",
 ]
 
-_MANIFEST_KEYS = {
-    "mode",
-    "width",
-    "height",
-    "tile_pixels",
-    "total_bits",
-    "cfg",
-    "layout",
-    "pad_bits_per_tile",
-    "strand_count",
-}
+# Manifest keys derived from the others: written for readers, checked on load.
+_DERIVED_KEYS = ("strand_count", "pad_bits_per_tile")
 
 
 def default_tile_pixels(layout: StrandLayout, cfg: jr.JrConfig) -> int:
@@ -51,55 +44,47 @@ def default_tile_pixels(layout: StrandLayout, cfg: jr.JrConfig) -> int:
     return layout.payload_bits(cfg) // 8
 
 
-def _require_tile_fit(tile_pixels, capacity: int) -> None:
-    """Raise :class:`ConfigError` unless ``tile_pixels`` is an int >= 1 that fits ``capacity``."""
-    require_int("tile_pixels", tile_pixels, 1)
-    if tile_pixels * 8 > capacity:
-        raise ConfigError(
-            f"tile_pixels {tile_pixels} needs {tile_pixels * 8} bits, payload holds {capacity}"
-        )
-
-
 @dataclass(frozen=True)
 class TileManifest:
+    """The structure of one encoded file: a bit stream of ``stream_bits``
+    cut into tiles of ``tile_bits``, one strand per tile.
+
+    An image's stream is its ``8 * width * height`` pixel bits, cut into
+    tiles of ``8 * tile_pixels``; a raw stream is its ``total_bits``, cut
+    into tiles of the whole payload capacity.  ``strand_count`` and
+    ``pad_bits_per_tile`` are derived from these fields.  :meth:`to_dict`
+    still writes them, and :meth:`from_dict` rejects a stored value that is
+    not the derived one.
+    """
+
     mode: str  # "image" | "raw"
     cfg: jr.JrConfig
     layout: StrandLayout
-    strand_count: int
-    pad_bits_per_tile: int
     width: int | None = None
     height: int | None = None
     tile_pixels: int | None = None
     total_bits: int | None = None
 
     def __post_init__(self):
-        for name, minimum in (("strand_count", 0), ("pad_bits_per_tile", 0), ("width", 1),
-                              ("height", 1), ("tile_pixels", 1), ("total_bits", 0)):
+        for name, minimum in (("width", 1), ("height", 1), ("tile_pixels", 1), ("total_bits", 0)):
             if getattr(self, name) is not None:
                 require_int(name, getattr(self, name), minimum)
         self.layout.validate(self.cfg)
-        capacity = self.layout.payload_bits(self.cfg)
         if self.mode == "image":
             if not (self.width and self.height and self.tile_pixels):
                 raise ConfigError("image manifests need width, height and tile_pixels")
             if self.total_bits is not None:
                 raise ConfigError("image manifests must not carry total_bits")
-            _require_tile_fit(self.tile_pixels, capacity)
-            expect = -(-self.width * self.height // self.tile_pixels)
-            if self.strand_count != expect:
-                raise ConfigError(f"strand_count must be {expect}, got {self.strand_count}")
-            if self.pad_bits_per_tile != capacity - 8 * self.tile_pixels:
-                raise ConfigError("pad_bits_per_tile does not match tile_pixels and capacity")
+            if self.pad_bits_per_tile < 0:
+                raise ConfigError(
+                    f"tile_pixels {self.tile_pixels} needs {self.tile_bits} bits, "
+                    f"payload holds {self.payload_capacity}"
+                )
         elif self.mode == "raw":
             if self.total_bits is None:
                 raise ConfigError("raw manifests need total_bits")
             if self.width is not None or self.height is not None or self.tile_pixels is not None:
                 raise ConfigError("raw manifests must not carry image geometry")
-            expect = -(-self.total_bits // capacity) if self.total_bits else 0
-            if self.strand_count != expect:
-                raise ConfigError(f"strand_count must be {expect}, got {self.strand_count}")
-            if self.pad_bits_per_tile != 0:
-                raise ConfigError(f"pad_bits_per_tile must be 0, got {self.pad_bits_per_tile}")
         else:
             raise ConfigError(f"unknown manifest mode {self.mode!r}")
         if self.strand_count > self.layout.index_capacity(self.cfg):
@@ -119,30 +104,12 @@ class TileManifest:
     ) -> "TileManifest":
         if tile_pixels is None:
             tile_pixels = default_tile_pixels(layout, cfg)
-        capacity = layout.payload_bits(cfg)
-        _require_tile_fit(tile_pixels, capacity)
-        return cls(
-            mode="image",
-            cfg=cfg,
-            layout=layout,
-            width=width,
-            height=height,
-            tile_pixels=tile_pixels,
-            strand_count=-(-width * height // tile_pixels),
-            pad_bits_per_tile=capacity - 8 * tile_pixels,
-        )
+        return cls(mode="image", cfg=cfg, layout=layout, width=width, height=height,
+                   tile_pixels=tile_pixels)
 
     @classmethod
     def for_raw(cls, total_bits: int, cfg: jr.JrConfig, layout: StrandLayout) -> "TileManifest":
-        capacity = layout.payload_bits(cfg)
-        return cls(
-            mode="raw",
-            cfg=cfg,
-            layout=layout,
-            total_bits=total_bits,
-            strand_count=-(-total_bits // capacity) if total_bits else 0,
-            pad_bits_per_tile=0,
-        )
+        return cls(mode="raw", cfg=cfg, layout=layout, total_bits=total_bits)
 
     def to_dict(self) -> dict:
         return {
@@ -161,14 +128,15 @@ class TileManifest:
     def from_dict(cls, d: dict) -> "TileManifest":
         if not isinstance(d, dict):
             raise FormatError("manifest must be a JSON object")
-        unknown = set(d) - _MANIFEST_KEYS
+        keys = {*(f.name for f in fields(cls)), *_DERIVED_KEYS}
+        unknown = set(d) - keys
         if unknown:
             raise FormatError(f"manifest has unknown keys: {sorted(unknown)}")
-        missing = _MANIFEST_KEYS - set(d)
+        missing = keys - set(d)
         if missing:
             raise FormatError(f"manifest is missing keys: {sorted(missing)}")
         try:
-            return cls(
+            manifest = cls(
                 mode=d["mode"],
                 cfg=jr.JrConfig.from_dict(d["cfg"]),
                 layout=StrandLayout.from_dict(d["layout"]),
@@ -176,11 +144,12 @@ class TileManifest:
                 height=d["height"],
                 tile_pixels=d["tile_pixels"],
                 total_bits=d["total_bits"],
-                pad_bits_per_tile=d["pad_bits_per_tile"],
-                strand_count=d["strand_count"],
             )
+            for name in _DERIVED_KEYS:
+                require_derived(name, d[name], getattr(manifest, name))
         except (TypeError, ValueError) as exc:  # ConfigError, or a field of the wrong type
             raise FormatError(f"inconsistent manifest: {exc}") from exc
+        return manifest
 
     def save(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -200,6 +169,22 @@ class TileManifest:
     def payload_capacity(self) -> int:
         return self.layout.payload_bits(self.cfg)
 
+    @property
+    def stream_bits(self) -> int:
+        return 8 * self.width * self.height if self.mode == "image" else self.total_bits
+
+    @property
+    def tile_bits(self) -> int:
+        return 8 * self.tile_pixels if self.mode == "image" else self.payload_capacity
+
+    @property
+    def strand_count(self) -> int:
+        return -(-self.stream_bits // self.tile_bits)
+
+    @property
+    def pad_bits_per_tile(self) -> int:
+        return self.payload_capacity - self.tile_bits
+
 
 @dataclass
 class RecoveredImage:
@@ -213,46 +198,46 @@ class RecoveredImage:
 
 
 def _zero_pad(a: np.ndarray, shape) -> np.ndarray:
-    """``a`` in the leading corner of a zero uint8 array of ``shape``."""
+    """``a`` in the leading corner of a zero uint8 array of ``shape``, or
+    ``a`` itself when it has that shape."""
+    if a.shape == shape:
+        return a
     out = np.zeros(shape, np.uint8)
     out[tuple(map(slice, a.shape))] = a
     return out
 
 
-def _image_tile_blocks(images: np.ndarray, manifest: TileManifest) -> np.ndarray:
-    """Payload blocks of a ``(k, height, width)`` uint8 stack: tile ``t`` of
-    image ``i`` is row ``i * strand_count + t``."""
-    k = images.shape[0]
-    n, tp = manifest.strand_count, manifest.tile_pixels
-    pixels = _zero_pad(images.reshape(k, -1), (k, n * tp)).reshape(k * n, tp)
-    bits = _zero_pad(np.unpackbits(pixels, axis=1), (k * n, manifest.payload_capacity))
-    cfg = manifest.cfg
+def _tile_blocks(streams: np.ndarray, manifest: TileManifest) -> np.ndarray:
+    """Payload blocks of ``k`` streams, a ``(k, stream_bits // 8)`` uint8
+    array: tile ``t`` of stream ``i`` is row ``i * strand_count + t``, its
+    bits zero padded up to the payload capacity."""
+    k = streams.shape[0]
+    n, tile_bits, cfg = manifest.strand_count, manifest.tile_bits, manifest.cfg
+    bits = np.unpackbits(_zero_pad(streams, (k, -(-n * tile_bits // 8))), axis=1)
+    bits = bits[:, : n * tile_bits].reshape(k * n, tile_bits)
+    bits = _zero_pad(bits, (k * n, manifest.payload_capacity))
     return jr.bit_rows_to_blocks(bits, cfg.groups_per_payload, cfg.bits_per_block)
 
 
-def _image_from_tiles(
-    tiles: np.ndarray, seen: np.ndarray, manifest: TileManifest
+def _streams_from_tiles(
+    tiles: np.ndarray, seen: np.ndarray, k: int, manifest: TileManifest, unit: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`_image_tile_blocks` on the tile bits of
-    :func:`_scatter_tiles`: the ``(k, height, width)`` images and their
-    missing masks, True under every tile not ``seen``."""
-    tp = manifest.tile_pixels
-    seen = seen.reshape(-1, manifest.strand_count)
-    shape = (seen.shape[0], manifest.height, manifest.width)
-    hw = manifest.height * manifest.width
-    # a tile's pixels are the leading bytes of its payload
-    pixels = np.packbits(tiles[:, : 8 * tp], axis=1).reshape(shape[0], -1)
-    images = pixels[:, :hw].reshape(shape)
-    missing = np.repeat(~seen, tp, axis=1)[:, :hw].reshape(shape)
-    return images, missing
+    """Inverse of :func:`_tile_blocks` on the tile bits of
+    :func:`_scatter_tiles`: the ``(k, stream_bits // 8)`` streams, and their
+    missing masks of one flag per ``unit`` stream bits, True under every
+    tile not ``seen``."""
+    n, tile_bits, stream_bits = manifest.strand_count, manifest.tile_bits, manifest.stream_bits
+    streams = np.packbits(tiles[:, :tile_bits].reshape(k, n * tile_bits)[:, :stream_bits], axis=1)
+    missing = np.repeat(~seen.reshape(k, n), tile_bits // unit, axis=1)[:, : stream_bits // unit]
+    return streams, missing
 
 
 def _scatter_tiles(
-    rows: np.ndarray, bits: np.ndarray, n_rows: int, capacity: int
+    rows: np.ndarray, bits: np.ndarray, n_rows: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Place payload bit rows ``bits`` (m, capacity) at tile rows ``rows``.
+    """Place tile bit rows ``bits`` (m, tile_bits) at tile rows ``rows``.
 
-    Returns the ``(n_rows, capacity)`` tile bits, zero where nothing
+    Returns the ``(n_rows, tile_bits)`` tile bits, zero where nothing
     arrived, the mask of tiles that arrived, and the number of entries whose
     row lies outside ``[0, n_rows)``, which are dropped.  When a row repeats,
     its last entry wins.
@@ -260,21 +245,22 @@ def _scatter_tiles(
     backwards = np.flatnonzero((rows >= 0) & (rows < n_rows))[::-1]
     _, first = np.unique(rows[backwards], return_index=True)
     keep = backwards[first]
-    tiles = np.zeros((n_rows, capacity), np.uint8)
+    tiles = np.zeros((n_rows, bits.shape[1]), np.uint8)
     seen = np.zeros(n_rows, bool)
     tiles[rows[keep]] = bits[keep]
     seen[rows[keep]] = True
     return tiles, seen, int(rows.size - backwards.size)
 
 
-def _decode_tiles(
+def _decode_stream(
     accepted: ParseBatch | Iterable[tuple[int, bytes]],
     manifest: TileManifest,
     parse_stats: dict | None,
+    unit: int,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Tile bits, seen mask and stats of a vote result or of (index,
-    packed payload) pairs."""
-    cfg, capacity = manifest.cfg, manifest.payload_capacity
+    """Stream bytes, missing mask of one flag per ``unit`` bits, and stats
+    of a vote result or of (index, packed payload) pairs."""
+    cfg, n, tile_bits = manifest.cfg, manifest.strand_count, manifest.tile_bits
     if isinstance(accepted, ParseBatch):
         rows = accepted.indices
         bits = jr.block_rows_to_bits(accepted.payload_blocks, cfg.bits_per_block)
@@ -283,17 +269,25 @@ def _decode_tiles(
         rows = np.fromiter((i for i, _ in pairs), np.int64, len(pairs))
         packed = np.frombuffer(b"".join(p for _, p in pairs), np.uint8)
         nbytes = manifest.layout.payload_bytes_len(cfg)
-        bits = np.unpackbits(packed.reshape(len(pairs), nbytes), axis=1)[:, :capacity]
-    tiles, seen, stray = _scatter_tiles(rows, bits, manifest.strand_count, capacity)
+        bits = np.unpackbits(packed.reshape(len(pairs), nbytes), axis=1)
+    tiles, seen, stray = _scatter_tiles(rows, bits[:, :tile_bits], n)
+    stream, missing = _streams_from_tiles(tiles, seen, 1, manifest, unit)
     recovered = int(seen.sum())
     stats = {
-        "strands_expected": manifest.strand_count,
+        "strands_expected": n,
         "strands_recovered": recovered,
-        "tiles_missing": manifest.strand_count - recovered,
+        "tiles_missing": n - recovered,
         "stray_indices": stray,
         **(parse_stats or {}),
     }
-    return tiles, seen, stats
+    return stream[0], missing[0], stats
+
+
+def _encode_stream(stream: np.ndarray, manifest: TileManifest) -> StrandSet:
+    """Strands of one stream of bytes, tile ``t`` in row ``t``."""
+    index = np.arange(manifest.strand_count, dtype=np.int64)
+    return assemble_many(index, _tile_blocks(stream[None], manifest), manifest.layout,
+                         manifest.cfg)
 
 
 def encode_image(
@@ -313,9 +307,7 @@ def encode_image(
         raise ConfigError("image must be a 2-D uint8 array")
     h, w = img.shape
     manifest = TileManifest.for_image(w, h, cfg, layout, tile_pixels)
-    blocks = _image_tile_blocks(img[None], manifest)
-    strands = assemble_many(np.arange(manifest.strand_count, dtype=np.int64), blocks, layout, cfg)
-    return strands, manifest
+    return _encode_stream(img.reshape(-1), manifest), manifest
 
 
 def decode_image(
@@ -333,9 +325,10 @@ def decode_image(
     """
     if manifest.mode != "image":
         raise ConfigError("decode_image needs an image-mode manifest")
-    tiles, seen, stats = _decode_tiles(accepted, manifest, parse_stats)
-    image, missing = _image_from_tiles(tiles, seen, manifest)
-    return RecoveredImage(image=image[0], missing_mask=missing[0], stats=stats)
+    pixels, missing, stats = _decode_stream(accepted, manifest, parse_stats, 8)
+    shape = (manifest.height, manifest.width)
+    return RecoveredImage(image=pixels.reshape(shape), missing_mask=missing.reshape(shape),
+                          stats=stats)
 
 
 def encode_raw(
@@ -346,12 +339,7 @@ def encode_raw(
     """Encode an arbitrary byte stream into capacity-sized payload slices,
     slice ``t`` in row ``t`` of the returned :class:`~pjdna.strand.StrandSet`."""
     manifest = TileManifest.for_raw(8 * len(data), cfg, layout)
-    n, capacity = manifest.strand_count, manifest.payload_capacity
-    bits = _zero_pad(np.unpackbits(np.frombuffer(data, np.uint8)), (n * capacity,))
-    blocks = jr.bit_rows_to_blocks(bits.reshape(n, capacity), cfg.groups_per_payload,
-                                   cfg.bits_per_block)
-    strands = assemble_many(np.arange(n, dtype=np.int64), blocks, layout, cfg)
-    return strands, manifest
+    return _encode_stream(np.frombuffer(data, np.uint8), manifest), manifest
 
 
 def decode_raw(
@@ -367,8 +355,5 @@ def decode_raw(
     """
     if manifest.mode != "raw":
         raise ConfigError("decode_raw needs a raw-mode manifest")
-    tiles, seen, stats = _decode_tiles(accepted, manifest, parse_stats)
-    total_bits = manifest.total_bits
-    data = np.packbits(tiles.reshape(-1)[:total_bits]).tobytes()
-    mask = np.repeat(~seen, manifest.payload_capacity)[:total_bits]
-    return data, mask, stats
+    data, mask, stats = _decode_stream(accepted, manifest, parse_stats, 1)
+    return data.tobytes(), mask, stats

@@ -12,7 +12,7 @@ stays within the default bound of 3.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Sequence
 
@@ -101,23 +101,13 @@ class StrandLayout:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StrandLayout":
-        keys = {"primer5", "primer3", "index_nt", "payload_nt"}
+        keys = {f.name for f in fields(cls)}
         if set(d) != keys:
             raise ConfigError(f"layout dict must have exactly the keys {sorted(keys)}")
-        return cls(
-            primer5=str(d["primer5"]),
-            primer3=str(d["primer3"]),
-            index_nt=d["index_nt"],
-            payload_nt=d["payload_nt"],
-        )
+        return cls(**d)
 
     def to_dict(self) -> dict:
-        return {
-            "primer5": self.primer5,
-            "primer3": self.primer3,
-            "index_nt": self.index_nt,
-            "payload_nt": self.payload_nt,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def data_nt(self) -> int:
@@ -162,6 +152,8 @@ class StrandLayout:
             )
         bound = cfg.jump_length + 1
         for name, p in (("primer5", self.primer5), ("primer3", self.primer3)):
+            if not isinstance(p, str):
+                raise LayoutError(f"{name} must be a string, got {p!r}")
             if any(ch not in jr.ALPHABET for ch in p):
                 raise LayoutError(f"{name} contains characters outside ACGT")
             if p and jr.max_homopolymer_run(p) > bound:

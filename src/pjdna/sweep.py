@@ -142,14 +142,5 @@ def loss_sweep(
     else:
         produced = [run_cell(*c) for c in cells]
 
-    by_key = {}
-    for rows in produced:
-        for row in rows:
-            by_key[(row.loss_rate, row.seed, row.scheme)] = row
-    ordered = [
-        by_key[(rate, seed, scheme)]
-        for rate in rates
-        for seed in seeds
-        for scheme in ("EM", "PM")
-    ]
-    return SweepResult(rows=ordered)
+    # both maps keep the order of ``cells``
+    return SweepResult(rows=[row for rows in produced for row in rows])

@@ -12,6 +12,7 @@ from pjdna.idx import read_idx_images, write_idx_images, write_idx_labels
 from pjdna.jr import max_homopolymer_run
 from pjdna.partition import TileManifest
 from pjdna.seqio import read_sequences
+from pjdna.strand import DEFAULT_LAYOUT
 
 
 @pytest.fixture()
@@ -453,6 +454,12 @@ HOSTILE_MANIFESTS = {
     # tiles carry no pad
     "raw-pad-bits": {"mode": "raw", "width": None, "height": None, "tile_pixels": None,
                      "total_bits": 154 * 162, "pad_bits_per_tile": 7},
+    # derived values must be stored as the very integer they derive to
+    "float-strand-count": {"strand_count": 154.0},
+    "wrong-jump-length": {"cfg": {"group_radices": [4, 3, 4, 4, 3], "bits_per_block": 9,
+                                  "groups_per_payload": 18, "jump_length": 1}},
+    "list-primer5": {"layout": {**DEFAULT_LAYOUT.to_dict(),
+                                "primer5": list(DEFAULT_LAYOUT.primer5)}},
 }
 
 

@@ -47,20 +47,25 @@ def test_preset_configs_validate():
 
 @pytest.mark.parametrize(
     "radices,jump",
-    [((3,), 1), ((3, 4), 4), ((4, 3, 4, 4, 3), 1)],
+    [((3,), 1), ((3, 4), 4), ((4, 3, 4, 4, 3), 1), ((4, 3, 4, 4, 3), 2.0), ((3,), False)],
 )
 def test_config_rejects_wrong_jump_length(radices, jump):
+    """jump_length is derived from the pattern; a stored one must be that
+    integer, not another value, a float or a bool."""
+    d = {"group_radices": list(radices), "bits_per_block": 1, "groups_per_payload": 1}
+    cfg = jr.JrConfig(**d)
+    assert jr.JrConfig.from_dict({**d, "jump_length": cfg.jump_length}) == cfg
     with pytest.raises(ConfigError):
-        jr.JrConfig(group_radices=radices, bits_per_block=1, groups_per_payload=1, jump_length=jump)
+        jr.JrConfig.from_dict({**d, "jump_length": jump})
 
 
 def test_config_rejects_bad_patterns():
-    with pytest.raises(ConfigError):
-        jr.JrConfig(group_radices=(4, 4), bits_per_block=2, groups_per_payload=1, jump_length=2)
-    with pytest.raises(ConfigError):
-        jr.JrConfig(group_radices=(3, 5), bits_per_block=2, groups_per_payload=1, jump_length=0)
-    with pytest.raises(ConfigError):
-        jr.JrConfig(group_radices=(3, 3), bits_per_block=4, groups_per_payload=1, jump_length=0)
+    for radices, bits, jump in (((4, 4), 2, 2), ((3, 5), 2, 0), ((3, 3), 4, 0)):
+        d = {"group_radices": radices, "bits_per_block": bits, "groups_per_payload": 1}
+        with pytest.raises(ConfigError):
+            jr.JrConfig(**d)
+        with pytest.raises(ConfigError):
+            jr.JrConfig.from_dict({**d, "jump_length": jump})
 
 
 def test_config_dict_round_trip():

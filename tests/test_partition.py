@@ -1,5 +1,7 @@
 """Tile mapping, manifests, raw mode, and PGM/PBM files."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from pjdna import jr
 from pjdna.errors import CapacityError, ConfigError, FormatError
-from pjdna.images import read_pbm, read_pgm, write_pbm, write_pgm
+from pjdna.images import _read_header_tokens, read_pbm, read_pgm, write_pbm, write_pgm
 from pjdna.partition import (
     TileManifest,
     decode_image,
@@ -316,6 +318,63 @@ def test_pgm_header_comments(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# a comment\n2 1\n255\n\x07\x08")
     assert np.array_equal(read_pgm(path), np.array([[7, 8]], np.uint8))
+
+
+def reference_header_tokens(data: bytes, count: int, path) -> tuple[list[int], int]:
+    """The byte-at-a-time header walk the two regexes replaced."""
+    tokens: list[int] = []
+    i = 2
+    while len(tokens) < count:
+        if i >= len(data):
+            raise FormatError(f"{path}: truncated header")
+        ch = data[i : i + 1]
+        if ch == b"#":
+            while i < len(data) and data[i : i + 1] != b"\n":
+                i += 1
+        elif ch.isspace():
+            i += 1
+        else:
+            j = i
+            while j < len(data) and not data[j : j + 1].isspace():
+                j += 1
+            tok = data[i:j]
+            if not tok.isdigit():
+                raise FormatError(f"{path}: bad header token {tok!r}")
+            if len(tok) > 19:
+                raise FormatError(f"{path}: header number of {len(tok)} digits")
+            tokens.append(int(tok))
+            i = j
+    if i >= len(data) or not data[i : i + 1].isspace():
+        raise FormatError(f"{path}: header not terminated")
+    return tokens, i + 1
+
+
+def _header_outcome(read, data, count):
+    try:
+        return read(data, count, "h")
+    except FormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#",
+                                      b"# c\n", b"0", b"7", b"12", b"9" * 20, b"x", b"\xa0"]),
+                     max_size=16),
+       count=st.integers(1, 3))
+def test_header_tokens_match_byte_walk(body, count):
+    data = b"P5" + b"".join(body)
+    assert (_header_outcome(_read_header_tokens, data, count)
+            == _header_outcome(reference_header_tokens, data, count))
+
+
+@pytest.mark.parametrize("filler", [b"#" + b"c" * (2 << 20) + b"\n", b" " * (2 << 20)])
+def test_pgm_header_behind_2mb_filler_reads_fast(tmp_path, filler):
+    path = tmp_path / "f.pgm"
+    path.write_bytes(b"P5" + filler + b"4 4\n255\n" + bytes(range(16)))
+    start = time.perf_counter()
+    img = read_pgm(path)
+    assert time.perf_counter() - start < 0.1
+    assert np.array_equal(img, np.arange(16, dtype=np.uint8).reshape(4, 4))
 
 
 def test_pbm_round_trip(tmp_path, rng):
