@@ -1,12 +1,15 @@
 """Storage channel simulation: dropout, read errors, replication, consensus.
 
-Randomness is partitioned per strand: every stream seeds
-``numpy.random.default_rng`` with a tuple (seed, purpose, strand_id), and a
-strand's replicates are consecutive rows of its one stream.  A read
-therefore depends only on (seed, strand, replicate), not on coverage,
-batching or iteration order, so serial and parallel runs agree and a rerun
-with the same profile is byte-identical.  ``CHANNEL_STREAM`` versions this
-layout of the stream; ``simulate`` records it in its sidecar.
+Read randomness is partitioned per strand: a strand's reads come from
+``numpy.random.default_rng((seed, 2, strand_id))``, its replicates as
+consecutive rows of that one stream, and Poisson coverages from one draw of
+``default_rng((seed, 1))`` in strand order.  A read therefore depends only
+on (seed, strand, replicate), not on coverage, batching or iteration order,
+so serial and parallel runs agree and a rerun with the same profile is
+byte-identical.  Each read position takes one uniform, and fixed cut points
+of [0, 1) turn it into a deletion, an insertion of one of four bases, a
+substitution by one of three shifts, or nothing.  ``CHANNEL_STREAM``
+versions this layout of the stream; ``simulate`` records it in its sidecar.
 
 Presets mirror stressors at defensible magnitudes.  The "aging95C" and
 "xray" rate pairs are stand-in estimates chosen for this toolkit, not
@@ -51,11 +54,14 @@ __all__ = [
 ]
 
 # Version of the read-corruption random stream.  1: one generator per
-# (strand, replicate); 2: one generator per strand, replicates as rows.
-CHANNEL_STREAM = 2
+# (strand, replicate); 2: one generator per strand, replicates as rows of
+# five uniforms per position, Poisson coverage from one generator per
+# strand; 3: one uniform per position placed among ``_cut_points``, Poisson
+# coverage from one generator for all strands.
+CHANNEL_STREAM = 3
 
 # Reads mutated together in one numpy pass; bounds the pass's draws to
-# about 1.4 MiB at 141 nt.
+# about 0.3 MiB at 141 nt.
 _CHUNK_READS = 256
 
 
@@ -202,13 +208,14 @@ def corrupt_reads(
     ``strands`` is a :class:`~pjdna.strand.ReadPool`, a
     :class:`~pjdna.strand.StrandSet` (read through its ``pool``) or a
     sequence of strings or :class:`~pjdna.strand.Strand`.  Per strand,
-    coverage ``k`` is drawn (fixed or Poisson), then each replicate runs one
+    coverage ``k`` is fixed, or the ``sid``-th of ``poisson(mean, count)``
+    from ``default_rng((seed, 1))``.  Each replicate then runs one
     left-to-right pass where every position is independently deleted, else
     followed by a uniform random insertion, else substituted uniformly over
-    the three other nucleotides (priority in that order).  Strand ``sid`` draws
-    ``random((k, 5, n))`` from ``default_rng((seed, 2, sid))``: per replicate
-    the delete, insert and substitute uniforms, the substitution shift and
-    the inserted base; a strand character outside ACGT comes out as N.
+    the three other nucleotides (priority in that order).  Strand ``sid``
+    draws ``random((k, n))`` from ``default_rng((seed, 2, sid))``, one
+    uniform per position of each replicate, and :func:`_cut_points` decides
+    its fate; a strand character outside ACGT comes out as N.
     Without noise the reads point at the strands' own bytes, each repeated
     ``k`` times.
     """
@@ -220,12 +227,7 @@ def corrupt_reads(
     if profile.coverage_model == "fixed":
         cover = np.full(len(strands), int(profile.coverage_mean), np.int64)
     else:
-        cover = np.fromiter(
-            (np.random.default_rng((seed, 1, sid)).poisson(profile.coverage_mean)
-             for sid in range(len(strands))),
-            np.int64,
-            len(strands),
-        )
+        cover = np.random.default_rng((seed, 1)).poisson(profile.coverage_mean, len(strands))
     origin_ids = np.repeat(np.arange(len(strands)), cover)
     if profile.noiseless:
         return ReadSet(strands.rows(origin_ids), origin_ids)
@@ -234,21 +236,40 @@ def corrupt_reads(
     return ReadSet(pool, origin_ids)
 
 
+def _cut_points(profile: ChannelProfile) -> np.ndarray:
+    """The eight ascending ends of a read position's fates in [0, 1].
+
+    A position whose uniform ``u`` has ``j`` cut points at or below it is
+    deleted for ``j == 0``, kept and followed by the inserted base ``j - 1``
+    for ``j`` in 1..4, substituted with shift ``j - 4`` for ``j`` in 5..7,
+    and kept for ``j == 8``.  The delete, insert and substitute spans are
+    ``d``, ``(1 - d) i`` and ``(1 - d)(1 - i) s`` long, each split into
+    equal parts; a rate of 1 ends its span at exactly 1.
+    """
+    d, i, s = profile.del_p, profile.ins_p, profile.sub_p
+    ins_end = 1.0 if i == 1 else d + (1 - d) * i
+    sub_end = 1.0 if s == 1 else ins_end + (1 - d) * (1 - i) * s
+    cuts = np.concatenate((np.linspace(d, ins_end, 5), np.linspace(ins_end, sub_end, 4)[1:]))
+    return np.minimum(cuts, 1.0)
+
+
 def _mutate(
     strands: ReadPool, origin_ids: np.ndarray, profile: ChannelProfile
 ) -> tuple[bytes, np.ndarray]:
     """Every read's ASCII bytes, concatenated, and each read's length.
 
     Reads are mutated ``_CHUNK_READS`` at a time, as nucleotide codes.  A
-    chunk's strands are padded to its longest and the padding counts as
-    deleted.  Only planes whose rate is non-zero are compared, and a chunk
-    without an insertion is one gather of its kept codes.  Each chunk's
-    codes become ASCII with one ``bytes.translate``, so no temporary spans
-    the whole result.
+    chunk's strands are padded to its longest; the padding's uniforms are
+    1, past every cut point, and it is not emitted.  Only the positions
+    whose uniform falls below the last cut point are placed among the cut
+    points, and a chunk without an insertion is one gather of its kept
+    codes.  Each chunk's codes become ASCII with one ``bytes.translate``, so
+    no temporary spans the whole result.
     """
-    seed, del_p, ins_p, sub_p = profile.seed, profile.del_p, profile.ins_p, profile.sub_p
+    seed = profile.seed
+    cuts = _cut_points(profile)
     chunk_rows = min(_CHUNK_READS, origin_ids.size)
-    scratch = np.empty(chunk_rows * 5 * int(strands.lengths.max(initial=0)))
+    scratch = np.empty(chunk_rows * int(strands.lengths.max(initial=0)))
     parts: list[bytes] = []
     lengths = [np.empty(0, np.int64)]
     rng, current = None, -1
@@ -257,17 +278,19 @@ def _mutate(
         rows = int(reps.sum())
         lens = strands.lengths[sids]
         width = int(lens.max())
-        u = scratch[: rows * 5 * width].reshape(rows, 5, width)
+        flat_u = scratch[: rows * width]
+        u = flat_u.reshape(rows, width)
         row = 0
         for sid, take, n in zip(sids.tolist(), reps.tolist(), lens.tolist()):
             # consecutive draws continue the stream, so a strand split
-            # between chunks gets the rows one random((k, 5, n)) would give
+            # between chunks gets the rows one random((k, n)) would give
             if sid != current:
                 rng, current = np.random.default_rng((seed, 2, sid)), sid
             if n == width:
                 rng.random(out=u[row : row + take])
             else:
-                u[row : row + take, :, :n] = rng.random((take, 5, n))
+                u[row : row + take, :n] = rng.random((take, n))
+                u[row : row + take, n:] = 1.0
             row += take
 
         at = strands.starts[sids, None] + np.arange(width)
@@ -278,42 +301,40 @@ def _mutate(
             inside = np.arange(width) < lens[:, None]
             codes = np.zeros(at.shape, np.uint8)
             codes[inside] = jr.ascii_codes(strands.buf[at[inside]])
-            keep = np.repeat(inside, reps, axis=0)
-        codes = np.repeat(codes, reps, axis=0)
+            keep = np.repeat(inside, reps, axis=0).reshape(-1)
+        # positions as flat indices: nonzero of a 2-D mask costs several
+        # times flatnonzero of the same mask
+        codes = np.repeat(codes, reps, axis=0).reshape(-1)
 
-        if del_p:
-            kept = u[:, 0] >= del_p
-            keep = kept if keep is None else keep & kept
-        ins = None
-        if ins_p:
-            ins = u[:, 1] < ins_p
-            if keep is not None:
-                ins &= keep
-        if sub_p:
-            sub = u[:, 2] < sub_p
-            if keep is not None:
-                sub &= keep
-            if ins is not None:
-                sub &= ~ins
-            r, c = np.nonzero(sub)
-            codes[r, c] = (codes[r, c] + 1 + (3 * u[r, 3, c]).astype(np.uint8)) % 4
+        hit = np.flatnonzero(flat_u < cuts[-1])
+        fate = np.searchsorted(cuts, flat_u[hit], side="right")
+        gone = fate == 0
+        if gone.any():
+            if keep is None:
+                keep = np.ones(codes.size, bool)
+            keep[hit[gone]] = False
+        sub = fate > 4
+        pos = hit[sub]
+        codes[pos] = (codes[pos] + fate[sub] - 4) % 4
 
-        if ins is not None and ins.any():
+        added = ~gone & ~sub
+        if added.any():
             # each position gives its kept base, then its inserted one
-            pair = np.empty((rows, width, 2), np.uint8)
-            pair[:, :, 0] = codes
-            pair[:, :, 1][ins] = (4 * u[:, 4][ins]).astype(np.uint8)
-            emit = np.empty(pair.shape, bool)
-            emit[:, :, 0] = True if keep is None else keep
-            emit[:, :, 1] = ins
+            pos = hit[added]
+            pair = np.empty((codes.size, 2), np.uint8)
+            pair[:, 0] = codes
+            pair[pos, 1] = fate[added] - 1
+            emit = np.zeros(pair.shape, bool)
+            emit[:, 0] = True if keep is None else keep
+            emit[pos, 1] = True
             out = pair[emit]
-            lengths.append(emit.sum(axis=(1, 2)))
+            lengths.append(emit.reshape(rows, -1).sum(axis=1))
         elif keep is None:
             out = codes
             lengths.append(np.full(rows, width, np.int64))
         else:
             out = codes[keep]
-            lengths.append(keep.sum(axis=1))
+            lengths.append(keep.reshape(rows, width).sum(axis=1))
         parts.append(out.tobytes().translate(jr._CODE_TRANSLATE))
     return b"".join(parts), np.concatenate(lengths)
 

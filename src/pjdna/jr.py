@@ -219,10 +219,6 @@ class JrConfig:
             w[i] = w[i + 1] * self.group_radices[i + 1]
         return tuple(w)
 
-    @property
-    def payload_bits(self) -> int:
-        return self.bits_per_block * self.groups_per_payload
-
     def rotating_mask(self, n_groups: int) -> np.ndarray:
         """Boolean per-position mask (True = rotating) for ``n_groups`` groups."""
         one = np.array([r == 3 for r in self.group_radices], np.bool_)

@@ -1,6 +1,9 @@
 """Channel simulation: dropout, read corruption, replication, consensus."""
 
+import bisect
 import inspect
+import itertools
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -212,16 +215,97 @@ def test_priority_delete_over_insert_over_substitute(rng):
     assert shifts == {1, 2, 3}
 
 
+def within_5_sigma(count, trials, p):
+    return abs(count - trials * p) <= 5 * np.sqrt(trials * p * (1 - p))
+
+
+def test_event_rates_and_choices_are_uniform(rng):
+    """About 10^5 positions per profile: each event at its rate, and the
+    three shifts and four inserted bases equally likely."""
+    seq = "".join(rng.choice(list("ACGT"), 100))
+    k = 1000
+    trials = k * len(seq)
+    reads = corrupt_reads([seq], ChannelProfile(sub_p=0.3, coverage_mean=k, seed=3))
+    got = jr.codes_from_seq("".join(reads.sequences)).astype(int)
+    shift = (got - np.tile(jr.codes_from_seq(seq), k)) % 4
+    shifts = np.bincount(shift, minlength=4)
+    assert within_5_sigma(trials - shifts[0], trials, 0.3)
+    assert all(within_5_sigma(n, trials - shifts[0], 1 / 3) for n in shifts[1:])
+
+    # kept positions of an all-N strand come out as N, inserted bases as ACGT
+    reads = corrupt_reads(["N" * 100], ChannelProfile(ins_p=0.3, coverage_mean=k, seed=3))
+    bases = np.frombuffer("".join(reads.sequences).encode("ascii"), np.uint8)
+    inserted = np.bincount(bases, minlength=256)[list(b"ACGT")]
+    assert within_5_sigma(inserted.sum(), trials, 0.3)
+    assert all(within_5_sigma(n, inserted.sum(), 1 / 4) for n in inserted)
+
+    reads = corrupt_reads([seq], ChannelProfile(del_p=0.3, coverage_mean=k, seed=3))
+    assert within_5_sigma(trials - int(reads.pool.lengths.sum()), trials, 0.3)
+
+
+def reads_of_one_base(prof, uniforms):
+    """The reads of the strand "A", one per uniform its stream is made to draw."""
+    values = np.asarray(uniforms, float)[:, None]
+
+    class Stream:
+        def random(self, size=None, out=None):
+            if out is None:
+                return values.reshape(size).copy()
+            out[...] = values
+            return out
+
+    assert values.shape[0] <= channel._CHUNK_READS
+    with mock.patch.object(np.random, "default_rng", lambda seed: Stream()):
+        return corrupt_reads(["A"], replace(prof, coverage_mean=len(values))).sequences
+
+
+# the read of "A" for each count of cut points at or below the uniform
+FATE_READS = ["", "AA", "AC", "AG", "AT", "C", "G", "T", "A"]
+
+
+def test_uniforms_beside_each_cut_point_land_in_their_fate():
+    prof = ChannelProfile(del_p=0.1, ins_p=0.2, sub_p=0.3)
+    cuts = channel._cut_points(prof)
+    ins_end = 0.1 + 0.9 * 0.2
+    sub_end = ins_end + 0.9 * 0.8 * 0.3
+    assert cuts.tolist() == pytest.approx(
+        [0.1 + (ins_end - 0.1) * j / 4 for j in range(5)]
+        + [ins_end + (sub_end - ins_end) * j / 3 for j in (1, 2, 3)]
+    )
+    below = np.nextafter(cuts, 0)
+    top = np.nextafter(1.0, 0)
+    reads = reads_of_one_base(prof, np.concatenate([below, cuts, [0.0, top]]))
+    assert reads == FATE_READS[:8] + FATE_READS[1:] + ["", "A"]
+    # a rate of 1 ends its span at 1, so no uniform falls past it
+    assert reads_of_one_base(ChannelProfile(sub_p=1.0), [0.0, top]) == ["C", "T"]
+    assert reads_of_one_base(ChannelProfile(del_p=0.3, ins_p=1.0), [0.3, top]) == ["AA", "AT"]
+    assert reads_of_one_base(ChannelProfile(del_p=1.0, sub_p=0.5), [top]) == [""]
+
+
+def test_cut_points_ascend_within_the_unit_interval():
+    rates = [0.0, 1e-18, 0.03, 0.3, 0.7, 1 - 1e-16, 1.0]
+    for d, i, s in itertools.product(rates, repeat=3):
+        cuts = channel._cut_points(ChannelProfile(del_p=d, ins_p=i, sub_p=s))
+        assert cuts.shape == (8,) and cuts[0] == d and cuts[-1] <= 1.0
+        assert (np.diff(cuts) >= 0).all()
+        if i == 1.0:
+            assert cuts[4] == 1.0
+        if s == 1.0:
+            assert cuts[7] == 1.0
+
+
 def reference_read(seq, row, prof):
     """One read by a per-position loop over its row of the strand's stream."""
+    cuts = channel._cut_points(prof).tolist()
     out = []
-    for ch, (u_del, u_ins, u_sub, shift, base) in zip(seq, row.T):
-        if u_del < prof.del_p:
+    for ch, u in zip(seq, row.tolist()):
+        fate = bisect.bisect_right(cuts, u)
+        if fate == 0:
             continue
-        if u_ins < prof.ins_p:
-            out += [ch, "ACGT"[int(4 * base)]]
-        elif u_sub < prof.sub_p:
-            out.append("ACGT"[("ACGT".index(ch) + 1 + int(3 * shift)) % 4])
+        if fate <= 4:
+            out += [ch, "ACGT"[fate - 1]]
+        elif fate <= 7:
+            out.append("ACGT"[("ACGT".index(ch) + fate - 4) % 4])
         else:
             out.append(ch)
     return "".join(out)
@@ -234,9 +318,9 @@ def test_corrupt_reads_matches_per_read_reference(rng):
     reads = corrupt_reads(seqs, prof)
     assert len(reads) > channel._CHUNK_READS
     expected = []
-    for sid, seq in enumerate(seqs):
-        k = np.random.default_rng((21, 1, sid)).poisson(3.0)
-        rows = np.random.default_rng((21, 2, sid)).random((k, 5, len(seq)))
+    cover = np.random.default_rng((21, 1)).poisson(3.0, len(seqs))
+    for sid, (seq, k) in enumerate(zip(seqs, cover)):
+        rows = np.random.default_rng((21, 2, sid)).random((k, len(seq)))
         expected += [reference_read(seq, row, prof) for row in rows]
     assert reads.sequences == expected
 
@@ -250,6 +334,21 @@ def test_reads_do_not_depend_on_later_strands(rng):
     full = corrupt_reads(strands, prof)
     assert full.sequences[: n * k] == head.sequences
     assert full.origins[: n * k] == head.origins
+
+
+def test_poisson_reads_do_not_depend_on_later_strands(rng):
+    strands = random_strands(rng, 190)
+    n = 150
+    prof = ChannelProfile(sub_p=0.02, ins_p=0.01, del_p=0.01, coverage_mean=3.0,
+                          coverage_model="poisson", seed=5)
+    head = corrupt_reads(strands[:n], prof)
+    full = corrupt_reads(strands, prof)
+    assert len(head) > channel._CHUNK_READS
+    cover = np.bincount(head.origin_ids, minlength=n)
+    assert len(set(cover.tolist())) > 3
+    assert np.bincount(full.origin_ids, minlength=len(strands))[:n].tolist() == cover.tolist()
+    assert full.sequences[: len(head)] == head.sequences
+    assert full.origins[: len(head)] == head.origins
 
 
 def test_poisson_replicates_are_prefix_of_one_stream(rng):
@@ -269,14 +368,14 @@ def string_corrupt_reads(strands, profile, chunk=256):
     strings in, one ASCII buffer per chunk split back into strings out.
     Kept as the reference the pool version must match byte for byte."""
     seed = profile.seed
+    if profile.coverage_model == "fixed":
+        cover = np.full(len(strands), int(profile.coverage_mean))
+    else:
+        cover = np.random.default_rng((seed, 1)).poisson(profile.coverage_mean, len(strands))
     sequences, origins = [], []
     pending, size = [], 0
-    for sid, item in enumerate(strands):
+    for sid, (item, k) in enumerate(zip(strands, cover.tolist())):
         seq = item.sequence if isinstance(item, strand.Strand) else item
-        if profile.coverage_model == "fixed":
-            k = int(profile.coverage_mean)
-        else:
-            k = int(np.random.default_rng((seed, 1, sid)).poisson(profile.coverage_mean))
         origins.extend([sid] * k)
         if profile.noiseless:
             sequences.extend([seq] * k)
@@ -284,7 +383,7 @@ def string_corrupt_reads(strands, profile, chunk=256):
         rng = np.random.default_rng((seed, 2, sid))
         while k:
             take = min(k, chunk - size)
-            pending.append((seq, rng.random((take, 5, len(seq)))))
+            pending.append((seq, rng.random((take, len(seq)))))
             k -= take
             size += take
             if size == chunk:
@@ -303,16 +402,17 @@ def string_mutate_chunk(pending, profile):
     strand_codes = np.zeros(inside.shape, np.uint8)
     strand_codes[inside] = jr.codes_from_seq("".join(seq for seq, _ in pending))
     codes = np.repeat(strand_codes, reps, axis=0)
-    u = np.empty((codes.shape[0], 5, width))
+    u = np.ones((codes.shape[0], width))
     row = 0
     for (_, draws), n in zip(pending, lens):
-        u[row : row + draws.shape[0], :, :n] = draws
+        u[row : row + draws.shape[0], :n] = draws
         row += draws.shape[0]
 
-    keep = np.repeat(inside, reps, axis=0) & (u[:, 0] >= profile.del_p)
-    ins = keep & (u[:, 1] < profile.ins_p)
-    sub = keep & ~ins & (u[:, 2] < profile.sub_p)
-    codes[sub] = (codes[sub] + 1 + (3 * u[:, 3][sub]).astype(np.uint8)) % 4
+    fate = (u[:, :, None] >= channel._cut_points(profile)).sum(axis=2)
+    keep = np.repeat(inside, reps, axis=0) & (fate > 0)
+    ins = keep & (fate <= 4)
+    sub = keep & (fate > 4) & (fate < 8)
+    codes[sub] = (codes[sub] + fate[sub] - 4) % 4
 
     step = np.ones((codes.shape[0], width + 1), np.intp)
     step[:, :width] = keep
@@ -320,7 +420,7 @@ def string_mutate_chunk(pending, profile):
     at = np.cumsum(step).reshape(step.shape) - step
     out = np.empty(int(at[-1, -1]) + 1, np.uint8)
     out[at[:, :width][keep]] = jr._CODE_ASCII[codes[keep]]
-    out[at[:, :width][ins] + 1] = jr._CODE_ASCII[(4 * u[:, 4][ins]).astype(np.uint8)]
+    out[at[:, :width][ins] + 1] = jr._CODE_ASCII[fate[ins] - 1]
     out[at[:, width]] = ord("\n")
     return out.tobytes().decode("ascii").split("\n")[:-1]
 
@@ -502,8 +602,9 @@ def test_pool_and_strings_parse_and_vote_alike(tmp_path, rng, monkeypatch, toler
 def test_consensus_monte_carlo_recovery():
     """Pinned measurement: coverage 10 at 1% substitutions on 10^4 strands.
 
-    The value 0.9376 was measured with this exact seeding; the band is the
-    binomial 2-sigma of that measurement.
+    The value 0.9457 is this test's result at seed 99 under channel stream
+    3; seeds 1-5 give 0.9391-0.9452.  The band is the binomial 2-sigma of a
+    fraction near 0.94 over 10^4 strands.
     """
     img = np.random.default_rng(7).integers(0, 256, (500, 400), dtype=np.uint8)
     strands, manifest = encode_image(img)
@@ -514,7 +615,7 @@ def test_consensus_monte_carlo_recovery():
     n = len(strands)
     exact = sum(1 for i, p in pairs if 0 <= i < n and p == strands[i].payload)
     frac = exact / n
-    assert abs(frac - 0.9376) <= 0.0049
+    assert abs(frac - 0.9457) <= 0.0049
 
 
 def test_full_pipeline_clean_preset_lossless(rng):

@@ -160,7 +160,7 @@ def test_simulate_records_channel_stream(workdir):
     assert run("simulate", "--lib", tmp_path / "lib.fasta", "--preset", "xray",
                "--out", tmp_path / "r.fastq", "--seed", "3") == 0
     meta = json.loads((tmp_path / "r.fastq.meta.json").read_text())
-    assert meta["parameters"]["channel_stream"] == 2
+    assert meta["parameters"]["channel_stream"] == 3
 
 
 def test_simulate_non_ascii_profile_exits_4(workdir, capsys):
@@ -197,17 +197,18 @@ def test_simulate_profile_wrong_type_exits_2(workdir, capsys):
 
 
 # SHA-256 of the FASTQ ``simulate --seed 3`` writes from the workdir image's
-# library, as written by the string-building mutation that preceded the code
-# pool; any change to the reads of channel stream 2 fails here.
-STREAM_2_FASTQ_SHA256 = {
-    "aging95C": "5b33047bac8b819270f79c49bee6289d85d2e758b4805bdde83d62ebf78ef934",
-    "xray": "f8df91e8e149a815be0a4d29d643a3eb8c5f942c2ce2c828d2e5840b26f159ba",
-    "poisson-indels": "2ecf713bbe096b05593f9653bfdbe6e999aa53ba977b02d77bdc8e4a184d1118",
+# library, which the string reference ``string_corrupt_reads`` of
+# tests/test_channel.py writes too; any change to the reads of channel
+# stream 3 fails here.
+STREAM_3_FASTQ_SHA256 = {
+    "aging95C": "eaf26512783d3a89e3fdfb2703936e8865e453ec08fe1e8df18082ba51889823",
+    "xray": "2e2742f2197a3aede90f2ff901c8ac97b68a1ac4a00639d70f5e582e42b67124",
+    "poisson-indels": "7be00403f049d88163bc6663283e70d56cb0bc536322cf3acd74fc956420d87f",
 }
 
 
-@pytest.mark.parametrize("channel", sorted(STREAM_2_FASTQ_SHA256))
-def test_simulate_pins_channel_stream_2(workdir, channel):
+@pytest.mark.parametrize("channel", sorted(STREAM_3_FASTQ_SHA256))
+def test_simulate_pins_channel_stream_3(workdir, channel):
     tmp_path, _ = workdir
     encode(tmp_path)
     if channel == "poisson-indels":
@@ -220,7 +221,7 @@ def test_simulate_pins_channel_stream_2(workdir, channel):
     assert run("simulate", "--lib", tmp_path / "lib.fasta", *source, "--seed", "3",
                "--out", tmp_path / "r.fastq") == 0
     digest = hashlib.sha256((tmp_path / "r.fastq").read_bytes()).hexdigest()
-    assert digest == STREAM_2_FASTQ_SHA256[channel]
+    assert digest == STREAM_3_FASTQ_SHA256[channel]
 
 
 def test_simulate_negative_seed_exits_2(workdir, capsys):
@@ -361,12 +362,13 @@ DECODE_CASES = {
 
 # SHA-256 over the output, the mask and the ``.meta.json`` sidecar that
 # ``decode`` writes in each case, as written by the pair-list decoder that
-# preceded the array vote result; any change to what decode writes fails here.
+# preceded the array vote result (the simulated cases re-recorded for
+# channel stream 3); any change to what decode writes fails here.
 DECODE_SHA256 = {
-    "aging95C-mask-inpaint": "9c4b9d855704d8506fbec5b0178f8b37b91303683f8ede0e476ddf72dc659fed",
-    "xray-primer-mismatches-2": "4b317eb24542109f2c3da8bb4c9e04ffc1c088d06298a8253e78bf91fd25de30",
+    "aging95C-mask-inpaint": "e4f781aba8c581e74f7d6e95308c8315184bcede0dcec091c9f634b1510d83d4",
+    "xray-primer-mismatches-2": "fbe48808bb3db7f2fcce65ac8ca0e4bee54dbf448d9ed8fa89e7e444f9c4eb65",
     "lib-fasta": "df2466f2e538f4cad981c58ff8863ef4e8e7a28d95fac1f5b5bf6be1f32f4707",
-    "raw-aging95C-mask": "0989f0c513ef4a5482365e4d680bc45f74fc75c9a0004b29b025cf080d61b93f",
+    "raw-aging95C-mask": "2accddc8b45382db0b908fea1b87ccdad73d2ff8bc5789c764e5b958d1f0e106",
 }
 
 

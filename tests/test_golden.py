@@ -13,7 +13,8 @@ from pjdna.idx import write_idx_images
 from pjdna.images import write_pgm
 
 # Recorded with the per-strand string writer and the table-lookup parser
-# that preceded the array strand batch.
+# that preceded the array strand batch; the aging95C digests re-recorded for
+# channel stream 3.
 GOLDEN_SHA256 = {
     "image": {
         "lib.fasta": "927263153bb2bfc53f86a94410536a8c5a544cd6e53f1b6735e24da73c6a9166",
@@ -21,9 +22,9 @@ GOLDEN_SHA256 = {
         "loss10.fastq": "9c152dc9a0b3524d62577f3159d6031c36213312c7c4f56f99c53bdcb593ef01",
         "loss10.out": "764601eccf8f948602266ac57ede9060314d571bffe35cb03e42ab4a57f122b4",
         "loss10.mask.pbm": "f2f7d725f69b29fa57afb02f53163adcda68bf222f7993fb335d120cc7f172bc",
-        "aging95C.fastq": "75a340f1907af6e296c7d3df338c6f8696266177b9a8df20cbee895046e1631b",
-        "aging95C.out": "74c7a325a0e1254ce6ffaa9d4d9eeafbfea3fda4d43ab5550120823edf712a28",
-        "aging95C.mask.pbm": "51a2cfad16f779164324f7c024076e1a459ba4ef6279bd6701ef660ce523c8b0",
+        "aging95C.fastq": "0ead570a9a8cdf5402243b18c7ee4694b297609ae5c11b0f8ccaef74d2ca9bef",
+        "aging95C.out": "f9b6f6f5bb28bebc0fb755094d88ccd3fc0c3d2c05d3f4ceaf5e727dbaa0702c",
+        "aging95C.mask.pbm": "b06d255cf06572a65082dd56e0d97f1be6cea69a49e57fc8d958af3a8dc58b92",
     },
     "raw": {
         "lib.fasta": "c49ee8ee7bdd2e167a24479f7720910560fb099427d36973e43c3341eb26ad78",
@@ -31,9 +32,9 @@ GOLDEN_SHA256 = {
         "loss10.fastq": "739fd764d43bbba293cae1c3c0f81bf9a65d55d56ed3e6b92c55350f6e4fce85",
         "loss10.out": "64c7e4bffea86cc1f2632a898c6fc36287752354b73debfad93fa74729a49561",
         "loss10.mask.pbm": "d7c44e04ed5ffa31951662bbbe63daf7def86087277a29d70a5d10bdc5b9ee0d",
-        "aging95C.fastq": "c02f17af1462d7030b1aa4a07c3346539a9c69665f0c6d7c8eed01fcecce0f98",
-        "aging95C.out": "37b6850998d1d4fb8ab919536962c8a8f98bfefb1fcb628a50f0150278e856d2",
-        "aging95C.mask.pbm": "e8c2738cc9baa9e1670eb8cf3aa610ba1bdc1bc089e7dd863eb6224875010dd0",
+        "aging95C.fastq": "7531d7de0b303a985ce003075addf2d3eb00e77d4ccd7df62f06f26a761d4f31",
+        "aging95C.out": "802f93790a58f2d178e0a94bb68685dba6d51a18c323ca4280d4daba891e7592",
+        "aging95C.mask.pbm": "c1984644116a28651fe03c49ee1ddc28cda026ddb385b1c63ff5232916adf5ef",
     },
 }
 
