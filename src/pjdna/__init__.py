@@ -15,18 +15,7 @@ from .channel import ChannelProfile, ReadSet, consensus, corrupt_reads, drop_str
 from .idx import degrade_dataset, read_idx_images, read_idx_labels, write_idx_images, write_idx_labels
 from .images import read_pbm, read_pgm, write_pbm, write_pgm
 from .inpaint import inpaint
-from .jr import (
-    JrConfig,
-    block_to_digits,
-    digits_to_block,
-    direct_decode,
-    direct_encode,
-    jr_decode_stream,
-    jr_encode_stream,
-    max_homopolymer_run,
-    rotate_decode,
-    rotate_encode,
-)
+from .jr import JrConfig, jr_decode_stream, jr_encode_stream, max_homopolymer_run
 from .metrics import OutcomeTally, SsimParams, SsimReference, em_ssim, ssim, tally_outcomes
 from .partition import (
     RecoveredImage,
@@ -44,12 +33,6 @@ __all__ = [
     "__version__",
     "errors",
     "JrConfig",
-    "block_to_digits",
-    "digits_to_block",
-    "rotate_encode",
-    "rotate_decode",
-    "direct_encode",
-    "direct_decode",
     "jr_encode_stream",
     "jr_decode_stream",
     "max_homopolymer_run",

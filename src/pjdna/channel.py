@@ -33,7 +33,6 @@ from .strand import (
     DEFAULT_LAYOUT,
     ParseBatch,
     ReadPool,
-    Strand,
     StrandLayout,
     StrandSet,
     parse_many,
@@ -159,10 +158,6 @@ class ReadSet:
         return len(self.pool)
 
 
-def _seq_of(item) -> str:
-    return item.sequence if isinstance(item, Strand) else item
-
-
 def check_drop_rate(p: float) -> None:
     """Raise :class:`ConfigError` unless ``p`` lies in [0, 1]."""
     if not 0.0 <= p <= 1.0:
@@ -201,28 +196,27 @@ def drop_strands(items: StrandSet | Sequence, p: float, seed) -> StrandSet | lis
 
 
 def corrupt_reads(
-    strands: ReadPool | StrandSet | Sequence, profile: ChannelProfile
+    strands: ReadPool | StrandSet | Sequence[str], profile: ChannelProfile
 ) -> ReadSet:
     """Replicate and corrupt surviving strands into a read pool.
 
     ``strands`` is a :class:`~pjdna.strand.ReadPool`, a
     :class:`~pjdna.strand.StrandSet` (read through its ``pool``) or a
-    sequence of strings or :class:`~pjdna.strand.Strand`.  Per strand,
-    coverage ``k`` is fixed, or the ``sid``-th of ``poisson(mean, count)``
-    from ``default_rng((seed, 1))``.  Each replicate then runs one
-    left-to-right pass where every position is independently deleted, else
-    followed by a uniform random insertion, else substituted uniformly over
-    the three other nucleotides (priority in that order).  Strand ``sid``
-    draws ``random((k, n))`` from ``default_rng((seed, 2, sid))``, one
-    uniform per position of each replicate, and :func:`_cut_points` decides
-    its fate; a strand character outside ACGT comes out as N.
-    Without noise the reads point at the strands' own bytes, each repeated
-    ``k`` times.
+    sequence of strings.  Per strand, coverage ``k`` is fixed, or the
+    ``sid``-th of ``poisson(mean, count)`` from ``default_rng((seed, 1))``.
+    Each replicate then runs one left-to-right pass where every position is
+    independently deleted, else followed by a uniform random insertion, else
+    substituted uniformly over the three other nucleotides (priority in that
+    order).  Strand ``sid`` draws ``random((k, n))`` from
+    ``default_rng((seed, 2, sid))``, one uniform per position of each
+    replicate, and :func:`_cut_points` decides its fate; a strand character
+    outside ACGT comes out as N, substituted or not.  Without noise the reads
+    point at the strands' own bytes, each repeated ``k`` times.
     """
     if isinstance(strands, StrandSet):
         strands = strands.pool
     elif not isinstance(strands, ReadPool):
-        strands = ReadPool.from_strings([_seq_of(item) for item in strands])
+        strands = ReadPool.from_strings(strands)
     seed = profile.seed
     if profile.coverage_model == "fixed":
         cover = np.full(len(strands), int(profile.coverage_mean), np.int64)
@@ -315,7 +309,9 @@ def _mutate(
             keep[hit[gone]] = False
         sub = fate > 4
         pos = hit[sub]
-        codes[pos] = (codes[pos] + fate[sub] - 4) % 4
+        base = codes[pos]
+        # a character outside ACGT keeps its code 255, so it comes out as N
+        codes[pos] = np.where(base == 255, base, (base + fate[sub] - 4) % 4)
 
         added = ~gone & ~sub
         if added.any():

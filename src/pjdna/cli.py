@@ -200,6 +200,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_decode(args) -> int:
     manifest = TileManifest.load(args.manifest)
+    if args.inpaint and manifest.mode != "image":
+        raise ConfigError("--inpaint applies to image manifests, not to raw mode")
     src = args.reads or args.lib
     skipped_alphabet, reads_format = 0, None
     try:
@@ -260,6 +262,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--rates must be comma-separated numbers, got {args.rates!r}") from None
     seed0 = _seed_arg(args)
     require_int("--seeds", args.seeds, 1)
+    require_int("--threads", args.threads, 1)
     seeds = list(range(seed0, seed0 + args.seeds))
     result = loss_sweep(
         img,

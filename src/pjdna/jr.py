@@ -25,6 +25,13 @@ Bit blocks are mapped to digit groups as most-significant-first mixed-radix
 numbers.  The default group holds 4*3*4*4*3 = 576 patterns of which the
 encoder uses the first 512 (9 bits); decoding a group to a value of 512..575
 is proof of corruption.
+
+Each rule has one implementation, over a matrix with one stream per row:
+:func:`blocks_to_digit_rows` and :func:`digit_rows_to_blocks` convert
+blocks and digits, and :func:`encode_positions` and
+:func:`decode_positions` apply both position rules a column at a time.
+:func:`jr_encode_stream` and :func:`jr_decode_stream` run them on a single
+row, as the string-level view of one stream.
 """
 
 from __future__ import annotations
@@ -48,12 +55,6 @@ from .errors import (
 __all__ = [
     "ALPHABET",
     "JrConfig",
-    "block_to_digits",
-    "digits_to_block",
-    "rotate_encode",
-    "rotate_decode",
-    "direct_encode",
-    "direct_decode",
     "jr_encode_stream",
     "jr_decode_stream",
     "max_homopolymer_run",
@@ -68,23 +69,16 @@ __all__ = [
 
 ALPHABET = "ACGT"
 
-_CODE_OF = {ch: i for i, ch in enumerate(ALPHABET)}
-
-# ASCII -> nucleotide code lookup; 255 marks characters outside the alphabet.
-_ASCII_CODE = np.full(256, 255, np.uint8)
-for _i, _ch in enumerate(ALPHABET):
-    _ASCII_CODE[ord(_ch)] = _i
-_CODE_ASCII = np.frombuffer(ALPHABET.encode("ascii"), np.uint8).copy()
 # bytes.translate table from nucleotide codes to ASCII; a code outside the
 # alphabet comes out as N.
-_CODE_TRANSLATE = bytes(_CODE_ASCII) + b"N" * (256 - _CODE_ASCII.size)
+_CODE_TRANSLATE = ALPHABET.encode("ascii") + b"N" * (256 - len(ALPHABET))
 _ACGT_BYTES = tuple(ALPHABET.encode("ascii"))
 
 
 def ascii_codes(data: np.ndarray) -> np.ndarray:
-    """``_ASCII_CODE`` of every byte of a uint8 array, by arithmetic:
+    """The nucleotide code of every byte of a uint8 array, by arithmetic:
     ``((b >> 1) ^ (b >> 2)) & 3`` maps A, C, G, T to 0..3, and any byte
-    other than those four becomes 255.  Indexing the table would turn every
+    other than those four becomes 255.  A lookup table would turn every
     byte into an ``intp`` index first."""
     codes = data >> np.uint8(1)
     codes ^= data >> np.uint8(2)
@@ -99,12 +93,12 @@ def ascii_codes(data: np.ndarray) -> np.ndarray:
 
 def codes_from_seq(seq: str) -> np.ndarray:
     """Map a nucleotide string to uint8 codes; invalid characters become 255."""
-    raw = np.frombuffer(seq.encode("ascii"), np.uint8)
-    return _ASCII_CODE[raw]
+    return ascii_codes(np.frombuffer(seq.encode("ascii"), np.uint8))
 
 
 def seq_from_codes(codes: np.ndarray) -> str:
-    return _CODE_ASCII[codes].tobytes().decode("ascii")
+    """Map uint8 nucleotide codes to a string; a code outside 0..3 becomes N."""
+    return np.asarray(codes, np.uint8).tobytes().translate(_CODE_TRANSLATE).decode("ascii")
 
 
 def max_homopolymer_run(seq: str) -> int:
@@ -224,67 +218,8 @@ class JrConfig:
         one = np.array([r == 3 for r in self.group_radices], np.bool_)
         return np.tile(one, n_groups)
 
-    def is_encodable(self, value: int) -> bool:
-        return 0 <= value < self.block_limit
-
 
 DEFAULT_CONFIG = JrConfig()
-
-
-# ---------------------------------------------------------------------------
-# scalar operations
-# ---------------------------------------------------------------------------
-
-def block_to_digits(value: int, cfg: JrConfig = DEFAULT_CONFIG) -> tuple[int, ...]:
-    """Most-significant-first mixed-radix digits of ``value``."""
-    if not cfg.is_encodable(value):
-        raise RangeError(f"block value {value} outside [0, {cfg.block_limit})")
-    digits = []
-    for w in cfg.place_weights:
-        digits.append(value // w)
-        value %= w
-    return tuple(digits)
-
-
-def digits_to_block(digits: Sequence[int], cfg: JrConfig = DEFAULT_CONFIG) -> int:
-    """Inverse of :func:`block_to_digits`.
-
-    Values in ``[2^bits_per_block, block_capacity)`` are returned as-is; the
-    caller decides whether that means corruption (``cfg.is_encodable``).
-    Digits at or above their radix are malformed and raise.
-    """
-    if len(digits) != cfg.group_size:
-        raise RangeError(f"expected {cfg.group_size} digits, got {len(digits)}")
-    value = 0
-    for d, r, w in zip(digits, cfg.group_radices, cfg.place_weights):
-        if not 0 <= d < r:
-            raise RangeError(f"digit {d} outside radix {r}")
-        value += d * w
-    return value
-
-
-def rotate_encode(digit: int, prev: str) -> str:
-    """Pick the ``digit``-th nucleotide differing from ``prev`` in cyclic order."""
-    if digit not in (0, 1, 2):
-        raise RangeError(f"rotating digit must be 0..2, got {digit}")
-    return ALPHABET[(_CODE_OF[prev] + 1 + digit) % 4]
-
-
-def rotate_decode(nt: str, prev: str) -> int:
-    """Inverse of :func:`rotate_encode`; raises on a repeated nucleotide."""
-    if nt == prev:
-        raise StreamCorruption("rotating", 0)
-    return (_CODE_OF[nt] - _CODE_OF[prev] - 1) % 4
-
-
-def direct_encode(digit: int) -> str:
-    if digit not in (0, 1, 2, 3):
-        raise RangeError(f"direct digit must be 0..3, got {digit}")
-    return ALPHABET[digit]
-
-
-def direct_decode(nt: str) -> int:
-    return _CODE_OF[nt]
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +344,14 @@ def decode_code_rows(
 # stream operations
 # ---------------------------------------------------------------------------
 
+def _prev_code(prev_init: str) -> np.ndarray:
+    """The one-element code array of the nucleotide before a stream."""
+    code = codes_from_seq(prev_init)
+    if code.shape != (1,) or code[0] > 3:
+        raise RangeError(f"prev_init must be one of {', '.join(ALPHABET)}, got {prev_init!r}")
+    return code
+
+
 def jr_encode_stream(
     blocks: Iterable[int], cfg: JrConfig = DEFAULT_CONFIG, prev_init: str = "A"
 ) -> str:
@@ -418,15 +361,13 @@ def jr_encode_stream(
     position looks at the immediately preceding emitted nucleotide, and the
     stream's very first position (when rotating) looks at ``prev_init``.
     """
-    blocks = list(blocks)
-    if not blocks:
-        return ""
-    for b in blocks:
-        if not cfg.is_encodable(b):
-            raise RangeError(f"block value {b} outside [0, {cfg.block_limit})")
-    mat = np.asarray(blocks, np.int64).reshape(1, -1)
-    prev0 = np.array([_CODE_OF[prev_init]], np.uint8)
-    return seq_from_codes(encode_block_rows(mat, cfg, prev0)[0])
+    try:
+        mat = np.array(list(blocks), np.int64).reshape(1, -1)
+    except OverflowError:  # a value past int64 is past the limit too
+        mat = np.full((1, 1), -1)
+    if ((mat < 0) | (mat >= cfg.block_limit)).any():
+        raise RangeError(f"block values must lie in [0, {cfg.block_limit})")
+    return seq_from_codes(encode_block_rows(mat, cfg, _prev_code(prev_init))[0])
 
 
 def jr_decode_stream(
@@ -442,14 +383,11 @@ def jr_decode_stream(
         raise FramingError(
             f"stream length {len(seq)} is not a multiple of group size {cfg.group_size}"
         )
-    if not seq:
-        return []
     codes = codes_from_seq(seq).reshape(1, -1)
-    prev0 = np.array([_CODE_OF[prev_init]], np.uint8)
-    blocks, viol = decode_code_rows(codes, cfg, prev0)
+    blocks, viol = decode_code_rows(codes, cfg, _prev_code(prev_init))
     if viol[0] >= 0:
         raise StreamCorruption("rotating", int(viol[0]))
     bad = np.nonzero(blocks[0] >= cfg.block_limit)[0]
     if bad.size:
         raise StreamCorruption("range", int(bad[0]))
-    return [int(b) for b in blocks[0]]
+    return blocks[0].tolist()

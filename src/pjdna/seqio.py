@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyLibraryError, FormatError, RangeError
-from .strand import ReadPool, Strand, StrandSet
+from .strand import ReadPool, StrandSet
 
-__all__ = ["ReadFileResult", "write_fasta", "write_fastq", "read_sequences", "sniff_format"]
+__all__ = ["ReadFileResult", "write_fasta", "write_fastq", "read_sequences"]
 
 # Per byte: bit 0 unless ``str.strip`` removes it (a line without it is
 # blank), bit 1 unless it is A, C, G or T in either case.
@@ -54,25 +54,14 @@ class ReadFileResult:
         return len(self.pool) + self.skipped_alphabet
 
 
-def write_fasta(path, strands: StrandSet | Iterable[Strand]) -> int:
+def write_fasta(path, strands: StrandSet) -> int:
     """Write one record ``>pj|<index>`` per strand; returns the record count.
 
-    ``strands`` is a :class:`~pjdna.strand.StrandSet` or any iterable of
-    :class:`~pjdna.strand.Strand`, which is joined into the same arrays
-    once.  Records are laid out ``_WRITE_CHUNK`` rows at a time in a byte
-    matrix, the index right-aligned with its leading zeros masked out, and
-    the kept bytes are written with one boolean compress per chunk.
+    Records are laid out ``_WRITE_CHUNK`` rows at a time in a byte matrix,
+    the index right-aligned with its leading zeros masked out, and the kept
+    bytes are written with one boolean compress per chunk.
     """
-    if isinstance(strands, StrandSet):
-        index_values, rows, lengths = strands.index_values, strands.rows, None
-    else:
-        items = list(strands)
-        index_values = np.fromiter((s.index_value for s in items), np.int64, len(items))
-        seqs = [s.sequence for s in items]
-        lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
-        rows = np.zeros((len(seqs), int(lengths.max(initial=0))), np.uint8)
-        rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.frombuffer(
-            "".join(seqs).encode("ascii"), np.uint8)
+    index_values, rows = strands.index_values, strands.rows
     if index_values.min(initial=0) < 0:
         raise RangeError("FASTA index values must be non-negative")
     digits = len(str(int(index_values.max(initial=0))))
@@ -90,8 +79,6 @@ def write_fasta(path, strands: StrandSet | Iterable[Strand]) -> int:
             keep[:, 4 : seq_at - 1] = idx >= lead
             out[:, seq_at - 1] = out[:, -1] = ord("\n")
             out[:, seq_at:-1] = rows[a:b]
-            if lengths is not None:  # strands of unequal lengths, padded
-                keep[:, seq_at:-1] = np.arange(rows.shape[1]) < lengths[a:b, None]
             fh.write(out[keep].tobytes())
     return int(index_values.size)
 
@@ -138,11 +125,6 @@ def _format_of(path, buf: np.ndarray) -> str:
                 raise FormatError(f"{path}: neither FASTA nor FASTQ")
             return _FIRST_BYTE_FORMAT[solid[0]]
     raise EmptyLibraryError(f"{path}: no records")
-
-
-def sniff_format(path) -> str:
-    """Return "fasta" or "fastq" from the first non-blank byte."""
-    return _format_of(path, np.fromfile(path, np.uint8))
 
 
 def _classes(buf: np.ndarray) -> np.ndarray:

@@ -27,11 +27,8 @@ from pjdna.strand import ReadPool, StrandSet, assemble_many, assemble_strand, pa
 
 
 def random_strands(rng, n):
-    out = []
-    for i in range(n):
-        bits = rng.integers(0, 2, 162, dtype=np.uint8)
-        out.append(assemble_strand(i, np.packbits(bits).tobytes()))
-    return out
+    blocks = rng.integers(0, 512, (n, 18), dtype=np.int64)
+    return assemble_many(np.arange(n, dtype=np.int64), blocks)
 
 
 def mixed_length_seqs(rng, lengths):
@@ -162,7 +159,7 @@ def test_substitution_rate_mean(rng):
     """sub_p=0.01 on 141 nt: about 1.41 mutated positions per read."""
     strand = random_strands(rng, 1)[0]
     prof = ChannelProfile(sub_p=0.01, coverage_mean=10000, seed=4)
-    reads = corrupt_reads([strand], prof)
+    reads = corrupt_reads([strand.sequence], prof)
     diffs = [
         sum(a != b for a, b in zip(r, strand.sequence)) for r in reads.sequences
     ]
@@ -374,8 +371,7 @@ def string_corrupt_reads(strands, profile, chunk=256):
         cover = np.random.default_rng((seed, 1)).poisson(profile.coverage_mean, len(strands))
     sequences, origins = [], []
     pending, size = [], 0
-    for sid, (item, k) in enumerate(zip(strands, cover.tolist())):
-        seq = item.sequence if isinstance(item, strand.Strand) else item
+    for sid, (seq, k) in enumerate(zip(strands, cover.tolist())):
         origins.extend([sid] * k)
         if profile.noiseless:
             sequences.extend([seq] * k)
@@ -392,6 +388,9 @@ def string_corrupt_reads(strands, profile, chunk=256):
     if pending:
         sequences.extend(string_mutate_chunk(pending, profile))
     return sequences, origins
+
+
+CODE_ASCII = np.frombuffer(b"ACGT" + b"N" * 252, np.uint8)
 
 
 def string_mutate_chunk(pending, profile):
@@ -411,7 +410,7 @@ def string_mutate_chunk(pending, profile):
     fate = (u[:, :, None] >= channel._cut_points(profile)).sum(axis=2)
     keep = np.repeat(inside, reps, axis=0) & (fate > 0)
     ins = keep & (fate <= 4)
-    sub = keep & (fate > 4) & (fate < 8)
+    sub = keep & (fate > 4) & (fate < 8) & (codes != 255)  # N stays N
     codes[sub] = (codes[sub] + fate[sub] - 4) % 4
 
     step = np.ones((codes.shape[0], width + 1), np.intp)
@@ -419,8 +418,8 @@ def string_mutate_chunk(pending, profile):
     step[:, :width] += ins
     at = np.cumsum(step).reshape(step.shape) - step
     out = np.empty(int(at[-1, -1]) + 1, np.uint8)
-    out[at[:, :width][keep]] = jr._CODE_ASCII[codes[keep]]
-    out[at[:, :width][ins] + 1] = jr._CODE_ASCII[fate[ins] - 1]
+    out[at[:, :width][keep]] = CODE_ASCII[codes[keep]]
+    out[at[:, :width][ins] + 1] = CODE_ASCII[fate[ins] - 1]
     out[at[:, width]] = ord("\n")
     return out.tobytes().decode("ascii").split("\n")[:-1]
 
@@ -464,6 +463,10 @@ def test_pool_corruption_matches_string_reference(lengths, coverage, rates, chun
 def test_characters_outside_acgt_come_out_as_n():
     reads = corrupt_reads(["ACNTx", "GG\u00e9A"], ChannelProfile(sub_p=1e-12, coverage_mean=2))
     assert reads.sequences == ["ACNTN", "ACNTN", "GGNA", "GGNA"]
+    # substituted too: every base changes, and every other character stays N
+    reads = corrupt_reads(["NNNN", "ANx"], ChannelProfile(sub_p=1.0, coverage_mean=2))
+    assert reads.sequences[:2] == ["NNNN", "NNNN"]
+    assert [(r[0] in "CGT", r[1:]) for r in reads.sequences[2:]] == [(True, "NN")] * 2
 
 
 def test_noiseless_reads_share_the_strand_buffer(rng):
@@ -648,7 +651,8 @@ def test_channel_takes_a_strand_set_as_its_rows(rng):
     assert isinstance(survivors, StrandSet)
     assert list(survivors) == drop_strands(strands, 0.3, 5)
     for prof in (preset("aging95C", seed=4), ChannelProfile(ins_p=0.01, del_p=0.01, seed=2)):
-        got, expect = corrupt_reads(survivors, prof), corrupt_reads(list(survivors), prof)
+        got = corrupt_reads(survivors, prof)
+        expect = corrupt_reads([s.sequence for s in survivors], prof)
         assert got.sequences == expect.sequences and got.origins == expect.origins
     clean = corrupt_reads(batch, preset("clean"))
     assert np.shares_memory(clean.pool.buf, batch.rows)

@@ -97,6 +97,17 @@ def test_encode_raw_rejects_tile_pixels(tmp_path, capsys):
     assert not (tmp_path / "rm.json").exists()
 
 
+def test_decode_raw_rejects_inpaint(tmp_path, capsys):
+    (tmp_path / "r.bin").write_bytes(np.random.default_rng(3).bytes(3000))
+    assert run("encode", "--raw", tmp_path / "r.bin", "--out", tmp_path / "rl.fasta",
+               "--manifest", tmp_path / "rm.json") == 0
+    assert run("decode", "--lib", tmp_path / "rl.fasta", "--manifest", tmp_path / "rm.json",
+               "--out", tmp_path / "back.bin", "--inpaint") == 2
+    assert "--inpaint" in capsys.readouterr().err
+    assert not (tmp_path / "back.bin").exists()
+    assert not (tmp_path / "back.bin.meta.json").exists()
+
+
 def test_encode_expected_cat_scale_count(tmp_path, rng):
     img = rng.integers(0, 256, (409, 285), dtype=np.uint8)
     write_pgm(tmp_path / "cat.pgm", img)
@@ -578,6 +589,15 @@ def test_sweep_no_seeds_exits_2(workdir, capsys):
     assert run("sweep", "--in", tmp_path / "in.pgm", "--rates", "0.5", "--seeds", "0",
                "--out", tmp_path / "s.csv") == 2
     assert "--seeds must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_sweep_threads_below_one_exit_2(workdir, capsys, threads):
+    tmp_path, _ = workdir
+    assert run("sweep", "--in", tmp_path / "in.pgm", "--rates", "0.5", "--seeds", "1",
+               "--threads", threads, "--out", tmp_path / "s.csv") == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
 
 

@@ -1,5 +1,7 @@
 """Codec-level tests: mixed-radix conversion, rotating/direct rules, streams.
 
+Each rule is checked through the row kernels every command runs.
+
 Expected values for the non-trivial cases come from an independent oracle:
 exhaustive enumeration of all digit tuples in mixed-radix order.
 """
@@ -82,24 +84,25 @@ def test_config_dict_round_trip():
 
 def test_block_to_digits_examples():
     tuples = enumerate_digit_tuples(CFG.group_radices)
-    assert jr.block_to_digits(0) == (0, 0, 0, 0, 0)
-    assert jr.block_to_digits(511) == tuples[511] == (3, 1, 2, 2, 1)
-    assert jr.digits_to_block((3, 2, 3, 3, 2)) == 575
-    assert not CFG.is_encodable(575)
-    assert jr.digits_to_block((0, 0, 0, 0, 0)) == 0
-    assert jr.digits_to_block((3, 1, 2, 2, 1)) == 511
+    digits = jr.blocks_to_digit_rows(np.array([[0, 511]]), CFG)
+    assert digits.tolist() == [[0, 0, 0, 0, 0, 3, 1, 2, 2, 1]]
+    assert tuple(digits[0, 5:]) == tuples[511]
+    blocks = jr.digit_rows_to_blocks(np.array([[3, 2, 3, 3, 2, 0, 0, 0, 0, 0, 3, 1, 2, 2, 1]]), CFG)
+    assert blocks.tolist() == [[575, 0, 511]]
+    assert blocks[0, 0] >= CFG.block_limit
 
 
 def test_block_digit_bijection_exhaustive():
     tuples = enumerate_digit_tuples(CFG.group_radices)
-    for value in range(CFG.block_limit):
-        digits = jr.block_to_digits(value)
-        assert digits == tuples[value]
-        assert jr.digits_to_block(digits) == value
-    # values past the encoder limit still decode, flagged by is_encodable
-    for value in range(CFG.block_limit, CFG.block_capacity):
-        assert jr.digits_to_block(tuples[value]) == value
-        assert not CFG.is_encodable(value)
+    values = np.arange(CFG.block_limit).reshape(1, -1)
+    digits = jr.blocks_to_digit_rows(values, CFG)
+    assert digits.reshape(-1, CFG.group_size).tolist() == [list(t) for t in tuples[:512]]
+    assert np.array_equal(jr.digit_rows_to_blocks(digits, CFG), values)
+    # values past the encoder limit still decode, and fail the range check
+    past = np.array(tuples[CFG.block_limit :], np.uint8).reshape(1, -1)
+    back = jr.digit_rows_to_blocks(past, CFG)
+    assert back.tolist() == [list(range(CFG.block_limit, CFG.block_capacity))]
+    assert (back >= CFG.block_limit).all()
 
 
 def test_digit_rows_to_blocks_all_tuples_in_int64():
@@ -114,55 +117,49 @@ def test_digit_rows_to_blocks_all_tuples_in_int64():
         assert np.array_equal(got, want)
 
 
-def test_block_digit_errors():
-    with pytest.raises(RangeError):
-        jr.block_to_digits(512)
-    with pytest.raises(RangeError):
-        jr.block_to_digits(-1)
-    with pytest.raises(RangeError):
-        jr.digits_to_block((4, 0, 0, 0, 0))  # digit at its radix
-    with pytest.raises(RangeError):
-        jr.digits_to_block((0, 3, 0, 0, 0))  # ternary position
-    with pytest.raises(RangeError):
-        jr.digits_to_block((0, 0, 0, 0))  # wrong arity
-
-
 # ---------------------------------------------------------------------------
 # rotating / direct rules
 # ---------------------------------------------------------------------------
 
+def one_position(codes_or_digits, prev, rotating, decode=False):
+    """One position per row under one rule, each row after its own ``prev``."""
+    mat = np.array(codes_or_digits, np.uint8).reshape(-1, 1)
+    prev0 = np.array(prev, np.uint8)
+    rot = np.array([rotating])
+    if decode:
+        return jr.decode_positions(mat, rot, prev0)
+    return jr.encode_positions(mat, rot, prev0)[:, 0]
+
+
 def test_rotate_encode_examples():
-    assert jr.rotate_encode(0, "A") == "C"
-    assert jr.rotate_encode(2, "T") == "G"
+    a, t = jr.codes_from_seq("AT")
+    assert jr.seq_from_codes(one_position([0, 2], [a, t], True)) == "CG"
 
 
 def test_rotate_never_repeats_and_inverts():
-    for prev in jr.ALPHABET:
-        seen = set()
-        for d in range(3):
-            nt = jr.rotate_encode(d, prev)
-            assert nt != prev
-            assert jr.rotate_decode(nt, prev) == d
-            seen.add(nt)
-        assert len(seen) == 3  # bijection onto the three alternatives
+    prev, digit = np.divmod(np.arange(12), 3)  # every context with every digit
+    codes = one_position(digit, prev, True)
+    assert (codes != prev).all()
+    # a bijection onto the three alternatives of each context
+    assert all(len(set(codes[prev == p].tolist())) == 3 for p in range(4))
+    back, viol = one_position(codes, prev, True, decode=True)
+    assert back[:, 0].tolist() == digit.tolist() and (viol == -1).all()
 
 
 def test_rotate_decode_violation():
-    with pytest.raises(StreamCorruption):
-        jr.rotate_decode("A", "A")
-    assert jr.rotate_decode("C", "A") == 0
-    assert jr.rotate_decode("G", "T") == 2
+    codes, prev = jr.codes_from_seq("ACG"), jr.codes_from_seq("AAT")
+    digits, viol = one_position(codes, prev, True, decode=True)
+    assert viol.tolist() == [0, -1, -1]  # a repeated nucleotide is a violation
+    assert digits[1:, 0].tolist() == [0, 2]
 
 
 def test_direct_bijection():
-    assert jr.direct_encode(0) == "A"
-    assert jr.direct_encode(3) == "T"
-    for d in range(4):
-        assert jr.direct_decode(jr.direct_encode(d)) == d
-    with pytest.raises(RangeError):
-        jr.direct_encode(4)
-    with pytest.raises(RangeError):
-        jr.rotate_encode(3, "A")
+    digits = np.arange(4)
+    for prev in range(4):  # a direct position ignores its context
+        codes = one_position(digits, [prev] * 4, False)
+        assert jr.seq_from_codes(codes) == "ACGT"
+        back, viol = one_position(codes, [prev] * 4, False, decode=True)
+        assert back[:, 0].tolist() == digits.tolist() and (viol == -1).all()
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +205,21 @@ def test_stream_round_trip_fuzz():
 
 
 def test_stream_range_error():
-    with pytest.raises(RangeError):
-        jr.jr_encode_stream([512])
+    for blocks in ([512], [3, -1], [0, 0, 575], [2**70]):
+        with pytest.raises(RangeError):
+            jr.jr_encode_stream(blocks)
+    for prev in ("N", "", "AC"):
+        with pytest.raises(RangeError):
+            jr.jr_encode_stream([0], prev_init=prev)
+        with pytest.raises(RangeError):
+            jr.jr_decode_stream("ACAAC", prev_init=prev)
+
+
+def test_code_string_maps():
+    """Bytes outside ACGT give code 255; codes outside 0..3 give N."""
+    assert jr.codes_from_seq("ACGTNa-").tolist() == [0, 1, 2, 3, 255, 255, 255]
+    assert jr.seq_from_codes(np.array([3, 2, 1, 0, 4, 255], np.uint8)) == "TGCANN"
+    assert jr.seq_from_codes(np.array([0, 3], np.int64)) == "AT"
 
 
 def test_rotating_context_crosses_group_boundary():

@@ -15,13 +15,12 @@ from pjdna.errors import (
     RangeError,
     StrandReject,
 )
-from pjdna.seqio import read_sequences, sniff_format, write_fasta, write_fastq
+from pjdna.seqio import read_sequences, write_fasta, write_fastq
 from pjdna.strand import (
     DEFAULT_LAYOUT,
     DEFAULT_PRIMER3,
     DEFAULT_PRIMER5,
     ReadPool,
-    Strand,
     StrandLayout,
     StrandSet,
     assemble_many,
@@ -153,9 +152,11 @@ def test_strand_set_items_are_the_strands(rng):
 
 
 def test_ascii_codes_match_the_table_on_every_byte():
+    table = np.full(256, 255, np.uint8)
+    table[list(b"ACGT")] = [0, 1, 2, 3]
     every = np.arange(256, dtype=np.uint8)
-    assert np.array_equal(jr.ascii_codes(every), jr._ASCII_CODE)
-    assert np.array_equal(jr.ascii_codes(every.reshape(16, 16)), jr._ASCII_CODE.reshape(16, 16))
+    assert np.array_equal(jr.ascii_codes(every), table)
+    assert np.array_equal(jr.ascii_codes(every.reshape(16, 16)), table.reshape(16, 16))
     assert np.array_equal(every, np.arange(256))  # the input is left alone
     codes = jr.ascii_codes(np.frombuffer(b"ACGTTGCA", np.uint8))
     assert codes.dtype == np.uint8 and codes.tolist() == [0, 1, 2, 3, 3, 2, 1, 0]
@@ -261,14 +262,19 @@ def test_parse_many_reject_accounting(rng):
 # sequence file I/O
 # ---------------------------------------------------------------------------
 
+def random_batch(rng, n):
+    blocks = rng.integers(0, CFG.block_limit, (n, CFG.groups_per_payload), dtype=np.int64)
+    return assemble_many(np.arange(n, dtype=np.int64), blocks)
+
+
 def test_fasta_round_trip(tmp_path, rng):
-    strands = [assemble_strand(i, random_payload(rng)) for i in range(100)]
+    strands = random_batch(rng, 100)
     path = tmp_path / "lib.fasta"
     assert write_fasta(path, strands) == 100
     first = path.read_text().splitlines()[0]
     assert first == ">pj|0"
     result = read_sequences(path)
-    assert result.sequences == [s.sequence for s in strands]
+    assert result.sequences == strands.pool.to_strings()
     assert result.skipped_alphabet == 0
 
 
@@ -476,19 +482,20 @@ def test_empty_library_error(tmp_path):
 
 
 def test_sniff_format(tmp_path):
+    """The content, not the file name, gives the format a file was read in."""
     fa = tmp_path / "a.txt"
     fa.write_text(">x\nACGT\n")
-    assert sniff_format(fa) == "fasta"
+    assert read_sequences(fa).format == "fasta"
     fq = tmp_path / "b.txt"
     fq.write_text("@x\nACGT\n+\nIIII\n")
-    assert sniff_format(fq) == "fastq"
+    assert read_sequences(fq).format == "fastq"
     padded = tmp_path / "d.txt"  # the first non-blank byte decides
     padded.write_bytes(b"\r\n \t>x\nACGT\n")
-    assert sniff_format(padded) == "fasta"
+    assert read_sequences(padded).format == "fasta"
     junk = tmp_path / "c.txt"
     junk.write_text("ACGT\n")
     with pytest.raises(FormatError):
-        sniff_format(junk)
+        read_sequences(junk)
 
 
 def test_write_fastq_constant_quality(tmp_path):
@@ -521,8 +528,8 @@ def test_writers_give_the_same_bytes_in_any_chunking(tmp_path, rng, monkeypatch,
     assert (tmp_path / "p.fastq").read_bytes() == (tmp_path / "a.fastq").read_bytes()
     assert write_fastq(tmp_path / "q.fastq", pool) == 5
     assert (tmp_path / "q.fastq").read_bytes() == (tmp_path / "b.fastq").read_bytes()
-    strands = [assemble_strand(i, random_payload(rng)) for i in range(5)]
-    assert write_fasta(tmp_path / "c.fasta", iter(strands)) == 5
+    strands = random_batch(rng, 5)
+    assert write_fasta(tmp_path / "c.fasta", strands) == 5
     assert (tmp_path / "c.fasta").read_text() == "".join(
         f">pj|{s.index_value}\n{s.sequence}\n" for s in strands
     )
@@ -533,29 +540,26 @@ def test_writers_give_the_same_bytes_in_any_chunking(tmp_path, rng, monkeypatch,
 @given(
     indices=st.lists(st.one_of(st.sampled_from([0, 9, 10, 99, 100, CAP - 1]),
                                st.integers(0, CAP - 1)), max_size=12),
-    cuts=st.lists(st.integers(0, DEFAULT_LAYOUT.total_nt), max_size=12),
     chunk=st.integers(1, 5),
     seed=st.integers(0, 2**16),
 )
-def test_write_fasta_matches_the_text_records(tmp_path, monkeypatch, indices, cuts, chunk, seed):
-    """A strand batch, its strands as a list, and strands of other lengths
-    (as a caller may build them) all write the records the text writer
-    ``f">pj|{i}\\n{seq}\\n"`` gave, in any chunking."""
+def test_write_fasta_matches_the_text_records(tmp_path, monkeypatch, indices, chunk, seed):
+    """A strand batch, whole or every other row, writes the records the text
+    writer ``f">pj|{i}\\n{seq}\\n"`` gave, in any chunking."""
     monkeypatch.setattr(seqio, "_WRITE_CHUNK", chunk)
     rng = np.random.default_rng(seed)
     blocks = rng.integers(0, CFG.block_limit, (len(indices), CFG.groups_per_payload),
                           dtype=np.int64)
     batch = assemble_many(np.array(indices, np.int64), blocks)
-    strands = list(batch)
-    ragged = [Strand(s.index_value, s.payload, s.sequence[:k]) for s, k in zip(strands, cuts)]
-    ragged += strands[len(cuts):]
     path = tmp_path / "lib.fasta"
-    for given_strands, expect in ((batch, strands), (strands, strands), (iter(ragged), ragged)):
-        assert write_fasta(path, given_strands) == len(indices)
+    for given in (batch, batch[::2]):
+        assert write_fasta(path, given) == len(given)
         assert path.read_bytes() == "".join(
-            f">pj|{s.index_value}\n{s.sequence}\n" for s in expect).encode("ascii")
+            f">pj|{s.index_value}\n{s.sequence}\n" for s in given).encode("ascii")
 
 
 def test_write_fasta_rejects_negative_indices(tmp_path):
+    rows = np.frombuffer(b"ACGT", np.uint8).reshape(1, 4)
+    strands = StrandSet(np.array([-1], np.int64), np.zeros((1, 1), np.int64), rows, 9)
     with pytest.raises(RangeError):
-        write_fasta(tmp_path / "lib.fasta", [Strand(-1, b"", "ACGT")])
+        write_fasta(tmp_path / "lib.fasta", strands)
