@@ -35,7 +35,7 @@ from .strand import (
     ReadPool,
     StrandLayout,
     StrandSet,
-    parse_many,
+    _parse_reads,
 )
 
 __all__ = [
@@ -347,25 +347,30 @@ def vote(
     strings.  Reads are parsed individually; accepted parses group by index
     and each payload block settles by plurality vote, ties to the smallest
     value.  Returns one row per observed index, indices ascending, with
-    counters for every rejection reason and ``indices_observed``.
+    counters for every rejection reason and ``indices_observed``.  The
+    indices and the winning blocks are int64; the sorted working copy of the
+    accepted blocks is the narrowest unsigned type that holds
+    ``cfg.block_limit - 1`` (uint16 at the default 9 bits per block).
     """
     if not isinstance(reads, ReadPool):
         reads = list(reads)
-    batch = parse_many(reads, layout, cfg, primer_tolerance)
-    order = np.argsort(batch.indices, kind="stable")
-    idx_sorted = batch.indices[order]
-    blocks_sorted = batch.payload_blocks[order]
-    starts = np.diff(idx_sorted, prepend=-1) != 0  # indices are non-negative
+    indices, blocks, counts = _parse_reads(
+        reads, layout, cfg, primer_tolerance, np.min_scalar_type(cfg.block_limit - 1))
+    order = np.argsort(indices, kind="stable")
+    indices = indices[order]
+    blocks = blocks[order]  # frees the unsorted copy
+    del order
+    starts = np.diff(indices, prepend=-1) != 0  # indices are non-negative
     heads = np.flatnonzero(starts)
-    group = np.cumsum(starts) - 1
-    winners = blocks_sorted[heads]
-    # only groups where some read differs from the group's first read vote
-    differs = (blocks_sorted != winners[group]).any(axis=1)
-    contested = np.unique(group[differs])
-    if contested.size:
-        winners[contested] = _column_modes(blocks_sorted, group, contested)
-    counts = {**batch.counts, "indices_observed": int(heads.size)}
-    return ParseBatch(idx_sorted[heads], winners, counts)
+    winners = blocks[heads]
+    # only groups where some read differs from the read before it vote
+    differs = (blocks[1:] != blocks[:-1]).any(axis=1) & ~starts[1:]
+    if differs.any():
+        group = np.cumsum(starts) - 1
+        contested = np.unique(group[1:][differs])
+        winners[contested] = _column_modes(blocks, group, contested)
+    counts = {**counts, "indices_observed": int(heads.size)}
+    return ParseBatch(indices[heads], winners.astype(np.int64), counts)
 
 
 def consensus(
@@ -386,7 +391,7 @@ def _column_modes(blocks: np.ndarray, group: np.ndarray, voters: np.ndarray) -> 
     rows = np.isin(group, voters)
     rank = np.searchsorted(voters, group[rows])
     n_cols = blocks.shape[1]
-    vals = blocks[rows]
+    vals = blocks[rows].astype(np.int64)  # unsigned and int64 keys would mix to float
     span = int(vals.max()) + 1
     segment = rank[:, None] * n_cols + np.arange(n_cols)
     keys, count = np.unique((segment * span + vals).ravel(), return_counts=True)

@@ -9,6 +9,11 @@ Both are read as bytes into one :class:`~pjdna.strand.ReadPool`, in the
 format the first non-blank byte names.  A FASTA line ends at ``\n``, ``\r``
 or ``\r\n``, edge whitespace ignored; a FASTQ line ends at ``\n`` and one
 ``\r`` before it is dropped (CRLF), so a lone ``\r`` is content.
+
+Reading holds the file's bytes once, as the buffer the pool points into,
+plus a start and an end per line; everything else is a temporary of one
+``_SCAN_BYTES`` window.  FASTQ reads point at their lines in the buffer, and
+FASTA records are joined in place at its front.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ _BYTE_CLASS = np.array(
     np.uint8,
 )
 _FIRST_BYTE_FORMAT = {ord(">"): "fasta", ord("@"): "fastq"}
+# Bytes of a file scanned at a time for line ends, line classes and the
+# FASTA gather; the window's temporaries are a few bytes per byte.
+_SCAN_BYTES = 1 << 20
 # Bytes classed per call of ``np.take``, which copies its indices as intp.
 _TAKE_CHUNK = 1 << 16
 # Records per write: about 80 KiB of FASTQ or 40 KiB of FASTA text at
@@ -127,46 +135,107 @@ def _format_of(path, buf: np.ndarray) -> str:
     raise EmptyLibraryError(f"{path}: no records")
 
 
-def _classes(buf: np.ndarray) -> np.ndarray:
-    """``_BYTE_CLASS`` of each byte, and a spare last byte for ``_or_lines``."""
-    classes = np.zeros(buf.size + 1, np.uint8)
-    for k in range(0, buf.size, _TAKE_CHUNK):
-        part = buf[k : k + _TAKE_CHUNK]
-        np.take(_BYTE_CLASS, part, out=classes[k : k + part.size], mode="clip")
-    return classes
+def _classify(part: np.ndarray, out: np.ndarray) -> None:
+    """Write ``_BYTE_CLASS`` of each byte of ``part`` to ``out``."""
+    for k in range(0, part.size, _TAKE_CHUNK):
+        chunk = part[k : k + _TAKE_CHUNK]
+        np.take(_BYTE_CLASS, chunk, out=out[k : k + chunk.size], mode="clip")
 
 
-def _or_lines(classes: np.ndarray, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """OR of the byte classes over each non-empty line ``[begin, end)``:
-    reduceat reduces from one index to the next, so it takes the line bounds
-    interleaved, and the spare last byte keeps the final bound in range."""
-    return np.bitwise_or.reduceat(classes, np.column_stack([begins, ends]).ravel())[::2]
+def _windows(buf: np.ndarray, begins: np.ndarray, ends: np.ndarray):
+    """Each ``_SCAN_BYTES`` window of ``buf`` with the lines that overlap it.
+
+    Yields ``(part, lines, lo, hi)``: the window, the slice of the lines
+    (``begins`` and ``ends`` ascending) that overlap it, and their bounds
+    clipped to it and counted from its start.
+    """
+    for a in range(0, buf.size, _SCAN_BYTES):
+        part = buf[a : a + _SCAN_BYTES]
+        lines = slice(np.searchsorted(ends, a, "right"), np.searchsorted(begins, a + part.size))
+        lo = np.maximum(begins[lines] - a, 0)
+        hi = np.minimum(ends[lines] - a, part.size)
+        yield part, lines, lo, hi
+
+
+def _or_lines(classes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """OR of ``classes`` over each non-empty span ``[lo, hi)``: reduceat
+    reduces from one index to the next, so it takes the bounds interleaved,
+    and a spare last entry of ``classes`` keeps the final bound in range."""
+    return np.bitwise_or.reduceat(classes, np.column_stack([lo, hi]).ravel())[::2]
+
+
+def _scan_lines(buf: np.ndarray, fastq: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bounds ``[begins, ends)`` of the non-blank lines of ``buf`` and the
+    OR of their bytes' ``_BYTE_CLASS``.
+
+    A FASTQ line ends at ``\\n`` and drops one ``\\r`` before it; a FASTA
+    line ends at ``\\n`` or ``\\r``.  The file is scanned ``_SCAN_BYTES`` at a
+    time, once for the line ends and once for the classes, so only the
+    per-line arrays grow with the file.
+    """
+    found = [np.empty(0, np.int64)]
+    for a in range(0, buf.size, _SCAN_BYTES):
+        part = buf[a : a + _SCAN_BYTES]
+        hit = part == ord("\n")
+        if not fastq:
+            hit |= part == ord("\r")
+        at = np.flatnonzero(hit)
+        at += a
+        found.append(at)
+    if buf.size and not hit[-1]:  # the last line has no line end
+        found.append(np.array([buf.size]))
+    ends = np.concatenate(found)
+    del found
+    begins = np.empty_like(ends)
+    begins[:1] = 0
+    np.add(ends[:-1], 1, out=begins[1:])
+    if fastq:
+        # in place: a per-line temporary would be as large as ends; an empty
+        # line may end before it begins, and is dropped as blank either way
+        ends -= 1
+        ends += buf[ends] != ord("\r")
+
+    line_class = np.zeros(ends.size, np.uint8)
+    classes = np.empty(min(buf.size, _SCAN_BYTES) + 1, np.uint8)
+    for part, lines, lo, hi in _windows(buf, begins, ends):
+        if lo.size:
+            _classify(part, classes)
+            # an empty line ORs in one stray class, and is dropped below
+            line_class[lines] |= _or_lines(classes[: part.size + 1], lo, hi)
+    keep = (ends > begins) & (line_class & 1 == 1)  # not blank
+    if keep.all():
+        return begins, ends, line_class
+    return begins[keep], ends[keep], line_class[keep]
+
+
+def _strip_edges(buf, begins, ends, line_class, lines: np.ndarray) -> None:
+    """``str.strip`` on ``lines``: move their bounds onto their outer non-blank
+    bytes and class them again.  Only these lines' bytes are classed, about
+    ``_TAKE_CHUNK`` of them at a time."""
+    sizes = ends[lines] - begins[lines]
+    reach = np.cumsum(sizes)
+    k = 0
+    while k < lines.size:
+        stop = max(k + 1, int(np.searchsorted(reach, reach[k] - sizes[k] + _TAKE_CHUNK, "right")))
+        at, n = lines[k:stop], sizes[k:stop]
+        offset = np.cumsum(n) - n  # each line's start in the joined bytes
+        shift = begins[at] - offset
+        classes = np.zeros(int(n.sum()) + 1, np.uint8)
+        _classify(buf[np.repeat(shift, n) + np.arange(classes.size - 1)], classes)
+        solid = np.flatnonzero(classes & 1)  # every line holds a non-blank byte
+        first = solid[np.searchsorted(solid, offset)]
+        last = solid[np.searchsorted(solid, offset + n) - 1] + 1
+        line_class[at] = _or_lines(classes, first, last)
+        begins[at] = shift + first
+        ends[at] = shift + last
+        k = stop
 
 
 def _read_fasta(path, buf: np.ndarray) -> ReadFileResult:
-    # a line ends at \n, \r or \r\n (which leaves a blank line between)
-    ends = np.append(np.flatnonzero((buf == ord("\n")) | (buf == ord("\r"))), buf.size)
-    begins = np.append(0, ends[:-1] + 1)
-    classes = _classes(buf)
-    line_class = _or_lines(classes, begins, ends)
-    keep = (ends > begins) & (line_class & 1 == 1)  # not blank
-    begins, ends, line_class = begins[keep], ends[keep], line_class[keep]
-    # str.strip: move the blank edges of a line onto its outer non-blank bytes
-    edge = classes[begins] & classes[ends - 1] & 1 == 0
+    begins, ends, line_class = _scan_lines(buf, fastq=False)
+    edge = (_BYTE_CLASS[buf[begins]] & _BYTE_CLASS[buf[ends - 1]] & 1) == 0
     if edge.any():
-        # over the blank bytes only, few where non-blank ones fill the file:
-        # a blank edge reaches to the end of its run of blank bytes
-        blank = np.flatnonzero(classes[:-1] & 1 == 0)
-        starts = np.diff(blank, prepend=-2) != 1
-        run = np.cumsum(starts) - 1  # the run of each blank byte
-        run_first = blank[starts]
-        run_last = blank[np.append(starts[1:], True)]
-        at = edge & (classes[begins] & 1 == 0)
-        begins[at] = run_last[run[np.searchsorted(blank, begins[at])]] + 1
-        at = edge & (classes[ends - 1] & 1 == 0)
-        ends[at] = run_first[run[np.searchsorted(blank, ends[at] - 1)]]
-        line_class[edge] = _or_lines(classes, begins[edge], ends[edge])
-    del classes
+        _strip_edges(buf, begins, ends, line_class, np.flatnonzero(edge))
 
     head = buf[begins] == ord(">")
     if head.size and not head[0]:
@@ -176,26 +245,30 @@ def _read_fasta(path, buf: np.ndarray) -> ReadFileResult:
     begins, ends, line_class = begins[~head], ends[~head], line_class[~head]
     lengths = np.bincount(record, ends - begins, n).astype(np.int64)
     ok = (lengths > 0) & (np.bincount(record, line_class & 2, n) == 0)
+    begins, ends = begins[ok[record]], ends[ok[record]]
 
-    # gather the kept records' lines: a running sum of +1 at begins, -1 at ends
-    mark = np.zeros(buf.size + 1, np.int8)
-    mark[begins[ok[record]]] = 1
-    mark[ends[ok[record]]] = -1
-    seq = buf[np.cumsum(mark[:-1], dtype=np.int8).view(bool)] & 0xDF  # upper-cased ACGT
+    # move the kept lines to the front of ``buf``, upper-cased, a window at
+    # a time: a running sum of +1 at begins and -1 at ends marks their bytes,
+    # and what a window keeps never reaches past the window's start
+    size = 0
+    mark = np.empty(min(buf.size, _SCAN_BYTES) + 1, np.int8)
+    for part, _, lo, hi in _windows(buf, begins, ends):
+        if lo.size:
+            window = mark[: part.size + 1]
+            window[:] = 0
+            window[lo] = 1
+            window[hi] = -1
+            kept = part[np.cumsum(window[:-1], dtype=np.int8).view(bool)]
+            kept &= 0xDF
+            buf[size : size + kept.size] = kept
+            size += kept.size
     lengths = lengths[ok]
-    pool = ReadPool(seq, np.cumsum(lengths) - lengths, lengths)
+    pool = ReadPool(buf[:size], np.cumsum(lengths) - lengths, lengths)
     return ReadFileResult(pool, n - int(ok.sum()), "fasta")
 
 
 def _read_fastq(path, buf: np.ndarray) -> ReadFileResult:
-    if not buf.size:
-        return ReadFileResult(ReadPool.from_strings([]), 0, "fastq")
-    ends = np.append(np.flatnonzero(buf == ord("\n")), buf.size)
-    begins = np.append(0, ends[:-1] + 1)
-    ends -= (ends > begins) & (buf[ends - 1] == ord("\r"))
-    line_class = _or_lines(_classes(buf), begins, ends)
-    keep = (ends > begins) & (line_class & 1 == 1)  # not blank
-    begins, ends, line_class = begins[keep], ends[keep], line_class[keep]
+    begins, ends, line_class = _scan_lines(buf, fastq=True)
     if begins.size % 4:
         raise FormatError(f"{path}: FASTQ record count is not a multiple of 4 lines")
     bad = (buf[begins[0::4]] != ord("@")) | (buf[begins[2::4]] != ord("+"))
@@ -217,15 +290,13 @@ def read_sequences(path, fmt: str = "auto") -> ReadFileResult:
     Raises :class:`EmptyLibraryError` when no record survives; records with
     non-ACGT characters are skipped and counted, not fatal.
     """
+    readers = {"fasta": _read_fasta, "fastq": _read_fastq}
+    if fmt != "auto" and fmt not in readers:
+        raise FormatError(f"unknown sequence format {fmt!r}")
     buf = np.fromfile(path, np.uint8)
     if fmt == "auto":
         fmt = _format_of(path, buf)
-    if fmt == "fasta":
-        result = _read_fasta(path, buf)
-    elif fmt == "fastq":
-        result = _read_fastq(path, buf)
-    else:
-        raise FormatError(f"unknown sequence format {fmt!r}")
+    result = readers[fmt](path, buf)
     if not len(result.pool):
         raise EmptyLibraryError(f"{path}: no parseable records")
     return result

@@ -49,7 +49,8 @@ REJECT_CORRUPT = "corrupt"
 REJECT_REASONS = (REJECT_LENGTH, REJECT_PRIMER, REJECT_CORRUPT)
 
 # Reads parsed together in one pass; bounds the pass's temporaries to a few
-# MiB at 141 nt.
+# MiB at 141 nt.  Its int64 blocks are copied into the caller's output: int64
+# for parse_many, the narrowest unsigned type of a block value for vote.
 _PARSE_CHUNK = 8192
 
 
@@ -230,7 +231,8 @@ class ParseBatch:
     """
 
     indices: np.ndarray  # int64
-    payload_blocks: np.ndarray  # (n_accepted, payload groups) int64
+    # (n_accepted, payload groups) int64; vote narrows only its working copy
+    payload_blocks: np.ndarray
     counts: dict
 
     def payload_bytes(self, cfg: jr.JrConfig) -> list[bytes]:
@@ -389,6 +391,20 @@ def parse_many(
     out-of-range block / bad character as "corrupt".  A negative
     ``primer_tolerance`` is a :class:`ConfigError`.
     """
+    return ParseBatch(*_parse_reads(reads, layout, cfg, primer_tolerance, np.int64))
+
+
+def _parse_reads(
+    reads: ReadPool | Sequence[str],
+    layout: StrandLayout,
+    cfg: jr.JrConfig,
+    primer_tolerance: int,
+    dtype,
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The parse loop of :func:`parse_many` and :func:`pjdna.channel.vote`:
+    the accepted int64 indices, their payload blocks as ``dtype``, and the
+    counters.  Each ``_PARSE_CHUNK`` of reads is written into arrays sized
+    for every read of the right length; the results are their leading rows."""
     layout.validate(cfg)
     require_int("primer_tolerance", primer_tolerance, 0)
     pool = reads if isinstance(reads, ReadPool) else ReadPool.from_strings(reads)
@@ -401,16 +417,18 @@ def parse_many(
         "reject_primer": 0,
         "reject_corrupt": 0,
     }
-    indices = [np.empty(0, np.int64)]
-    blocks = [np.empty((0, cfg.groups_per_payload), np.int64)]
+    indices = np.empty(starts.size, np.int64)
+    blocks = np.empty((starts.size, cfg.groups_per_payload), dtype)
+    n = 0
     if starts.size:
         records = sliding_window_view(pool.buf, total)
         for k in range(0, starts.size, _PARSE_CHUNK):
             rows = records[starts[k : k + _PARSE_CHUNK]]
             idx, payload = _parse_rows(rows, layout, cfg, primer_tolerance, counts)
-            indices.append(idx)
-            blocks.append(payload)
-    return ParseBatch(np.concatenate(indices), np.concatenate(blocks), counts)
+            indices[n : n + idx.size] = idx
+            blocks[n : n + idx.size] = payload
+            n += idx.size
+    return indices[:n], blocks[:n], counts
 
 
 def _parse_rows(

@@ -575,6 +575,28 @@ def test_consensus_matches_bincount_reference(group_sizes, choices, seed):
     assert got == bincount_vote(blocks, indices)
 
 
+@pytest.mark.parametrize("bits", [9, 17])
+def test_vote_matches_bincount_reference_at_any_block_width(bits):
+    """9-bit blocks are voted on as uint16 and 17-bit ones as uint32; either
+    way the vote is the reference's, returned as int64 blocks."""
+    if bits == 9:
+        cfg, layout = jr.DEFAULT_CONFIG, strand.DEFAULT_LAYOUT
+    else:
+        cfg = jr.JrConfig(group_radices=(4, 4, 4, 4, 3, 4, 4, 4, 4), bits_per_block=17,
+                          groups_per_payload=4)
+        layout = strand.StrandLayout(index_nt=9, payload_nt=36)
+    rng = np.random.default_rng(11)
+    indices = np.repeat(np.arange(6) * 5, [1, 2, 3, 4, 5, 6])
+    rng.shuffle(indices)
+    top = cfg.block_limit - 1
+    blocks = rng.choice(np.array([0, 1, top // 2 + 1, top]), (indices.size, cfg.groups_per_payload))
+    batch = channel.vote(assemble_many(indices, blocks, layout, cfg).pool, layout, cfg)
+    assert batch.payload_blocks.dtype == np.int64
+    assert batch.indices.dtype == np.int64
+    assert dict(zip(batch.indices.tolist(), batch.payload_blocks.tolist())) == bincount_vote(
+        blocks, indices)
+
+
 @pytest.mark.parametrize("tolerance", [0, 2])
 def test_pool_and_strings_parse_and_vote_alike(tmp_path, rng, monkeypatch, tolerance):
     """A file's read pool and its list of strings give the same parse and

@@ -385,13 +385,33 @@ def _read_pair(path, fmt):
     return result.sequences, result.skipped_alphabet
 
 
+def _assert_matches_text_mode(path, data, text_mode_reader):
+    """The bytes reader of ``path``'s format (its suffix) reads ``data`` as
+    ``text_mode_reader`` does: the same reads and skips, or the same error."""
+    path.write_bytes(data)
+    assert _outcome(lambda: _read_pair(path, path.suffix[1:])) == _outcome(
+        lambda: text_mode_reader(path))
+
+
+def _small_windows(monkeypatch, window, take):
+    """Scan ``window`` bytes and class ``take`` bytes at a time, so lines,
+    CRLF pairs and records straddle the windows."""
+    monkeypatch.setattr(seqio, "_SCAN_BYTES", window)
+    monkeypatch.setattr(seqio, "_TAKE_CHUNK", take)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=_fastq_files())
 def test_fastq_bytes_reader_matches_text_mode(tmp_path, data):
-    path = tmp_path / "h.fastq"
-    path.write_bytes(data)
-    assert _outcome(lambda: _read_pair(path, "fastq")) == _outcome(
-        lambda: _text_mode_read_fastq(path))
+    _assert_matches_text_mode(tmp_path / "h.fastq", data, _text_mode_read_fastq)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_fastq_files(), window=st.integers(1, 8), take=st.integers(1, 3))
+def test_fastq_reader_matches_text_mode_in_small_windows(tmp_path, monkeypatch, data, window,
+                                                         take):
+    _small_windows(monkeypatch, window, take)
+    _assert_matches_text_mode(tmp_path / "h.fastq", data, _text_mode_read_fastq)
 
 
 def _text_mode_read_fasta(path):
@@ -458,10 +478,15 @@ def _fasta_files(draw):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=_fasta_files())
 def test_fasta_bytes_reader_matches_text_mode(tmp_path, data):
-    path = tmp_path / "h.fasta"
-    path.write_bytes(data)
-    assert _outcome(lambda: _read_pair(path, "fasta")) == _outcome(
-        lambda: _text_mode_read_fasta(path))
+    _assert_matches_text_mode(tmp_path / "h.fasta", data, _text_mode_read_fasta)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_fasta_files(), window=st.integers(1, 8), take=st.integers(1, 3))
+def test_fasta_reader_matches_text_mode_in_small_windows(tmp_path, monkeypatch, data, window,
+                                                         take):
+    _small_windows(monkeypatch, window, take)
+    _assert_matches_text_mode(tmp_path / "h.fasta", data, _text_mode_read_fasta)
 
 
 def test_fastq_malformed(tmp_path):
@@ -479,6 +504,11 @@ def test_empty_library_error(tmp_path):
     path.write_text(">only\nNNNN\n")
     with pytest.raises(EmptyLibraryError):
         read_sequences(path)
+
+
+def test_unknown_format_is_refused_before_the_file_is_read(tmp_path):
+    with pytest.raises(FormatError, match="bogus"):
+        read_sequences(tmp_path / "missing.fastq", fmt="bogus")
 
 
 def test_sniff_format(tmp_path):
