@@ -64,8 +64,16 @@ CHANNEL_STREAM = 3
 _CHUNK_READS = 256
 
 
+# Largest coverage_mean, far inside what int64 and the Poisson draw hold.
+_MAX_COVERAGE = 10**6
+
+
 @dataclass(frozen=True)
 class ChannelProfile:
+    """The rates lie in [0, 1], ``coverage_mean`` in [0, 10**6] (whole for
+    fixed coverage) and ``seed`` is a non-negative integer; a bool, such as
+    JSON ``true``, is neither a number nor an integer here."""
+
     dropout_p: float = 0.0
     sub_p: float = 0.0
     ins_p: float = 0.0
@@ -79,9 +87,9 @@ class ChannelProfile:
     def __post_init__(self):
         for field_name in ("dropout_p", "sub_p", "ins_p", "del_p", "coverage_mean"):
             v = getattr(self, field_name)
-            if not isinstance(v, numbers.Real):
+            if not isinstance(v, numbers.Real) or isinstance(v, bool):
                 raise ConfigError(f"{field_name} must be a number, got {v!r}")
-        if not isinstance(self.seed, numbers.Integral):
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
@@ -89,8 +97,9 @@ class ChannelProfile:
             v = getattr(self, field_name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{field_name} must lie in [0, 1], got {v}")
-        if self.coverage_mean < 0:
-            raise ConfigError("coverage_mean must be >= 0")
+        if not 0 <= self.coverage_mean <= _MAX_COVERAGE:  # NaN fails too
+            raise ConfigError(f"coverage_mean must lie in [0, {_MAX_COVERAGE}], "
+                              f"got {self.coverage_mean}")
         if self.coverage_model not in ("fixed", "poisson"):
             raise ConfigError(f"unknown coverage model {self.coverage_model!r}")
         if self.coverage_model == "fixed" and self.coverage_mean != int(self.coverage_mean):

@@ -3,7 +3,9 @@
 IDX is the big-endian binary container used by MNIST-style datasets: magic
 0x00000803 followed by (count, rows, cols) for image stacks, 0x00000801
 followed by (count,) for label vectors, then raw uint8 data.  Labels may
-also arrive as plain text, one integer per line.
+also arrive as plain text, one integer per line.  Degrading a dataset drops
+strands and nothing else, so it zeroes each image's lost tiles
+(:func:`~pjdna.partition.drop_tiles`) and never builds a strand.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 from . import jr
 from .errors import FormatError
 from .channel import check_drop_rate, keep_mask
-from .partition import TileManifest, _scatter_tiles, _streams_from_tiles, _tile_blocks
-from .strand import DEFAULT_LAYOUT, StrandLayout, assemble_codes, parse_codes
+from .partition import TileManifest, drop_tiles
+from .strand import DEFAULT_LAYOUT, StrandLayout
 
 __all__ = [
     "read_idx_images",
@@ -97,22 +99,32 @@ def write_idx_labels(path, labels: Sequence[int]) -> None:
 
 
 def read_labels(path) -> np.ndarray:
-    """Read labels from an IDX label file or a one-integer-per-line text file."""
+    """Read labels from an IDX label file or a one-integer-per-line text file.
+
+    A text file must be ASCII and its labels must fit in int64; anything
+    else raises :class:`FormatError`.
+    """
     with open(path, "rb") as fh:
         head = fh.read(4)
     if len(head) == 4 and struct.unpack(">I", head)[0] == _LABEL_MAGIC:
         return read_idx_labels(path)
     values = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: not an integer label") from None
-    return np.asarray(values, np.int64)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    values.append(int(line))
+                except ValueError:
+                    raise FormatError(f"{path}:{lineno}: not an integer label") from None
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: text labels must be ASCII") from None
+    try:
+        return np.asarray(values, np.int64)
+    except OverflowError:
+        raise FormatError(f"{path}: a label lies outside the int64 range") from None
 
 
 def degrade_dataset(
@@ -125,16 +137,17 @@ def degrade_dataset(
     layout: StrandLayout = DEFAULT_LAYOUT,
     tile_pixels: int | None = None,
 ) -> dict:
-    """Run every image through encode -> strand loss -> decode independently.
+    """Degrade every image of an IDX stack by strand loss, each on its own.
 
     ``images_in``/``images_out`` are IDX paths; ``masks_out`` (optional)
     receives the per-image missing masks as a 0/1 uint8 IDX stack.  Image i
     loses the strands ``channel.drop_strands(strands, rate, (seed, i))``
-    would drop, so the dataset can be regenerated one image at a time.  The
-    stack is worked in chunks of whole images, each stage one array pass
-    per chunk: tile, encode to one code matrix, drop, decode the surviving
-    rows, scatter their tiles.  Returns a summary with the masked-fraction
-    distribution across images.
+    would drop, so the dataset can be regenerated one image at a time.
+    Loss is the only damage here, and decoding what survives gives back the
+    image with each lost tile zeroed and masked, so
+    :func:`~pjdna.partition.drop_tiles` zeroes those tiles without building
+    a strand.  The stack is worked in chunks of whole images.  Returns a
+    summary with the masked-fraction distribution across images.
     """
     check_drop_rate(rate)
     images = read_idx_images(images_in)
@@ -175,13 +188,6 @@ def _degrade_images(
     """Degraded images and missing masks of ``images``, stack images
     ``first, first + 1, ...``."""
     k, n = images.shape[0], manifest.strand_count
-    cfg, layout = manifest.cfg, manifest.layout
-    index = np.tile(np.arange(n, dtype=np.int64), k)
-    codes = assemble_codes(index, _tile_blocks(images.reshape(k, -1), manifest), layout, cfg)
     keep = np.concatenate([keep_mask(n, rate, (seed, first + j)) for j in range(k)])
-    ok, tile, blocks = parse_codes(codes[keep], layout, cfg)
-    rows = np.repeat(np.arange(k) * n, n)[keep][ok] + tile
-    bits = jr.block_rows_to_bits(blocks, cfg.bits_per_block)[:, : manifest.tile_bits]
-    tiles, seen, _ = _scatter_tiles(rows, bits, k * n)
-    pixels, missing = _streams_from_tiles(tiles, seen, k, manifest, 8)
+    pixels, missing = drop_tiles(images.reshape(k, -1), keep, manifest, 8)
     return pixels.reshape(images.shape), missing.reshape(images.shape)

@@ -32,6 +32,7 @@ __all__ = [
     "decode_image",
     "encode_raw",
     "decode_raw",
+    "drop_tiles",
     "default_tile_pixels",
 ]
 
@@ -207,22 +208,37 @@ def _zero_pad(a: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-def _tile_blocks(streams: np.ndarray, manifest: TileManifest) -> np.ndarray:
-    """Payload blocks of ``k`` streams, a ``(k, stream_bits // 8)`` uint8
-    array: tile ``t`` of stream ``i`` is row ``i * strand_count + t``, its
-    bits zero padded up to the payload capacity."""
+def _tile_bits(streams: np.ndarray, manifest: TileManifest) -> np.ndarray:
+    """Tile bits of ``k`` streams, a ``(k, stream_bits // 8)`` uint8 array:
+    tile ``t`` of stream ``i`` is row ``i * strand_count + t`` of ``tile_bits``
+    bits, the last tile of a stream zero padded."""
     k = streams.shape[0]
-    n, tile_bits, cfg = manifest.strand_count, manifest.tile_bits, manifest.cfg
+    n, tile_bits = manifest.strand_count, manifest.tile_bits
     bits = np.unpackbits(_zero_pad(streams, (k, -(-n * tile_bits // 8))), axis=1)
-    bits = bits[:, : n * tile_bits].reshape(k * n, tile_bits)
-    bits = _zero_pad(bits, (k * n, manifest.payload_capacity))
-    return jr.bit_rows_to_blocks(bits, cfg.groups_per_payload, cfg.bits_per_block)
+    return bits[:, : n * tile_bits].reshape(k * n, tile_bits)
+
+
+def drop_tiles(
+    streams: np.ndarray, keep: np.ndarray, manifest: TileManifest, unit: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """What decoding ``k`` streams returns when strand loss is the only
+    damage: the streams with every tile not flagged in ``keep`` zeroed, and
+    their missing masks of one flag per ``unit`` stream bits (8 for pixels).
+
+    ``streams`` is ``(k, stream_bits // 8)`` uint8 and ``keep`` holds one
+    flag per tile, tile ``t`` of stream ``i`` at ``i * strand_count + t``.
+    No strand carries another's data, so this equals encoding, dropping the
+    strands ``keep`` does not flag and decoding the rest.
+    """
+    tiles = _tile_bits(streams, manifest)
+    tiles[~keep] = 0
+    return _streams_from_tiles(tiles, keep, streams.shape[0], manifest, unit)
 
 
 def _streams_from_tiles(
     tiles: np.ndarray, seen: np.ndarray, k: int, manifest: TileManifest, unit: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`_tile_blocks` on the tile bits of
+    """Inverse of :func:`_tile_bits` on the tile bits of
     :func:`_scatter_tiles`: the ``(k, stream_bits // 8)`` streams, and their
     missing masks of one flag per ``unit`` stream bits, True under every
     tile not ``seen``."""
@@ -285,9 +301,10 @@ def _decode_stream(
 
 def _encode_stream(stream: np.ndarray, manifest: TileManifest) -> StrandSet:
     """Strands of one stream of bytes, tile ``t`` in row ``t``."""
-    index = np.arange(manifest.strand_count, dtype=np.int64)
-    return assemble_many(index, _tile_blocks(stream[None], manifest), manifest.layout,
-                         manifest.cfg)
+    n, cfg = manifest.strand_count, manifest.cfg
+    bits = _zero_pad(_tile_bits(stream[None], manifest), (n, manifest.payload_capacity))
+    blocks = jr.bit_rows_to_blocks(bits, cfg.groups_per_payload, cfg.bits_per_block)
+    return assemble_many(np.arange(n, dtype=np.int64), blocks, manifest.layout, cfg)
 
 
 def encode_image(

@@ -32,10 +32,8 @@ __all__ = [
     "ReadPool",
     "assemble_strand",
     "assemble_many",
-    "assemble_codes",
     "parse_strand",
     "parse_many",
-    "parse_codes",
 ]
 
 # Fixed default primers: repeat-free (so junction runs stay short) and with no
@@ -270,30 +268,6 @@ def _payload_to_blocks(payload: bytes, layout: StrandLayout, cfg: jr.JrConfig) -
     return jr.unpack_block_rows(row, layout.payload_groups(cfg), cfg.bits_per_block)[0]
 
 
-def assemble_codes(
-    index_values: np.ndarray,
-    payload_blocks: np.ndarray,
-    layout: StrandLayout = DEFAULT_LAYOUT,
-    cfg: jr.JrConfig = jr.DEFAULT_CONFIG,
-) -> np.ndarray:
-    """The data regions of :func:`assemble_many` as a ``(n, data_nt)`` code
-    matrix, primers left off; the checks are the same."""
-    layout.validate(cfg)
-    index_values = np.asarray(index_values, np.int64)
-    n = index_values.shape[0]
-    if n == 0:
-        return np.empty((0, layout.data_nt), np.uint8)
-    cap = layout.index_capacity(cfg)
-    if index_values.min() < 0 or index_values.max() >= cap:
-        raise CapacityError(f"index values must lie in [0, {cap})")
-    if payload_blocks.min(initial=0) < 0 or payload_blocks.max(initial=0) >= cfg.block_limit:
-        raise RangeError("payload block values outside the encodable range")
-    idx_blocks = _index_to_blocks(index_values, layout.index_groups(cfg), cfg.block_limit)
-    blocks = np.concatenate([idx_blocks, payload_blocks.astype(np.int64)], axis=1)
-    prev0 = np.full(n, jr.ALPHABET.index(layout.prev_init()), np.uint8)
-    return jr.encode_block_rows(blocks, cfg, prev0)
-
-
 def assemble_many(
     index_values: np.ndarray,
     payload_blocks: np.ndarray,
@@ -302,19 +276,25 @@ def assemble_many(
 ) -> StrandSet:
     """Assemble one strand per row of ``payload_blocks`` into one
     :class:`StrandSet`; no :class:`Strand` is built."""
-    codes = assemble_codes(index_values, payload_blocks, layout, cfg)
+    layout.validate(cfg)
+    index_values = np.asarray(index_values, np.int64)
+    n = index_values.shape[0]
+    cap = layout.index_capacity(cfg)
+    if n and (index_values.min() < 0 or index_values.max() >= cap):
+        raise CapacityError(f"index values must lie in [0, {cap})")
+    if payload_blocks.min(initial=0) < 0 or payload_blocks.max(initial=0) >= cfg.block_limit:
+        raise RangeError("payload block values outside the encodable range")
+    idx_blocks = _index_to_blocks(index_values, layout.index_groups(cfg), cfg.block_limit)
+    blocks = np.concatenate([idx_blocks, payload_blocks.astype(np.int64)], axis=1)
+    prev0 = np.full(n, jr.ALPHABET.index(layout.prev_init()), np.uint8)
+    codes = jr.encode_block_rows(blocks, cfg, prev0)
     n5, data_nt = len(layout.primer5), layout.data_nt
-    rows = np.empty((codes.shape[0], layout.total_nt), np.uint8)
+    rows = np.empty((n, layout.total_nt), np.uint8)
     rows[:, :n5] = np.frombuffer(layout.primer5.encode("ascii"), np.uint8)
     data = codes.tobytes().translate(jr._CODE_TRANSLATE)
     rows[:, n5 : n5 + data_nt] = np.frombuffer(data, np.uint8).reshape(codes.shape)
     rows[:, n5 + data_nt :] = np.frombuffer(layout.primer3.encode("ascii"), np.uint8)
-    return StrandSet(
-        np.asarray(index_values, np.int64),
-        np.asarray(payload_blocks, np.int64),
-        rows,
-        cfg.bits_per_block,
-    )
+    return StrandSet(index_values, np.asarray(payload_blocks, np.int64), rows, cfg.bits_per_block)
 
 
 def assemble_strand(
@@ -453,33 +433,16 @@ def _parse_rows(
         keep &= (rows[:, total - n3 :] != p3).sum(axis=1) <= primer_tolerance
     counts["reject_primer"] += int((~keep).sum())
 
-    data = jr.ascii_codes(rows[keep, n5 : n5 + layout.data_nt])
-    ok, indices, payload = parse_codes(data, layout, cfg)
-    counts["reject_corrupt"] += int((~ok).sum())
-    counts["accepted"] += int(indices.size)
-    return indices, payload
-
-
-def parse_codes(
-    codes: np.ndarray,
-    layout: StrandLayout = DEFAULT_LAYOUT,
-    cfg: jr.JrConfig = jr.DEFAULT_CONFIG,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode a ``(n, data_nt)`` matrix of data-region codes, 255 marking a
-    character outside ACGT.
-
-    Returns ``(ok, indices, payload_blocks)``: ``ok`` flags the rows with no
-    bad character, rotating violation or out-of-range block, and the other
-    two hold the decoded rows flagged ``ok``, in order.
-    """
-    ok = ~(codes == 255).any(axis=1)
+    # a character outside ACGT has code 255
+    codes = jr.ascii_codes(rows[keep, n5 : n5 + layout.data_nt])
     prev0 = np.full(codes.shape[0], jr.ALPHABET.index(layout.prev_init()), np.uint8)
     blocks, viol = jr.decode_code_rows(codes, cfg, prev0)
-    ok &= viol < 0
-    ok &= (blocks < cfg.block_limit).all(axis=1)
+    ok = ~(codes == 255).any(axis=1) & (viol < 0) & (blocks < cfg.block_limit).all(axis=1)
     blocks = blocks[ok]
+    counts["reject_corrupt"] += int((~ok).sum())
+    counts["accepted"] += int(blocks.shape[0])
     n_idx = layout.index_groups(cfg)
-    return ok, _blocks_to_index(blocks[:, :n_idx], cfg.block_limit), blocks[:, n_idx:]
+    return _blocks_to_index(blocks[:, :n_idx], cfg.block_limit), blocks[:, n_idx:]
 
 
 def parse_strand(

@@ -1,7 +1,9 @@
 """Strand-loss sweeps: tile-mapped recovery vs the all-or-nothing baseline.
 
-Each (rate, seed) cell drops rows of the once-encoded strand batch, decodes
-the survivors, and scores SSIM against the original through one
+Each (rate, seed) cell drops strands and scores the decoded image's SSIM
+against the original.  Without read noise the decoded image is the original
+with the lost tiles zeroed, which :func:`~pjdna.partition.drop_tiles` gives
+without building or parsing a strand.  Scores go through one
 :class:`~pjdna.metrics.SsimReference` per sweep, so the original's window
 statistics are computed once, not twice per cell.  The baseline scheme
 ("EM") sees the same drop event and scores 1.0 only when nothing was lost.
@@ -11,7 +13,6 @@ executed.
 
 from __future__ import annotations
 
-import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -23,8 +24,8 @@ from .channel import ChannelProfile, corrupt_reads, keep_mask, vote
 from .errors import ConfigError
 from .inpaint import inpaint
 from .metrics import SsimReference, em_ssim
-from .partition import decode_image, encode_image
-from .strand import DEFAULT_LAYOUT, ParseBatch, StrandLayout
+from .partition import decode_image, drop_tiles, encode_image
+from .strand import DEFAULT_LAYOUT, StrandLayout
 
 __all__ = ["SweepRow", "SweepResult", "loss_sweep", "CSV_HEADER"]
 
@@ -52,22 +53,12 @@ class SweepRow:
 class SweepResult:
     rows: list[SweepRow]
 
-    def write_csv(self, path_or_file) -> None:
-        if hasattr(path_or_file, "write"):
-            self._write(path_or_file)
-        else:
-            with open(path_or_file, "w", encoding="ascii") as fh:
-                self._write(fh)
-
-    def _write(self, fh) -> None:
-        fh.write(CSV_HEADER + "\n")
-        for row in self.rows:
-            fh.write(row.csv_line() + "\n")
+    def write_csv(self, path) -> None:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(self.to_csv())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        self._write(buf)
-        return buf.getvalue()
+        return "\n".join([CSV_HEADER, *(row.csv_line() for row in self.rows)]) + "\n"
 
     def scheme_rows(self, scheme: str) -> list[SweepRow]:
         return [r for r in self.rows if r.scheme == scheme]
@@ -99,8 +90,10 @@ def loss_sweep(
     """Sweep strand-loss rates over seeds for both schemes.
 
     With ``base_profile`` unset (or noiseless) each cell is a pure dropout
-    run on pristine strands; a noisy profile routes every cell through read
-    corruption and consensus instead.  ``ssim_inpainted`` is filled only
+    run: decoding the surviving strands would give the image with the lost
+    tiles zeroed, so :func:`~pjdna.partition.drop_tiles` zeroes them.  A
+    noisy profile routes every cell through read corruption, the vote and
+    :func:`~pjdna.partition.decode_image` instead.  ``ssim_inpainted`` is filled only
     when ``run_inpaint`` is set (the harmonic fill over large masked regions
     dominates the sweep's cost otherwise).
     """
@@ -120,15 +113,16 @@ def loss_sweep(
         if noisy:
             prof = replace(base_profile, dropout_p=0.0, seed=seed)
             accepted = vote(corrupt_reads(lib.pool.rows(keep), prof).pool, layout, cfg)
+            recovered = decode_image(accepted, manifest)
+            image, missing = recovered.image, recovered.missing_mask
         else:
-            accepted = ParseBatch(lib.index_values[keep], lib.payload_blocks[keep], {})
-        recovered = decode_image(accepted, manifest)
-        raw = score(recovered.image)
+            pixels, missing = drop_tiles(img.reshape(1, -1), keep, manifest, 8)
+            image, missing = pixels.reshape(img.shape), missing.reshape(img.shape)
+        raw = score(image)
         inpainted = None
         if run_inpaint:
-            repaired = inpaint(recovered.image, recovered.missing_mask)
-            inpainted = score(repaired)
-        pm = SweepRow(rate, seed, "PM", raw, inpainted, recovered.masked_fraction)
+            inpainted = score(inpaint(image, missing))
+        pm = SweepRow(rate, seed, "PM", raw, inpainted, float(missing.mean()))
         survived = int(keep.sum())
         em_val = em_ssim(survived, n)
         em = SweepRow(rate, seed, "EM", em_val, em_val if run_inpaint else None,

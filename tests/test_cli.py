@@ -205,6 +205,25 @@ def test_simulate_profile_wrong_type_exits_2(workdir, capsys):
         assert run("simulate", "--lib", tmp_path / "lib.fasta", "--profile",
                    tmp_path / "p.json", "--out", tmp_path / "r.fastq") == 2
         assert "must be" in capsys.readouterr().err
+    # JSON true is no number or integer; a coverage that is not finite or
+    # lies above the ceiling used to end in a traceback, or (true as a rate)
+    # dropped every strand
+    hostile = [
+        ({"dropout_p": True}, "dropout_p must be a number, got True"),
+        ({"coverage_mean": True}, "coverage_mean must be a number, got True"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"coverage_mean": float("inf")}, "coverage_mean must lie in [0, 1000000], got inf"),
+        ({"coverage_mean": float("nan")}, "coverage_mean must lie in [0, 1000000], got nan"),
+        ({"coverage_mean": 1e19}, "coverage_mean must lie in [0, 1000000], got 1e+19"),
+        ({"coverage_mean": 1e19, "coverage_model": "poisson"}, "got 1e+19"),
+    ]
+    for bad, message in hostile:
+        (tmp_path / "p.json").write_text(json.dumps(bad))
+        assert run("simulate", "--lib", tmp_path / "lib.fasta", "--profile",
+                   tmp_path / "p.json", "--out", tmp_path / "r.fastq") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pjdna: ") and message in err
+    assert not (tmp_path / "r.fastq").exists()
 
 
 # SHA-256 of the FASTQ ``simulate --seed 3`` writes from the workdir image's
@@ -661,6 +680,21 @@ def test_tally_cli(tmp_path, capsys):
     assert out["orig_only_correct"] == 1
     assert out["degraded_only_correct"] == 1
     assert out["prediction_accuracy"] == pytest.approx(2 / 3)
+
+
+def test_tally_hostile_text_labels_exit_4(tmp_path, capsys):
+    write_idx_labels(tmp_path / "truth.idx", [1, 2, 3, 4])
+    (tmp_path / "orig.txt").write_text("1\n2\n3\n4\n")
+    hostile = [
+        (b"1\n" + b"9" * 30 + b"\n3\n4\n", "outside the int64 range"),
+        (b"1\n2\n\xff3\n4\n", "text labels must be ASCII"),
+    ]
+    for data, message in hostile:
+        (tmp_path / "degr.txt").write_bytes(data)
+        assert run("tally", "--truth", tmp_path / "truth.idx", "--orig", tmp_path / "orig.txt",
+                   "--degraded", tmp_path / "degr.txt") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("pjdna: ") and message in err
 
 
 def test_version_flag(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pjdna import idx
-from pjdna.channel import ChannelProfile, drop_strands, preset
+from pjdna.channel import ChannelProfile, drop_strands, preset, vote
 from pjdna.errors import ConfigError, FormatError
 from pjdna.idx import (
     degrade_dataset,
@@ -16,6 +16,7 @@ from pjdna.idx import (
     write_idx_images,
     write_idx_labels,
 )
+from pjdna.jr import DEFAULT_CONFIG, JrConfig
 from pjdna.metrics import em_ssim, ssim
 from pjdna.partition import decode_image, encode_image
 from pjdna.sweep import CSV_HEADER, loss_sweep
@@ -106,17 +107,17 @@ def test_sweep_inpaint_uplift_on_gradient_up_to_half_loss(gradient):
 
 
 def test_noiseless_sweep_matches_dropping_strands(gradient):
-    """Cells take their survivors as rows of the strand batch; the rows are
-    those of dropping the strands as a list and decoding their pairs."""
+    """Noiseless cells zero the lost tiles without building a strand; the
+    rows are those of dropping the assembled ASCII strands, voting on the
+    survivors and decoding the vote."""
     rates, seeds = [0.0, 0.3, 0.9, 1.0], [0, 4]
     res = loss_sweep(gradient, rates, seeds)
-    batch, manifest = encode_image(gradient)
-    strands = list(batch)
+    strands, manifest = encode_image(gradient)
     expect = []
     for rate in rates:
         for seed in seeds:
             survivors = drop_strands(strands, rate, seed)
-            rec = decode_image([(s.index_value, s.payload) for s in survivors], manifest)
+            rec = decode_image(vote(survivors.pool), manifest)
             expect.append((em_ssim(len(survivors), len(strands)), ssim(gradient, rec.image),
                            rec.masked_fraction))
     got = [(em.ssim_raw, pm.ssim_raw, pm.masked_fraction)
@@ -275,17 +276,18 @@ def test_degrade_deterministic(tmp_path, rng):
     assert a.read_bytes() == b.read_bytes()
 
 
-def _degrade_one_at_a_time(images, rate, seed, tile_pixels):
-    """Reference: every image through encode -> drop -> decode on its own."""
+def _degrade_one_at_a_time(images, rate, seed, tile_pixels, cfg):
+    """Reference: every image on its own through encode -> drop -> vote on
+    the surviving ASCII strands -> decode, the path reads take."""
     out = np.zeros_like(images)
     masks = np.zeros_like(images)
     fractions = np.zeros(len(images))
     strands_per_image = 0
     for i, img in enumerate(images):
-        strands, manifest = encode_image(img, tile_pixels=tile_pixels)
+        strands, manifest = encode_image(img, cfg, tile_pixels=tile_pixels)
         strands_per_image = manifest.strand_count
         survivors = drop_strands(strands, rate, (seed, i))
-        rec = decode_image([(s.index_value, s.payload) for s in survivors], manifest)
+        rec = decode_image(vote(survivors.pool, cfg=cfg), manifest)
         out[i] = rec.image
         masks[i] = rec.missing_mask
         fractions[i] = rec.masked_fraction
@@ -304,6 +306,20 @@ def _degrade_one_at_a_time(images, rate, seed, tile_pixels):
     return out, masks, summary
 
 
+def _check_degrade_matches_one_image_at_a_time(tmp_path, images, rate, tile_pixels, cfg):
+    write_idx_images(tmp_path / "in.idx", images)
+    summary = degrade_dataset(
+        tmp_path / "in.idx", rate, 11, tmp_path / "out.idx", tmp_path / "masks.idx",
+        cfg=cfg, tile_pixels=tile_pixels,
+    )
+    out, masks, expect = _degrade_one_at_a_time(images, rate, 11, tile_pixels, cfg)
+    write_idx_images(tmp_path / "ref_out.idx", out)
+    write_idx_images(tmp_path / "ref_masks.idx", masks)
+    assert (tmp_path / "out.idx").read_bytes() == (tmp_path / "ref_out.idx").read_bytes()
+    assert (tmp_path / "masks.idx").read_bytes() == (tmp_path / "ref_masks.idx").read_bytes()
+    assert summary == expect
+
+
 @pytest.mark.parametrize("chunk", [None, 100, 1])
 @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize(
@@ -319,14 +335,19 @@ def test_degrade_matches_one_image_at_a_time(
     if chunk is not None:
         monkeypatch.setattr(idx, "_DEGRADE_CHUNK", chunk)
     images = rng.integers(0, 256, (count, *shape), dtype=np.uint8)
-    write_idx_images(tmp_path / "in.idx", images)
-    summary = degrade_dataset(
-        tmp_path / "in.idx", rate, 11, tmp_path / "out.idx", tmp_path / "masks.idx",
-        tile_pixels=tile_pixels,
-    )
-    out, masks, expect = _degrade_one_at_a_time(images, rate, 11, tile_pixels)
-    write_idx_images(tmp_path / "ref_out.idx", out)
-    write_idx_images(tmp_path / "ref_masks.idx", masks)
-    assert (tmp_path / "out.idx").read_bytes() == (tmp_path / "ref_out.idx").read_bytes()
-    assert (tmp_path / "masks.idx").read_bytes() == (tmp_path / "ref_masks.idx").read_bytes()
-    assert summary == expect
+    _check_degrade_matches_one_image_at_a_time(tmp_path, images, rate, tile_pixels,
+                                               DEFAULT_CONFIG)
+
+
+@pytest.mark.parametrize("jump", [0, 1])
+@pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("shape, tile_pixels", [((28, 28), None), ((5, 7), 3)])
+def test_degrade_matches_one_image_at_a_time_jumps_0_and_1(
+    tmp_path, rng, monkeypatch, jump, rate, shape, tile_pixels
+):
+    """The same bytes under the other codec presets, with chunks of 100
+    strands, so each stack spans several chunks."""
+    monkeypatch.setattr(idx, "_DEGRADE_CHUNK", 100)
+    images = rng.integers(0, 256, (9, *shape), dtype=np.uint8)
+    _check_degrade_matches_one_image_at_a_time(tmp_path, images, rate, tile_pixels,
+                                               JrConfig.for_jump(jump))
