@@ -36,6 +36,7 @@ from .strand import (
     StrandLayout,
     StrandSet,
     _parse_reads,
+    _pools,
 )
 
 __all__ = [
@@ -345,26 +346,26 @@ def _mutate(
 
 
 def vote(
-    reads: ReadPool | Iterable[str],
+    reads: ReadPool | Iterable[ReadPool] | Iterable[str],
     layout: StrandLayout = DEFAULT_LAYOUT,
     cfg: jr.JrConfig = jr.DEFAULT_CONFIG,
     primer_tolerance: int = 0,
 ) -> ParseBatch:
     """Parse raw reads and settle each observed index by plurality vote.
 
-    ``reads`` is a :class:`~pjdna.strand.ReadPool` or an iterable of
-    strings.  Reads are parsed individually; accepted parses group by index
-    and each payload block settles by plurality vote, ties to the smallest
-    value.  Returns one row per observed index, indices ascending, with
-    counters for every rejection reason and ``indices_observed``.  The
-    indices and the winning blocks are int64; the sorted working copy of the
-    accepted blocks is the narrowest unsigned type that holds
-    ``cfg.block_limit - 1`` (uint16 at the default 9 bits per block).
+    ``reads`` is a :class:`~pjdna.strand.ReadPool`, an iterable of pools
+    (such as the windows of a :class:`~pjdna.seqio.ReadStream`, each parsed
+    before the next is drawn) or an iterable of strings.  Reads are parsed
+    individually; accepted parses group by index and each payload block
+    settles by plurality vote, ties to the smallest value.  Returns one row
+    per observed index, indices ascending, with counters for every rejection
+    reason and ``indices_observed``.  The indices and the winning blocks are
+    int64; the accepted blocks are kept, appended pool by pool and then
+    sorted, in the narrowest unsigned type that holds ``cfg.block_limit - 1``
+    (uint16 at the default 9 bits per block).
     """
-    if not isinstance(reads, ReadPool):
-        reads = list(reads)
     indices, blocks, counts = _parse_reads(
-        reads, layout, cfg, primer_tolerance, np.min_scalar_type(cfg.block_limit - 1))
+        _pools(reads), layout, cfg, primer_tolerance, np.min_scalar_type(cfg.block_limit - 1))
     order = np.argsort(indices, kind="stable")
     indices = indices[order]
     blocks = blocks[order]  # frees the unsorted copy

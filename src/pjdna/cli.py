@@ -31,14 +31,14 @@ from .channel import (
     preset,
     vote,
 )
-from .errors import ConfigError, EmptyLibraryError, FormatError, PjError, require_int
+from .errors import ConfigError, FormatError, PjError, require_int
 from .idx import degrade_dataset, read_labels
 from .images import read_pbm, read_pgm, write_pbm, write_pgm
 from .inpaint import inpaint
 from .metrics import ssim, tally_outcomes
 from .partition import TileManifest, decode_image, decode_raw, encode_image, encode_raw
-from .seqio import read_sequences, write_fasta, write_fastq
-from .strand import ReadPool, StrandLayout
+from .seqio import ReadStream, read_sequences, write_fasta, write_fastq
+from .strand import StrandLayout
 from .sweep import loss_sweep
 
 __all__ = ["main", "run"]
@@ -85,14 +85,17 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_metadata(primary_out, subcommand, params, inputs, outputs, counters, seed):
+def _write_metadata(primary_out, subcommand, params, inputs, outputs, counters, seed, digests=None):
+    """Write ``<primary_out>.meta.json``; ``digests`` gives the SHA-256 of
+    inputs already hashed as they were read (a pipe cannot be read again)."""
+    digests = digests or {}
     meta = {
         "tool": "pjdna",
         "version": __version__,
         "subcommand": subcommand,
         "parameters": params,
         "seed": seed,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): digests.get(p) or _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
         "counters": counters,
     }
@@ -193,6 +196,7 @@ def cmd_simulate(args) -> int:
         [args.out],
         counters,
         seed=prof.seed,
+        digests={args.lib: lib.sha256},
     )
     print(f"simulated {len(reads)} reads -> {args.out}")
     return 0
@@ -203,15 +207,10 @@ def cmd_decode(args) -> int:
     if args.inpaint and manifest.mode != "image":
         raise ConfigError("--inpaint applies to image manifests, not to raw mode")
     src = args.reads or args.lib
-    skipped_alphabet, reads_format = 0, None
-    try:
-        result = read_sequences(src, args.input_format)
-        pool = result.pool
-        skipped_alphabet, reads_format = result.skipped_alphabet, result.format
-    except EmptyLibraryError:
-        pool = ReadPool.from_strings([])  # total loss still decodes
-    batch = vote(pool, manifest.layout, manifest.cfg, args.primer_mismatches)
-    counts = {**batch.counts, "skipped_alphabet": skipped_alphabet, "reads_format": reads_format}
+    reads = ReadStream(src, args.input_format)  # no record left is a total loss, which decodes
+    batch = vote(reads, manifest.layout, manifest.cfg, args.primer_mismatches)
+    counts = {**batch.counts, "skipped_alphabet": reads.skipped_alphabet,
+              "reads_format": reads.format}
     outputs = [args.out]
     if manifest.mode == "image":
         recovered = decode_image(batch, manifest, parse_stats=counts)
@@ -249,6 +248,7 @@ def cmd_decode(args) -> int:
         outputs,
         counters,
         seed=None,
+        digests={src: reads.sha256},
     )
     print(f"decoded -> {args.out}")
     return 0

@@ -320,11 +320,19 @@ def encode_image(
     ``t`` is row ``t`` of the returned :class:`~pjdna.strand.StrandSet`.
     """
     img = np.asarray(img)
+    manifest = _image_manifest(img, cfg, layout, tile_pixels)
+    return _encode_stream(img.reshape(-1), manifest), manifest
+
+
+def _image_manifest(img: np.ndarray, cfg: jr.JrConfig, layout: StrandLayout,
+                    tile_pixels: int | None) -> TileManifest:
+    """The manifest :func:`encode_image` gives ``img``, without encoding it;
+    a :class:`ConfigError` unless ``img`` is 2-D uint8 and a tile fits a
+    payload."""
     if img.ndim != 2 or img.dtype != np.uint8:
         raise ConfigError("image must be a 2-D uint8 array")
     h, w = img.shape
-    manifest = TileManifest.for_image(w, h, cfg, layout, tile_pixels)
-    return _encode_stream(img.reshape(-1), manifest), manifest
+    return TileManifest.for_image(w, h, cfg, layout, tile_pixels)
 
 
 def decode_image(

@@ -5,29 +5,36 @@ FASTA headers follow the grammar ``>pj|<decimal index>`` with an optional
 wrapping and plain 4-line FASTQ (quality lines ignored), uppercases
 sequences, and skips any record containing characters outside ACGT.
 
-Both are read as bytes into one :class:`~pjdna.strand.ReadPool`, in the
-format the first non-blank byte names.  A FASTA line ends at ``\n``, ``\r``
-or ``\r\n``, edge whitespace ignored; a FASTQ line ends at ``\n`` and one
-``\r`` before it is dropped (CRLF), so a lone ``\r`` is content.
+Both are read as bytes, in the format the first non-blank byte names.  A
+FASTA line ends at ``\n``, ``\r`` or ``\r\n``, edge whitespace ignored; a
+FASTQ line ends at ``\n`` and one ``\r`` before it is dropped (CRLF), so a
+lone ``\r`` is content.
 
-Reading holds the file's bytes once, as the buffer the pool points into,
-plus a start and an end per line; everything else is a temporary of one
-``_SCAN_BYTES`` window.  FASTQ reads point at their lines in the buffer, and
-FASTA records are joined in place at its front.
+A :class:`ReadStream` reads the file front to back, one ``_SCAN_BYTES``
+window into one reused buffer at a time, so a pipe reads like a file.  A
+window holds its bytes, a start and an end per line, and temporaries of a
+few bytes per byte; it yields its reads as a :class:`~pjdna.strand.ReadPool`
+over the buffer.  What a window cannot finish is carried to the front of the
+next: the lines from the first of an unfinished FASTQ record, or from the
+last FASTA header, and a line without its line end.  FASTQ reads point at
+their lines in the buffer, and FASTA records are joined in place at its
+front.  :func:`read_sequences` appends each window's reads to one buffer,
+so it holds the sequences, not the file.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import EmptyLibraryError, FormatError, RangeError
 from .strand import ReadPool, StrandSet
 
-__all__ = ["ReadFileResult", "write_fasta", "write_fastq", "read_sequences"]
+__all__ = ["ReadFileResult", "ReadStream", "write_fasta", "write_fastq", "read_sequences"]
 
 # Per byte: bit 0 unless ``str.strip`` removes it (a line without it is
 # blank), bit 1 unless it is A, C, G or T in either case.
@@ -36,8 +43,10 @@ _BYTE_CLASS = np.array(
     np.uint8,
 )
 _FIRST_BYTE_FORMAT = {ord(">"): "fasta", ord("@"): "fastq"}
-# Bytes of a file scanned at a time for line ends, line classes and the
-# FASTA gather; the window's temporaries are a few bytes per byte.
+# Bytes a read window starts at: read into one buffer, scanned for line
+# ends and line classes, and gathered; its temporaries are a few bytes per
+# byte.  A record carried over that fills more than half the buffer
+# doubles it.
 _SCAN_BYTES = 1 << 20
 # Bytes classed per call of ``np.take``, which copies its indices as intp.
 _TAKE_CHUNK = 1 << 16
@@ -51,6 +60,7 @@ class ReadFileResult:
     pool: ReadPool
     skipped_alphabet: int = 0
     format: str | None = None  # "fasta" or "fastq": how the file was read
+    sha256: str | None = None  # hex digest of the bytes read
 
     @cached_property
     def sequences(self) -> list[str]:
@@ -123,16 +133,19 @@ def write_fastq(
     return len(reads)
 
 
-def _format_of(path, buf: np.ndarray) -> str:
-    """"fasta" or "fastq" from the first non-blank byte of ``buf``."""
-    for k in range(0, buf.size, _TAKE_CHUNK):
-        part = buf[k : k + _TAKE_CHUNK]
-        solid = part[_BYTE_CLASS[part] & 1 == 1]
+def _format_of(path, part: np.ndarray, fmt: str) -> str | None:
+    """``fmt``, or for "auto" the format the first non-blank byte of ``part``
+    names; None when ``part`` is blank."""
+    for k in range(0, part.size, _TAKE_CHUNK):
+        chunk = part[k : k + _TAKE_CHUNK]
+        solid = chunk[_BYTE_CLASS[chunk] & 1 == 1]
         if solid.size:
+            if fmt != "auto":
+                return fmt
             if solid[0] not in _FIRST_BYTE_FORMAT:
                 raise FormatError(f"{path}: neither FASTA nor FASTQ")
             return _FIRST_BYTE_FORMAT[solid[0]]
-    raise EmptyLibraryError(f"{path}: no records")
+    return None
 
 
 def _classify(part: np.ndarray, out: np.ndarray) -> None:
@@ -142,21 +155,6 @@ def _classify(part: np.ndarray, out: np.ndarray) -> None:
         np.take(_BYTE_CLASS, chunk, out=out[k : k + chunk.size], mode="clip")
 
 
-def _windows(buf: np.ndarray, begins: np.ndarray, ends: np.ndarray):
-    """Each ``_SCAN_BYTES`` window of ``buf`` with the lines that overlap it.
-
-    Yields ``(part, lines, lo, hi)``: the window, the slice of the lines
-    (``begins`` and ``ends`` ascending) that overlap it, and their bounds
-    clipped to it and counted from its start.
-    """
-    for a in range(0, buf.size, _SCAN_BYTES):
-        part = buf[a : a + _SCAN_BYTES]
-        lines = slice(np.searchsorted(ends, a, "right"), np.searchsorted(begins, a + part.size))
-        lo = np.maximum(begins[lines] - a, 0)
-        hi = np.minimum(ends[lines] - a, part.size)
-        yield part, lines, lo, hi
-
-
 def _or_lines(classes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """OR of ``classes`` over each non-empty span ``[lo, hi)``: reduceat
     reduces from one index to the next, so it takes the bounds interleaved,
@@ -164,48 +162,40 @@ def _or_lines(classes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return np.bitwise_or.reduceat(classes, np.column_stack([lo, hi]).ravel())[::2]
 
 
-def _scan_lines(buf: np.ndarray, fastq: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The bounds ``[begins, ends)`` of the non-blank lines of ``buf`` and the
-    OR of their bytes' ``_BYTE_CLASS``.
+def _scan_lines(
+    part: np.ndarray, fastq: bool, eof: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The bounds ``[begins, ends)`` of the complete non-blank lines of
+    ``part``, the OR of their bytes' ``_BYTE_CLASS``, and where the
+    unterminated last line starts (``part.size`` at the end of the file,
+    where that line is complete).
 
     A FASTQ line ends at ``\\n`` and drops one ``\\r`` before it; a FASTA
-    line ends at ``\\n`` or ``\\r``.  The file is scanned ``_SCAN_BYTES`` at a
-    time, once for the line ends and once for the classes, so only the
-    per-line arrays grow with the file.
+    line ends at ``\\n`` or ``\\r``.
     """
-    found = [np.empty(0, np.int64)]
-    for a in range(0, buf.size, _SCAN_BYTES):
-        part = buf[a : a + _SCAN_BYTES]
-        hit = part == ord("\n")
-        if not fastq:
-            hit |= part == ord("\r")
-        at = np.flatnonzero(hit)
-        at += a
-        found.append(at)
-    if buf.size and not hit[-1]:  # the last line has no line end
-        found.append(np.array([buf.size]))
-    ends = np.concatenate(found)
-    del found
+    hit = part == ord("\n")
+    if not fastq:
+        hit |= part == ord("\r")
+    ends = np.flatnonzero(hit)
+    del hit
+    tail = int(ends[-1]) + 1 if ends.size else 0
+    if eof and tail < part.size:  # the last line has no line end
+        ends = np.append(ends, part.size)
+        tail = part.size
     begins = np.empty_like(ends)
     begins[:1] = 0
     np.add(ends[:-1], 1, out=begins[1:])
     if fastq:
-        # in place: a per-line temporary would be as large as ends; an empty
-        # line may end before it begins, and is dropped as blank either way
+        # an empty line may end before it begins, and is dropped as blank
         ends -= 1
-        ends += buf[ends] != ord("\r")
+        ends += part[ends] != ord("\r")
 
-    line_class = np.zeros(ends.size, np.uint8)
-    classes = np.empty(min(buf.size, _SCAN_BYTES) + 1, np.uint8)
-    for part, lines, lo, hi in _windows(buf, begins, ends):
-        if lo.size:
-            _classify(part, classes)
-            # an empty line ORs in one stray class, and is dropped below
-            line_class[lines] |= _or_lines(classes[: part.size + 1], lo, hi)
+    classes = np.empty(part.size + 1, np.uint8)
+    _classify(part, classes)
+    # an empty line ORs in one stray class, and is dropped below
+    line_class = _or_lines(classes, begins, ends)
     keep = (ends > begins) & (line_class & 1 == 1)  # not blank
-    if keep.all():
-        return begins, ends, line_class
-    return begins[keep], ends[keep], line_class[keep]
+    return begins[keep], ends[keep], line_class[keep], tail
 
 
 def _strip_edges(buf, begins, ends, line_class, lines: np.ndarray) -> None:
@@ -231,72 +221,152 @@ def _strip_edges(buf, begins, ends, line_class, lines: np.ndarray) -> None:
         k = stop
 
 
-def _read_fasta(path, buf: np.ndarray) -> ReadFileResult:
-    begins, ends, line_class = _scan_lines(buf, fastq=False)
-    edge = (_BYTE_CLASS[buf[begins]] & _BYTE_CLASS[buf[ends - 1]] & 1) == 0
-    if edge.any():
-        _strip_edges(buf, begins, ends, line_class, np.flatnonzero(edge))
+def _span_mask(size: int, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Flags of the bytes in the ascending, disjoint spans ``[begins, ends)``
+    of ``size`` bytes, repeated from their run lengths: a clear run before
+    each span, the span set, and a clear tail.  (A running sum over the
+    bytes took 30 times as long.)"""
+    runs = np.empty(2 * begins.size + 1, np.int64)
+    runs[0:-1:2] = begins
+    runs[2:-1:2] -= ends[:-1]
+    runs[1::2] = ends - begins
+    runs[-1] = size - (ends[-1] if ends.size else 0)
+    return np.repeat(np.arange(runs.size) % 2 == 1, runs)
 
-    head = buf[begins] == ord(">")
+
+def _fasta_window(path, part: np.ndarray, eof: bool) -> tuple[ReadPool, int, int]:
+    """The records of ``part`` that end in it, joined in place at its front
+    and upper-cased, as a pool; the count of records skipped; and where the
+    unfinished record, carried to the next window, starts."""
+    begins, ends, line_class, tail = _scan_lines(part, False, eof)
+    edge = (_BYTE_CLASS[part[begins]] & _BYTE_CLASS[part[ends - 1]] & 1) == 0
+    if edge.any():
+        _strip_edges(part, begins, ends, line_class, np.flatnonzero(edge))
+
+    head = part[begins] == ord(">")
+    # a window after the first starts at the header carried into it
     if head.size and not head[0]:
         raise FormatError(f"{path}: sequence data before the first FASTA header")
+    cut = tail
+    if not eof and head.any():  # the last header's record may go on in the next window
+        last = int(np.flatnonzero(head)[-1])
+        cut = int(begins[last])
+        begins, ends, line_class, head = begins[:last], ends[:last], line_class[:last], head[:last]
     n = int(head.sum())
     record = np.cumsum(head)[~head] - 1  # the record of each sequence line
     begins, ends, line_class = begins[~head], ends[~head], line_class[~head]
     lengths = np.bincount(record, ends - begins, n).astype(np.int64)
     ok = (lengths > 0) & (np.bincount(record, line_class & 2, n) == 0)
-    begins, ends = begins[ok[record]], ends[ok[record]]
-
-    # move the kept lines to the front of ``buf``, upper-cased, a window at
-    # a time: a running sum of +1 at begins and -1 at ends marks their bytes,
-    # and what a window keeps never reaches past the window's start
-    size = 0
-    mark = np.empty(min(buf.size, _SCAN_BYTES) + 1, np.int8)
-    for part, _, lo, hi in _windows(buf, begins, ends):
-        if lo.size:
-            window = mark[: part.size + 1]
-            window[:] = 0
-            window[lo] = 1
-            window[hi] = -1
-            kept = part[np.cumsum(window[:-1], dtype=np.int8).view(bool)]
-            kept &= 0xDF
-            buf[size : size + kept.size] = kept
-            size += kept.size
+    kept = part[:cut][_span_mask(cut, begins[ok[record]], ends[ok[record]])]
+    kept &= 0xDF
+    part[: kept.size] = kept
     lengths = lengths[ok]
-    pool = ReadPool(buf[:size], np.cumsum(lengths) - lengths, lengths)
-    return ReadFileResult(pool, n - int(ok.sum()), "fasta")
+    return ReadPool(part[: kept.size], np.cumsum(lengths) - lengths, lengths), n - int(ok.sum()), cut
 
 
-def _read_fastq(path, buf: np.ndarray) -> ReadFileResult:
-    begins, ends, line_class = _scan_lines(buf, fastq=True)
-    if begins.size % 4:
-        raise FormatError(f"{path}: FASTQ record count is not a multiple of 4 lines")
-    bad = (buf[begins[0::4]] != ord("@")) | (buf[begins[2::4]] != ord("+"))
-    if bad.any():
-        k = 4 * int(bad.argmax())
-        raise FormatError(f"{path}: malformed FASTQ record near line {k + 1}")
+def _fastq_window(part: np.ndarray, eof: bool) -> tuple[ReadPool, int, int, np.ndarray]:
+    """The reads of the whole records of ``part`` as a pool over it,
+    upper-cased; the count of records skipped; where the unfinished record,
+    carried to the next window, starts (before ``part.size`` at the end of
+    the file only if the line count is not whole); and a flag per whole
+    record, set where it is malformed."""
+    begins, ends, line_class, tail = _scan_lines(part, True, eof)
+    whole = begins.size - begins.size % 4
+    cut = int(begins[whole]) if whole < begins.size else tail
+    starts, ends = begins[1:whole:4], ends[1:whole:4]
+    bad = (part[begins[0:whole:4]] != ord("@")) | (part[begins[2:whole:4]] != ord("+"))
+    ok = line_class[1:whole:4] & 2 == 0
+    part[:cut] &= 0xDF  # upper-cases a-z; the pool keeps only the ACGT lines
+    return ReadPool(part, starts[ok], (ends - starts)[ok]), int(ok.size - ok.sum()), cut, bad
 
-    ok = line_class[1::4] & 2 == 0
-    starts = begins[1::4]
-    buf &= 0xDF  # upper-cases a-z; the pool keeps only the ACGT lines
-    pool = ReadPool(buf, starts[ok], (ends[1::4] - starts)[ok])
-    return ReadFileResult(pool, int(ok.size - ok.sum()), "fastq")
+
+class ReadStream:
+    """The reads of a FASTA or FASTQ file, one :class:`~pjdna.strand.ReadPool`
+    per window of about ``_SCAN_BYTES``, for one pass.
+
+    A pool points into the stream's one buffer, so it holds only until the
+    next is drawn.  Records that straddle a window are carried into the
+    next, and a window reads as many new bytes as the buffer has room for;
+    the buffer doubles only when a record fills half of it.  ``path`` may
+    be a pipe: the file is read once, front to back.  Once drawn out,
+    ``format`` is "fasta" or "fastq" (None for a file with no non-blank
+    byte), ``skipped_alphabet`` counts the records skipped for characters
+    outside ACGT or, in FASTA, for being empty, and ``sha256`` is the hex
+    digest of the bytes read.  ``fmt`` "auto" takes the format from the
+    first non-blank byte.  FASTQ errors are raised at the end of the file:
+    a line count that is not a multiple of 4 before the first malformed
+    record.
+    """
+
+    def __init__(self, path, fmt: str = "auto") -> None:
+        if fmt not in ("auto", "fasta", "fastq"):
+            raise FormatError(f"unknown sequence format {fmt!r}")
+        self.path, self._fmt = path, fmt
+        self.format: str | None = None
+        self.skipped_alphabet = 0
+        self.sha256: str | None = None
+
+    def __iter__(self) -> Iterator[ReadPool]:
+        path, digest = self.path, hashlib.sha256()
+        buf = np.empty(_SCAN_BYTES, np.uint8)
+        carry, eof, lines, malformed = 0, False, 0, None
+        with open(path, "rb", buffering=0) as fh:
+            while not eof:
+                if 2 * carry > buf.size:
+                    buf = np.concatenate([buf[:carry], np.empty(buf.size, np.uint8)])
+                size = carry
+                while size < buf.size:
+                    got = fh.readinto(buf[size:].data)
+                    if not got:
+                        eof = True
+                        break
+                    digest.update(buf[size : size + got].data)
+                    size += got
+                part = buf[:size]
+                if self.format is None:
+                    self.format = _format_of(path, part, self._fmt)
+                if self.format is None:  # blank so far: carry its last line
+                    newlines = np.flatnonzero(part == ord("\n"))
+                    cut = int(newlines[-1]) + 1 if newlines.size else 0
+                else:
+                    if self.format == "fasta":
+                        pool, skipped, cut = _fasta_window(path, part, eof)
+                    else:
+                        pool, skipped, cut, bad = _fastq_window(part, eof)
+                        if eof and cut < size:
+                            raise FormatError(
+                                f"{path}: FASTQ record count is not a multiple of 4 lines")
+                        if malformed is None and bad.any():
+                            malformed = lines + 4 * int(bad.argmax())
+                        lines += 4 * bad.size
+                    self.skipped_alphabet += skipped
+                    yield pool
+                carry = size - cut
+                buf[:carry] = buf[cut:size]
+        self.sha256 = digest.hexdigest()
+        if malformed is not None:
+            raise FormatError(f"{path}: malformed FASTQ record near line {malformed + 1}")
 
 
 def read_sequences(path, fmt: str = "auto") -> ReadFileResult:
     """Read all parseable sequences from a FASTA or FASTQ file.
 
-    ``fmt`` "auto" takes the format from the content, not the file name.
-    Raises :class:`EmptyLibraryError` when no record survives; records with
+    The reads of each window of a :class:`ReadStream` are appended to one
+    buffer, so only the sequences are held.  ``fmt`` "auto" takes the
+    format from the content, not the file name.  Raises
+    :class:`EmptyLibraryError` when no record survives; records with
     non-ACGT characters are skipped and counted, not fatal.
     """
-    readers = {"fasta": _read_fasta, "fastq": _read_fastq}
-    if fmt != "auto" and fmt not in readers:
-        raise FormatError(f"unknown sequence format {fmt!r}")
-    buf = np.fromfile(path, np.uint8)
-    if fmt == "auto":
-        fmt = _format_of(path, buf)
-    result = readers[fmt](path, buf)
-    if not len(result.pool):
-        raise EmptyLibraryError(f"{path}: no parseable records")
-    return result
+    stream = ReadStream(path, fmt)
+    joined, lengths = bytearray(), [np.empty(0, np.int64)]
+    for pool in stream:
+        ends = pool.starts + pool.lengths
+        end = int(ends.max(initial=0))
+        joined += pool.buf[:end][_span_mask(end, pool.starts, ends)].data
+        lengths.append(pool.lengths)
+    lengths = np.concatenate(lengths)
+    if not lengths.size:
+        blank = fmt == "auto" and stream.format is None
+        raise EmptyLibraryError(f"{path}: no records" if blank else f"{path}: no parseable records")
+    pool = ReadPool(np.frombuffer(joined, np.uint8), np.cumsum(lengths) - lengths, lengths)
+    return ReadFileResult(pool, stream.skipped_alphabet, stream.format, stream.sha256)

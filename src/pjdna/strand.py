@@ -11,10 +11,11 @@ stays within the default bound of 3.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -47,7 +48,7 @@ REJECT_CORRUPT = "corrupt"
 REJECT_REASONS = (REJECT_LENGTH, REJECT_PRIMER, REJECT_CORRUPT)
 
 # Reads parsed together in one pass; bounds the pass's temporaries to a few
-# MiB at 141 nt.  Its int64 blocks are copied into the caller's output: int64
+# MiB at 141 nt.  Its int64 blocks are appended to the caller's output: int64
 # for parse_many, the narrowest unsigned type of a block value for vote.
 _PARSE_CHUNK = 8192
 
@@ -371,11 +372,23 @@ def parse_many(
     out-of-range block / bad character as "corrupt".  A negative
     ``primer_tolerance`` is a :class:`ConfigError`.
     """
-    return ParseBatch(*_parse_reads(reads, layout, cfg, primer_tolerance, np.int64))
+    return ParseBatch(*_parse_reads(_pools(reads), layout, cfg, primer_tolerance, np.int64))
+
+
+def _pools(reads: ReadPool | Iterable[ReadPool] | Iterable[str]) -> Iterable[ReadPool]:
+    """``reads`` as pools: a pool alone, pools as they come, or strings
+    joined into one pool."""
+    if isinstance(reads, ReadPool):
+        return [reads]
+    reads = iter(reads)
+    first = next(reads, None)
+    if isinstance(first, ReadPool):
+        return itertools.chain([first], reads)
+    return [ReadPool.from_strings([] if first is None else [first, *reads])]
 
 
 def _parse_reads(
-    reads: ReadPool | Sequence[str],
+    pools: Iterable[ReadPool],
     layout: StrandLayout,
     cfg: jr.JrConfig,
     primer_tolerance: int,
@@ -383,32 +396,27 @@ def _parse_reads(
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """The parse loop of :func:`parse_many` and :func:`pjdna.channel.vote`:
     the accepted int64 indices, their payload blocks as ``dtype``, and the
-    counters.  Each ``_PARSE_CHUNK`` of reads is written into arrays sized
-    for every read of the right length; the results are their leading rows."""
+    counters.  Each pool is parsed ``_PARSE_CHUNK`` reads at a time before
+    the next is drawn, and each chunk's results are appended."""
     layout.validate(cfg)
     require_int("primer_tolerance", primer_tolerance, 0)
-    pool = reads if isinstance(reads, ReadPool) else ReadPool.from_strings(reads)
     total = layout.total_nt
-    starts = pool.starts[pool.lengths == total]
-    counts = {
-        "reads_total": len(pool),
-        "accepted": 0,
-        "reject_length": len(pool) - starts.size,
-        "reject_primer": 0,
-        "reject_corrupt": 0,
-    }
-    indices = np.empty(starts.size, np.int64)
-    blocks = np.empty((starts.size, cfg.groups_per_payload), dtype)
-    n = 0
-    if starts.size:
-        records = sliding_window_view(pool.buf, total)
-        for k in range(0, starts.size, _PARSE_CHUNK):
-            rows = records[starts[k : k + _PARSE_CHUNK]]
-            idx, payload = _parse_rows(rows, layout, cfg, primer_tolerance, counts)
-            indices[n : n + idx.size] = idx
-            blocks[n : n + idx.size] = payload
-            n += idx.size
-    return indices[:n], blocks[:n], counts
+    counts = dict.fromkeys(
+        ("reads_total", "accepted", "reject_length", "reject_primer", "reject_corrupt"), 0)
+    indices = [np.empty(0, np.int64)]
+    blocks = [np.empty((0, cfg.groups_per_payload), dtype)]
+    for pool in pools:
+        starts = pool.starts[pool.lengths == total]
+        counts["reads_total"] += len(pool)
+        counts["reject_length"] += len(pool) - starts.size
+        if starts.size:
+            records = sliding_window_view(pool.buf, total)
+            for k in range(0, starts.size, _PARSE_CHUNK):
+                rows = records[starts[k : k + _PARSE_CHUNK]]
+                idx, payload = _parse_rows(rows, layout, cfg, primer_tolerance, counts)
+                indices.append(idx)
+                blocks.append(payload.astype(dtype, copy=False))
+    return np.concatenate(indices), np.concatenate(blocks), counts
 
 
 def _parse_rows(

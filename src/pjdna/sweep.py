@@ -24,7 +24,7 @@ from .channel import ChannelProfile, corrupt_reads, keep_mask, vote
 from .errors import ConfigError
 from .inpaint import inpaint
 from .metrics import SsimReference, em_ssim
-from .partition import decode_image, drop_tiles, encode_image
+from .partition import _image_manifest, decode_image, drop_tiles, encode_image
 from .strand import DEFAULT_LAYOUT, StrandLayout
 
 __all__ = ["SweepRow", "SweepResult", "loss_sweep", "CSV_HEADER"]
@@ -91,8 +91,9 @@ def loss_sweep(
 
     With ``base_profile`` unset (or noiseless) each cell is a pure dropout
     run: decoding the surviving strands would give the image with the lost
-    tiles zeroed, so :func:`~pjdna.partition.drop_tiles` zeroes them.  A
-    noisy profile routes every cell through read corruption, the vote and
+    tiles zeroed, so :func:`~pjdna.partition.drop_tiles` zeroes them, and
+    only the image's manifest is built, not its strands.  A noisy profile
+    routes every cell through read corruption, the vote and
     :func:`~pjdna.partition.decode_image` instead.  ``ssim_inpainted`` is filled only
     when ``run_inpaint`` is set (the harmonic fill over large masked regions
     dominates the sweep's cost otherwise).
@@ -103,10 +104,13 @@ def loss_sweep(
     rates = sorted(set(float(r) for r in rates))
     seeds = [int(s) for s in seeds]
 
-    lib, manifest = encode_image(img, cfg, layout, tile_pixels)
-    n = len(lib)
-    score = SsimReference(img)
     noisy = base_profile is not None and not base_profile.noiseless
+    if noisy:
+        lib, manifest = encode_image(img, cfg, layout, tile_pixels)
+    else:  # drop_tiles needs no strand
+        manifest = _image_manifest(np.asarray(img), cfg, layout, tile_pixels)
+    n = manifest.strand_count
+    score = SsimReference(img)
 
     def run_cell(rate: float, seed: int) -> list[SweepRow]:
         keep = keep_mask(n, rate, seed)

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -357,6 +359,68 @@ def test_decode_sidecar_records_the_format_read(workdir):
         meta = json.loads((tmp_path / f"{name}.pgm.meta.json").read_text())
         assert meta["parameters"]["input_format"] == "auto"
         assert meta["counters"]["reads_format"] == fmt
+
+
+def test_decode_sidecar_counts_an_all_skipped_reads_file(workdir):
+    """A file whose every record holds a base outside ACGT decodes as a total
+    loss, and the sidecar counts its records as skipped in the format they
+    were parsed as."""
+    tmp_path, _ = workdir
+    encode(tmp_path)
+    (tmp_path / "n.fastq").write_text("@r0\nNNNN\n+\nIIII\n@r1\nACGN\n+\nIIII\n")
+    (tmp_path / "n.fasta").write_text(">pj|0\nACGN\n>pj|1\n")
+    for name, fmt, skipped in (("n.fastq", "fastq", 2), ("n.fasta", "fasta", 2)):
+        assert run("decode", "--reads", tmp_path / name, "--manifest", tmp_path / "m.json",
+                   "--out", tmp_path / f"{name}.pgm", "--mask", tmp_path / f"{name}.pbm") == 0
+        assert read_pbm(tmp_path / f"{name}.pbm").all()
+        counters = json.loads((tmp_path / f"{name}.pgm.meta.json").read_text())["counters"]
+        assert (counters["skipped_alphabet"], counters["reads_total"]) == (skipped, 0)
+        assert counters["reads_format"] == fmt
+
+
+def _run_through_fifo(fifo, data: bytes, *argv) -> int:
+    """``run(*argv)`` while a thread writes ``data`` into the FIFO ``fifo``."""
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        code = run(*argv)
+    finally:
+        if writer.is_alive():  # a reader that never opened the FIFO blocks the writer
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=30)
+        fifo.unlink()
+    assert not writer.is_alive()
+    return code
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_decode_and_simulate_read_from_a_fifo(workdir):
+    """``simulate --lib``, ``decode --reads`` and ``decode --lib`` may name a
+    FIFO, which is read once: the outputs, and the sidecar's input digest
+    and counters, are those of reading the regular file."""
+    tmp_path, _ = workdir
+    encode(tmp_path)
+    fifo = tmp_path / "fifo"
+    decode = ["decode", "--manifest", tmp_path / "m.json"]
+    for command, source, outputs in (
+        (["simulate", "--preset", "loss10", "--seed", "5", "--lib"], "lib.fasta", ["fastq"]),
+        (decode + ["--reads"], "file.fastq", ["pgm", "pbm"]),
+        (decode + ["--lib"], "lib.fasta", ["pgm", "pbm"]),
+    ):
+        data = (tmp_path / source).read_bytes()
+        for side, src in (("file", tmp_path / source), ("fifo", fifo)):
+            argv = [*command, src, "--out", tmp_path / f"{side}.{outputs[0]}"]
+            if len(outputs) > 1:
+                argv += ["--mask", tmp_path / f"{side}.pbm"]
+            assert (run(*argv) if side == "file" else _run_through_fifo(fifo, data, *argv)) == 0
+        for ext in outputs:
+            assert (tmp_path / f"fifo.{ext}").read_bytes() == (tmp_path / f"file.{ext}").read_bytes()
+        file_meta, fifo_meta = (json.loads((tmp_path / f"{side}.{outputs[0]}.meta.json").read_text())
+                                for side in ("file", "fifo"))
+        digest = hashlib.sha256(data).hexdigest()
+        assert fifo_meta["inputs"][str(fifo)] == file_meta["inputs"][str(tmp_path / source)] == digest
+        assert fifo_meta["counters"] == file_meta["counters"]
 
 
 def test_decode_negative_primer_mismatches_exits_2(workdir, capsys):

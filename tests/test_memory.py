@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pjdna import jr, strand
+from pjdna import jr, seqio, strand
 from pjdna.channel import ChannelProfile, corrupt_reads, vote
-from pjdna.seqio import read_sequences, write_fastq
+from pjdna.seqio import ReadStream, read_sequences, write_fastq
 from pjdna.strand import assemble_many
 
 STRANDS, COVERAGE = 2000, 8
@@ -41,13 +41,14 @@ def _traced_peak(fn):
 
 
 def test_reading_holds_the_file_once(reads_fastq):
-    """Beyond the file's bytes, reading holds per-line bounds and window
-    temporaries: 0.75 of the file's size here.  Whole-file line and byte-class
-    arrays took 1.44."""
+    """Reading holds the sequences and one 1 MiB window with its
+    temporaries, not the file: 0.92 of the file's size here.  Holding the
+    file's bytes with per-line bounds took 1.75, and whole-file line and
+    byte-class arrays 2.44."""
     size = reads_fastq.stat().st_size
     result, peak = _traced_peak(lambda: read_sequences(reads_fastq))
     assert len(result.pool) == STRANDS * COVERAGE
-    assert peak - size < 1.0 * size
+    assert peak < 1.25 * size
 
 
 def test_vote_grows_by_narrow_blocks(reads_fastq, monkeypatch):
@@ -59,3 +60,17 @@ def test_vote_grows_by_narrow_blocks(reads_fastq, monkeypatch):
     batch, peak = _traced_peak(lambda: vote(pool))
     assert batch.counts["indices_observed"] == STRANDS
     assert peak < 200 * len(pool)
+
+
+def test_voting_off_the_stream_holds_one_window(reads_fastq, monkeypatch):
+    """Voting on the windows of a :class:`ReadStream` as they are read holds
+    one window and what the vote keeps: with 64 KiB windows and parse chunks
+    of 1,024 reads, 0.31 of the file's size here (96 bytes a read), where
+    reading the file first and voting on its pool took 1.75."""
+    monkeypatch.setattr(seqio, "_SCAN_BYTES", 1 << 16)
+    monkeypatch.setattr(strand, "_PARSE_CHUNK", 1024)
+    size = reads_fastq.stat().st_size
+    batch, peak = _traced_peak(lambda: vote(ReadStream(reads_fastq)))
+    assert batch.counts["reads_total"] == STRANDS * COVERAGE
+    assert batch.counts["indices_observed"] == STRANDS
+    assert peak < 0.4 * size

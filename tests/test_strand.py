@@ -1,5 +1,7 @@
 """Strand assembly/parsing and sequence file I/O."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,7 +17,7 @@ from pjdna.errors import (
     RangeError,
     StrandReject,
 )
-from pjdna.seqio import read_sequences, write_fasta, write_fastq
+from pjdna.seqio import ReadStream, read_sequences, write_fasta, write_fastq
 from pjdna.strand import (
     DEFAULT_LAYOUT,
     DEFAULT_PRIMER3,
@@ -385,16 +387,30 @@ def _read_pair(path, fmt):
     return result.sequences, result.skipped_alphabet
 
 
-def _assert_matches_text_mode(path, data, text_mode_reader):
-    """The bytes reader of ``path``'s format (its suffix) reads ``data`` as
-    ``text_mode_reader`` does: the same reads and skips, or the same error."""
+def _stream_pair(path, fmt):
+    """:func:`_read_pair` off a :class:`ReadStream`, each window's reads
+    taken while it is the one drawn, as ``decode`` votes on them; the
+    stream's digest is that of the file."""
+    stream = ReadStream(path, fmt)
+    sequences = [seq for pool in stream for seq in pool.to_strings()]
+    assert stream.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    if not sequences:
+        raise EmptyLibraryError(f"{path}: no parseable records")
+    return sequences, stream.skipped_alphabet
+
+
+def _assert_matches_text_mode(path, data, text_mode_reader, readers=(_read_pair,)):
+    """Each of ``readers`` in ``path``'s format (its suffix) reads ``data``
+    as ``text_mode_reader`` does: the same reads and skips, or the same
+    error."""
     path.write_bytes(data)
-    assert _outcome(lambda: _read_pair(path, path.suffix[1:])) == _outcome(
-        lambda: text_mode_reader(path))
+    expect = _outcome(lambda: text_mode_reader(path))
+    for reader in readers:
+        assert _outcome(lambda: reader(path, path.suffix[1:])) == expect
 
 
 def _small_windows(monkeypatch, window, take):
-    """Scan ``window`` bytes and class ``take`` bytes at a time, so lines,
+    """Read ``window`` bytes and class ``take`` bytes at a time, so lines,
     CRLF pairs and records straddle the windows."""
     monkeypatch.setattr(seqio, "_SCAN_BYTES", window)
     monkeypatch.setattr(seqio, "_TAKE_CHUNK", take)
@@ -411,7 +427,8 @@ def test_fastq_bytes_reader_matches_text_mode(tmp_path, data):
 def test_fastq_reader_matches_text_mode_in_small_windows(tmp_path, monkeypatch, data, window,
                                                          take):
     _small_windows(monkeypatch, window, take)
-    _assert_matches_text_mode(tmp_path / "h.fastq", data, _text_mode_read_fastq)
+    _assert_matches_text_mode(tmp_path / "h.fastq", data, _text_mode_read_fastq,
+                              (_read_pair, _stream_pair))
 
 
 def _text_mode_read_fasta(path):
@@ -486,7 +503,29 @@ def test_fasta_bytes_reader_matches_text_mode(tmp_path, data):
 def test_fasta_reader_matches_text_mode_in_small_windows(tmp_path, monkeypatch, data, window,
                                                          take):
     _small_windows(monkeypatch, window, take)
-    _assert_matches_text_mode(tmp_path / "h.fasta", data, _text_mode_read_fasta)
+    _assert_matches_text_mode(tmp_path / "h.fasta", data, _text_mode_read_fasta,
+                              (_read_pair, _stream_pair))
+
+
+@pytest.mark.parametrize("window", [1, 7, 64])
+def test_fastq_errors_are_raised_at_the_end_of_the_stream(tmp_path, monkeypatch, window):
+    """A malformed record is reported once the file is read, by its line
+    counted over the non-blank lines of every window; a line count that is
+    not a multiple of 4 takes precedence over it."""
+    monkeypatch.setattr(seqio, "_SCAN_BYTES", window)
+    good = b"@r\nacgt\n+\nIIII\n"
+    data = good * 3 + b"\n \n" + b"@r\nACGT\n-\nIIII\n" + good * 5
+    path = tmp_path / "bad.fastq"
+    path.write_bytes(data)
+    stream, drawn = ReadStream(path), []
+    with pytest.raises(FormatError, match="malformed FASTQ record near line 13$"):
+        for pool in stream:
+            drawn.append(pool.to_strings())
+    assert len(drawn) > 1
+    assert sum(drawn, []) == ["ACGT"] * 9
+    path.write_bytes(data + b"@r\n")
+    with pytest.raises(FormatError, match="not a multiple of 4 lines"):
+        read_sequences(path)
 
 
 def test_fastq_malformed(tmp_path):
@@ -511,21 +550,24 @@ def test_unknown_format_is_refused_before_the_file_is_read(tmp_path):
         read_sequences(tmp_path / "missing.fastq", fmt="bogus")
 
 
-def test_sniff_format(tmp_path):
-    """The content, not the file name, gives the format a file was read in."""
+def test_sniff_format(tmp_path, monkeypatch):
+    """The content, not the file name, gives the format a file was read in,
+    also when the first windows hold only blank bytes."""
     fa = tmp_path / "a.txt"
     fa.write_text(">x\nACGT\n")
-    assert read_sequences(fa).format == "fasta"
     fq = tmp_path / "b.txt"
     fq.write_text("@x\nACGT\n+\nIIII\n")
-    assert read_sequences(fq).format == "fastq"
     padded = tmp_path / "d.txt"  # the first non-blank byte decides
     padded.write_bytes(b"\r\n \t>x\nACGT\n")
-    assert read_sequences(padded).format == "fasta"
     junk = tmp_path / "c.txt"
     junk.write_text("ACGT\n")
-    with pytest.raises(FormatError):
-        read_sequences(junk)
+    for window in (1, 3, 1 << 20):
+        monkeypatch.setattr(seqio, "_SCAN_BYTES", window)
+        assert read_sequences(fa).format == "fasta"
+        assert read_sequences(fq).format == "fastq"
+        assert read_sequences(padded).format == "fasta"
+        with pytest.raises(FormatError):
+            read_sequences(junk)
 
 
 def test_write_fastq_constant_quality(tmp_path):

@@ -153,6 +153,17 @@ def test_sweep_rejects_bad_rate(gradient):
         loss_sweep(gradient, [1.5], [0])
 
 
+@pytest.mark.parametrize("profile", [None, ChannelProfile(sub_p=0.01, coverage_mean=2)])
+def test_sweep_refuses_what_encoding_refuses(gradient, profile):
+    """A noiseless sweep builds only the manifest, and still refuses an image
+    or a tile that encoding the image would."""
+    for bad in (np.stack([gradient] * 3, axis=-1), gradient.astype(float)):
+        with pytest.raises(ConfigError, match="image must be a 2-D uint8 array"):
+            loss_sweep(bad, [0.5], [0], base_profile=profile)
+    with pytest.raises(ConfigError, match="tile_pixels 21 needs 168 bits, payload holds 162"):
+        loss_sweep(gradient, [0.5], [0], base_profile=profile, tile_pixels=21)
+
+
 # ---------------------------------------------------------------------------
 # IDX files
 # ---------------------------------------------------------------------------
