@@ -6,10 +6,14 @@ consecutive rows of that one stream, and Poisson coverages from one draw of
 ``default_rng((seed, 1))`` in strand order.  A read therefore depends only
 on (seed, strand, replicate), not on coverage, batching or iteration order,
 so serial and parallel runs agree and a rerun with the same profile is
-byte-identical.  Each read position takes one uniform, and fixed cut points
-of [0, 1) turn it into a deletion, an insertion of one of four bases, a
-substitution by one of three shifts, or nothing.  ``CHANNEL_STREAM``
-versions this layout of the stream; ``simulate`` records it in its sidecar.
+byte-identical.  The streams are exactly ``default_rng``'s, but
+:func:`_streams` seeds all of a run's strands in one pass: it runs NumPy's
+``SeedSequence`` hash over every strand id at once as uint32 array
+arithmetic and hands each row of the result to ``PCG64``.  Each read
+position takes one uniform, and fixed cut points of [0, 1) turn it into a
+deletion, an insertion of one of four bases, a substitution by one of three
+shifts, or nothing.  ``CHANNEL_STREAM`` versions this layout of the stream;
+``simulate`` records it in its sidecar.
 
 Presets mirror stressors at defensible magnitudes.  The "aging95C" and
 "xray" rate pairs are stand-in estimates chosen for this toolkit, not
@@ -22,13 +26,13 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cache, cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import jr
-from .errors import ConfigError
+from .errors import ConfigError, RangeError
 from .strand import (
     DEFAULT_LAYOUT,
     ParseBatch,
@@ -67,6 +71,15 @@ _CHUNK_READS = 256
 
 # Largest coverage_mean, far inside what int64 and the Poisson draw hold.
 _MAX_COVERAGE = 10**6
+
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, the running constants of its entropy hash (A) and of its
+# output hash (B), and the multipliers that mix two pool words.
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -174,6 +187,105 @@ def check_drop_rate(p: float) -> None:
         raise ConfigError(f"drop probability must lie in [0, 1], got {p}")
 
 
+def _streams(head: tuple, ids, tail: tuple = ()) -> Iterator:
+    """The generator ``np.random.default_rng(head + (id,) + tail)`` of each
+    of ``ids``, in order, each built only when it is reached.
+
+    ``head`` and ``tail`` hold non-negative integers and each id lies in
+    [0, 2**32), else :class:`RangeError`.  All the seed states are hashed
+    up front in one pass, so only the (len(ids), 4) uint64 states are held,
+    and each generator is ``PCG64`` started from its row, with no
+    ``SeedSequence`` built per stream.
+    """
+    from numpy.random import PCG64, Generator  # imported on use: ``import pjdna`` stays light
+
+    states = _seed_states(head, ids, tail)
+    fixed = _fixed_seed_sequence()
+    return (Generator(PCG64(fixed(row))) for row in states)
+
+
+@cache
+def _fixed_seed_sequence() -> type:
+    """A seed sequence whose ``generate_state`` returns the state it holds,
+    which is what ``PCG64`` asks of one."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedSeedSequence(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return FixedSeedSequence
+
+
+def _seed_states(head: tuple, ids, tail: tuple) -> np.ndarray:
+    """``SeedSequence(head + (id,) + tail).generate_state(4, np.uint64)`` of
+    every id as one (len(ids), 4) uint64 array.
+
+    The hash runs once for all ids: a word that depends on the id is a
+    uint32 array over the ids, whose arithmetic wraps as NumPy's does, and
+    a word that does not (or the id of a single stream) is a Python int
+    masked to 32 bits, which costs far less than an array operation.
+    """
+    ids = np.asarray(ids).reshape(-1)
+    if ids.size and not (0 <= ids.min() and ids.max() <= _WORD):
+        raise RangeError(f"stream ids must lie in [0, 2**32), got {ids.min()} to {ids.max()}")
+    sid = int(ids[0]) if ids.size == 1 else ids.astype(np.uint32)
+    words = [*_entropy_words(head), sid, *_entropy_words(tail)]
+    words += [0] * (_POOL_WORDS - len(words))  # a short entropy hashes zeros into the pool
+
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        x = (x * _MIX_L & _WORD) - (y * _MIX_R & _WORD) & _WORD
+        return x ^ x >> 16
+
+    pool = [hashmix(word) for word in words[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # 8 uint32 words cycling over the pool, read as 4 little-endian uint64
+    out = _hashmix(_INIT_B, _MULT_B)
+    state = np.empty((ids.size, 2 * _POOL_WORDS), "<u4")
+    for k in range(2 * _POOL_WORDS):
+        state[:, k] = out(pool[k % _POOL_WORDS])
+    return state.view("<u8").astype(np.uint64)
+
+
+def _hashmix(const: int, mult: int):
+    """NumPy's ``hashmix`` of a uint32 array or a Python int; each call
+    advances its running constant, a Python int, so no NumPy scalar
+    arithmetic can overflow."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _WORD
+        value = value * const & _WORD
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _entropy_words(values: tuple) -> list[int]:
+    """The uint32 words ``SeedSequence`` makes of non-negative integers:
+    each value's words, least significant first, and one word for 0."""
+    words = []
+    for v in map(operator.index, values):
+        words.append(v & _WORD)
+        while v > _WORD:
+            v >>= 32
+            words.append(v & _WORD)
+    return words
+
+
 def keep_mask(count: int, p: float, seed) -> np.ndarray:
     """Survival flags of ``count`` elements, each dropped with probability ``p``.
 
@@ -189,7 +301,7 @@ def keep_mask(count: int, p: float, seed) -> np.ndarray:
         entropy = tuple(map(operator.index, seed))
     if min(entropy, default=0) < 0:
         raise ConfigError(f"seed must be non-negative, got {seed!r}")
-    return np.random.default_rng(entropy + (0,)).random(count) >= p
+    return next(_streams(entropy, [0])).random(count) >= p
 
 
 def drop_strands(items: StrandSet | Sequence, p: float, seed) -> StrandSet | list:
@@ -231,7 +343,7 @@ def corrupt_reads(
     if profile.coverage_model == "fixed":
         cover = np.full(len(strands), int(profile.coverage_mean), np.int64)
     else:
-        cover = np.random.default_rng((seed, 1)).poisson(profile.coverage_mean, len(strands))
+        cover = next(_streams((seed,), [1])).poisson(profile.coverage_mean, len(strands))
     origin_ids = np.repeat(np.arange(len(strands)), cover)
     if profile.noiseless:
         return ReadSet(strands.rows(origin_ids), origin_ids)
@@ -276,6 +388,8 @@ def _mutate(
     scratch = np.empty(chunk_rows * int(strands.lengths.max(initial=0)))
     parts: list[bytes] = []
     lengths = [np.empty(0, np.int64)]
+    # origin_ids ascend, so each strand's stream is reached once, in order
+    streams = _streams((seed, 2), origin_ids[np.diff(origin_ids, prepend=-1) != 0])
     rng, current = None, -1
     for a in range(0, origin_ids.size, _CHUNK_READS):
         sids, reps = np.unique(origin_ids[a : a + _CHUNK_READS], return_counts=True)
@@ -289,7 +403,7 @@ def _mutate(
             # consecutive draws continue the stream, so a strand split
             # between chunks gets the rows one random((k, n)) would give
             if sid != current:
-                rng, current = np.random.default_rng((seed, 2, sid)), sid
+                rng, current = next(streams), sid
             if n == width:
                 rng.random(out=u[row : row + take])
             else:
@@ -360,18 +474,32 @@ def vote(
     settles by plurality vote, ties to the smallest value.  Returns one row
     per observed index, indices ascending, with counters for every rejection
     reason and ``indices_observed``.  The indices and the winning blocks are
-    int64; the accepted blocks are kept, appended pool by pool and then
-    sorted, in the narrowest unsigned type that holds ``cfg.block_limit - 1``
-    (uint16 at the default 9 bits per block).
+    int64; the accepted blocks are kept in the narrowest unsigned type that
+    holds ``cfg.block_limit - 1`` (uint16 at the default 9 bits per block),
+    appended parse chunk by parse chunk; each chunk then moves to its sorted
+    rows of one array and is dropped, so no unsorted concatenation is made.
     """
-    indices, blocks, counts = _parse_reads(
+    index_parts, block_parts, counts = _parse_reads(
         _pools(reads), layout, cfg, primer_tolerance, np.min_scalar_type(cfg.block_limit - 1))
+    indices = np.concatenate(index_parts)
+    del index_parts
     order = np.argsort(indices, kind="stable")
     indices = indices[order]
-    blocks = blocks[order]  # frees the unsorted copy
-    del order
     starts = np.diff(indices, prepend=-1) != 0  # indices are non-negative
     heads = np.flatnonzero(starts)
+    observed = indices[heads]
+    del indices
+    # each accepted read's row in index order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    del order
+    blocks = np.empty((rank.size, block_parts[0].shape[1]), block_parts[0].dtype)
+    placed = 0
+    for j, part in enumerate(block_parts):
+        blocks[rank[placed : placed + len(part)]] = part
+        placed += len(part)
+        block_parts[j] = part = None  # frees the chunk
+    del rank
     winners = blocks[heads]
     # only groups where some read differs from the read before it vote
     differs = (blocks[1:] != blocks[:-1]).any(axis=1) & ~starts[1:]
@@ -380,7 +508,7 @@ def vote(
         contested = np.unique(group[1:][differs])
         winners[contested] = _column_modes(blocks, group, contested)
     counts = {**counts, "indices_observed": int(heads.size)}
-    return ParseBatch(indices[heads], winners.astype(np.int64), counts)
+    return ParseBatch(observed, winners.astype(np.int64), counts)
 
 
 def consensus(

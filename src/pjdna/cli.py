@@ -32,8 +32,8 @@ from .channel import (
     vote,
 )
 from .errors import ConfigError, FormatError, PjError, require_int
-from .idx import degrade_dataset, read_labels
-from .images import read_pbm, read_pgm, write_pbm, write_pgm
+from .idx import _IMAGE_MAGIC, _parse_idx, degrade_dataset, read_labels
+from .images import _parse_pbm, _parse_pgm, read_pgm, write_pbm, write_pgm
 from .inpaint import inpaint
 from .metrics import ssim, tally_outcomes
 from .partition import TileManifest, decode_image, decode_raw, encode_image, encode_raw
@@ -85,17 +85,26 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_metadata(primary_out, subcommand, params, inputs, outputs, counters, seed, digests=None):
-    """Write ``<primary_out>.meta.json``; ``digests`` gives the SHA-256 of
-    inputs already hashed as they were read (a pipe cannot be read again)."""
-    digests = digests or {}
+def _read_input(path, digests: dict) -> bytes:
+    """The whole of the input file ``path``, read once, with its SHA-256
+    put in ``digests`` for the sidecar: a pipe or FIFO cannot be read
+    again."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digests[path] = hashlib.sha256(data).hexdigest()
+    return data
+
+
+def _write_metadata(primary_out, subcommand, params, digests, outputs, counters, seed):
+    """Write ``<primary_out>.meta.json``; ``digests`` maps each input to the
+    SHA-256 of the bytes read from it."""
     meta = {
         "tool": "pjdna",
         "version": __version__,
         "subcommand": subcommand,
         "parameters": params,
         "seed": seed,
-        "inputs": {str(p): digests.get(p) or _sha256(p) for p in inputs},
+        "inputs": {str(p): digest for p, digest in digests.items()},
         "outputs": {str(p): _sha256(p) for p in outputs},
         "counters": counters,
     }
@@ -125,17 +134,14 @@ def _cfg_layout(args) -> tuple[jr.JrConfig, StrandLayout]:
 
 def cmd_encode(args) -> int:
     cfg, layout = _cfg_layout(args)
+    digests = {}
     if args.input:
-        img = read_pgm(args.input)
+        img = _parse_pgm(_read_input(args.input, digests), args.input)
         strands, manifest = encode_image(img, cfg, layout, args.tile_pixels)
-        source = args.input
     else:
         if args.tile_pixels is not None:
             raise ConfigError("--tile-pixels applies to --in images, not to --raw")
-        with open(args.raw, "rb") as fh:
-            data = fh.read()
-        strands, manifest = encode_raw(data, cfg, layout)
-        source = args.raw
+        strands, manifest = encode_raw(_read_input(args.raw, digests), cfg, layout)
     with _atomic(args.out) as tmp:
         write_fasta(tmp, strands)
     with _atomic(args.manifest) as tmp:
@@ -151,7 +157,7 @@ def cmd_encode(args) -> int:
             "primer3": layout.primer3,
             "manifest": str(args.manifest),
         },
-        [source],
+        digests,
         [args.out, args.manifest],
         counters,
         seed=None,
@@ -192,23 +198,24 @@ def cmd_simulate(args) -> int:
         args.out,
         "simulate",
         {"profile": prof.to_dict(), "channel_stream": CHANNEL_STREAM},
-        [args.lib],
+        {args.lib: lib.sha256},
         [args.out],
         counters,
         seed=prof.seed,
-        digests={args.lib: lib.sha256},
     )
     print(f"simulated {len(reads)} reads -> {args.out}")
     return 0
 
 
 def cmd_decode(args) -> int:
-    manifest = TileManifest.load(args.manifest)
+    digests = {}
+    manifest = TileManifest.parse(_read_input(args.manifest, digests), args.manifest)
     if args.inpaint and manifest.mode != "image":
         raise ConfigError("--inpaint applies to image manifests, not to raw mode")
     src = args.reads or args.lib
     reads = ReadStream(src, args.input_format)  # no record left is a total loss, which decodes
     batch = vote(reads, manifest.layout, manifest.cfg, args.primer_mismatches)
+    digests[src] = reads.sha256
     counts = {**batch.counts, "skipped_alphabet": reads.skipped_alphabet,
               "reads_format": reads.format}
     outputs = [args.out]
@@ -244,18 +251,18 @@ def cmd_decode(args) -> int:
             "primer_mismatches": args.primer_mismatches,
             "inpaint": bool(args.inpaint),
         },
-        [src, args.manifest],
+        digests,
         outputs,
         counters,
         seed=None,
-        digests={src: reads.sha256},
     )
     print(f"decoded -> {args.out}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    img = read_pgm(args.input)
+    digests = {}
+    img = _parse_pgm(_read_input(args.input, digests), args.input)
     try:
         rates = [float(tok) for tok in args.rates.split(",") if tok.strip()]
     except ValueError:
@@ -281,7 +288,7 @@ def cmd_sweep(args) -> int:
         args.out,
         "sweep",
         {"rates": rates, "seeds": seeds, "inpaint": bool(args.inpaint), "threads": args.threads},
-        [args.input],
+        digests,
         [args.out],
         counters,
         seed=seed0,
@@ -298,8 +305,9 @@ def cmd_ssim(args) -> int:
 
 
 def cmd_inpaint(args) -> int:
-    img = read_pgm(args.input)
-    mask = read_pbm(args.mask)
+    digests = {}
+    img = _parse_pgm(_read_input(args.input, digests), args.input)
+    mask = _parse_pbm(_read_input(args.mask, digests), args.mask)
     out = inpaint(img, mask)
     with _atomic(args.out) as tmp:
         write_pgm(tmp, out)
@@ -307,7 +315,7 @@ def cmd_inpaint(args) -> int:
         args.out,
         "inpaint",
         {"mask": str(args.mask)},
-        [args.input, args.mask],
+        digests,
         [args.out],
         {"masked_pixels": int(mask.sum())},
         seed=None,
@@ -318,8 +326,10 @@ def cmd_inpaint(args) -> int:
 
 def cmd_degrade_dataset(args) -> int:
     seed = _seed_arg(args)
+    digests = {}
+    images = _parse_idx(_read_input(args.input, digests), _IMAGE_MAGIC, args.input)
     summary = degrade_dataset(
-        args.input,
+        images,
         args.rate,
         seed,
         args.out,
@@ -330,7 +340,7 @@ def cmd_degrade_dataset(args) -> int:
         args.out,
         "degrade-dataset",
         {"rate": args.rate, "masks": str(args.masks) if args.masks else None},
-        [args.input],
+        digests,
         outputs,
         summary,
         seed=seed,

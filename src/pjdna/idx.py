@@ -10,16 +10,16 @@ strands and nothing else, so it zeroes each image's lost tiles
 
 from __future__ import annotations
 
-import os
-import stat
+import io
+import math
 import struct
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import jr
 from .errors import FormatError
-from .channel import check_drop_rate, keep_mask
+from .channel import _streams, check_drop_rate
 from .partition import TileManifest, drop_tiles
 from .strand import DEFAULT_LAYOUT, StrandLayout
 
@@ -40,33 +40,28 @@ _LABEL_MAGIC = 0x00000801
 _DEGRADE_CHUNK = 640
 
 
-def _read_promised(fh, size: int, path) -> bytes:
-    """The ``size`` data bytes a header promises.
-
-    A regular file's size is checked before reading, so a hostile header
-    cannot ask for a huge buffer; a pipe has no size up front, so it is read
-    to its end, which never asks for more than it holds.
-    """
-    st = os.fstat(fh.fileno())
-    if stat.S_ISREG(st.st_mode):
-        data = fh.read(size) if st.st_size - fh.tell() >= size else b""
-    else:
-        data = fh.read()[:size]
-    if len(data) != size:
-        raise FormatError(f"{path}: IDX data shorter than its header promises")
-    return data
-
-
 def read_idx_images(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) != 16:
-            raise FormatError(f"{path}: truncated IDX header")
-        magic, n, rows, cols = struct.unpack(">IIII", head)
-        if magic != _IMAGE_MAGIC:
-            raise FormatError(f"{path}: bad IDX image magic 0x{magic:08x}")
-        data = _read_promised(fh, n * rows * cols, path)
-    return np.frombuffer(data, np.uint8).reshape(n, rows, cols).copy()
+        return _parse_idx(fh.read(), _IMAGE_MAGIC, path)
+
+
+def _parse_idx(data: bytes, magic: int, path) -> np.ndarray:
+    """The uint8 array of an IDX file's bytes: an image stack for
+    ``_IMAGE_MAGIC``, a label vector for ``_LABEL_MAGIC``.  The data is only
+    sliced from the bytes read, so a hostile header cannot ask for a huge
+    buffer; trailing bytes are ignored."""
+    ndim = 3 if magic == _IMAGE_MAGIC else 1
+    head = 4 + 4 * ndim
+    if len(data) < head:
+        raise FormatError(f"{path}: truncated IDX header")
+    found, *shape = struct.unpack_from(f">{1 + ndim}I", data)
+    if found != magic:
+        kind = "image" if magic == _IMAGE_MAGIC else "label"
+        raise FormatError(f"{path}: bad IDX {kind} magic 0x{found:08x}")
+    size = math.prod(shape)
+    if len(data) - head < size:
+        raise FormatError(f"{path}: IDX data shorter than its header promises")
+    return np.frombuffer(data, np.uint8, size, head).reshape(shape).copy()
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -81,14 +76,7 @@ def write_idx_images(path, images: np.ndarray) -> None:
 
 def read_idx_labels(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) != 8:
-            raise FormatError(f"{path}: truncated IDX header")
-        magic, n = struct.unpack(">II", head)
-        if magic != _LABEL_MAGIC:
-            raise FormatError(f"{path}: bad IDX label magic 0x{magic:08x}")
-        data = _read_promised(fh, n, path)
-    return np.frombuffer(data, np.uint8).copy()
+        return _parse_idx(fh.read(), _LABEL_MAGIC, path)
 
 
 def write_idx_labels(path, labels: Sequence[int]) -> None:
@@ -102,15 +90,16 @@ def read_labels(path) -> np.ndarray:
     """Read labels from an IDX label file or a one-integer-per-line text file.
 
     A text file must be ASCII and its labels must fit in int64; anything
-    else raises :class:`FormatError`.
+    else raises :class:`FormatError`.  The file is read once, so it may be a
+    pipe or a FIFO.
     """
     with open(path, "rb") as fh:
-        head = fh.read(4)
-    if len(head) == 4 and struct.unpack(">I", head)[0] == _LABEL_MAGIC:
-        return read_idx_labels(path)
+        data = fh.read()
+    if data[:4] == struct.pack(">I", _LABEL_MAGIC):
+        return _parse_idx(data, _LABEL_MAGIC, path)
     values = []
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="ascii") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
@@ -139,18 +128,20 @@ def degrade_dataset(
 ) -> dict:
     """Degrade every image of an IDX stack by strand loss, each on its own.
 
-    ``images_in``/``images_out`` are IDX paths; ``masks_out`` (optional)
+    ``images_in`` is an IDX path or the (count, rows, cols) uint8 stack read
+    from one, ``images_out`` an IDX path; ``masks_out`` (optional)
     receives the per-image missing masks as a 0/1 uint8 IDX stack.  Image i
     loses the strands ``channel.drop_strands(strands, rate, (seed, i))``
     would drop, so the dataset can be regenerated one image at a time.
     Loss is the only damage here, and decoding what survives gives back the
     image with each lost tile zeroed and masked, so
     :func:`~pjdna.partition.drop_tiles` zeroes those tiles without building
-    a strand.  The stack is worked in chunks of whole images.  Returns a
-    summary with the masked-fraction distribution across images.
+    a strand.  The stack is worked in chunks of whole images, and every
+    image's stream is seeded in one pass up front.  Returns a summary with
+    the masked-fraction distribution across images.
     """
     check_drop_rate(rate)
-    images = read_idx_images(images_in)
+    images = images_in if isinstance(images_in, np.ndarray) else read_idx_images(images_in)
     n, rows, cols = images.shape
     out = np.empty_like(images)
     masks = np.empty_like(images) if masks_out is not None else None
@@ -160,9 +151,11 @@ def degrade_dataset(
         manifest = TileManifest.for_image(cols, rows, cfg, layout, tile_pixels)
         strands_per_image = manifest.strand_count
         step = max(1, _DEGRADE_CHUNK // strands_per_image)
+        # image i's stream is keep_mask's for seed (seed, i)
+        streams = _streams((seed,), np.arange(n), (0,))
         for a in range(0, n, step):
             chunk = slice(a, a + step)
-            out[chunk], missing = _degrade_images(images[chunk], a, rate, seed, manifest)
+            out[chunk], missing = _degrade_images(images[chunk], streams, rate, manifest)
             fractions[chunk] = missing.reshape(missing.shape[0], -1).mean(axis=1)
             if masks is not None:
                 masks[chunk] = missing
@@ -183,11 +176,12 @@ def degrade_dataset(
 
 
 def _degrade_images(
-    images: np.ndarray, first: int, rate: float, seed: int, manifest: TileManifest
+    images: np.ndarray, streams: Iterator, rate: float, manifest: TileManifest
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Degraded images and missing masks of ``images``, stack images
-    ``first, first + 1, ...``."""
+    """Degraded images and missing masks of ``images``, each image dropping
+    its strands by the next of ``streams`` as :func:`~pjdna.channel.keep_mask`
+    does."""
     k, n = images.shape[0], manifest.strand_count
-    keep = np.concatenate([keep_mask(n, rate, (seed, first + j)) for j in range(k)])
+    keep = np.concatenate([next(streams).random(n) >= rate for _ in range(k)])
     pixels, missing = drop_tiles(images.reshape(k, -1), keep, manifest, 8)
     return pixels.reshape(images.shape), missing.reshape(images.shape)

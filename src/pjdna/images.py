@@ -41,7 +41,11 @@ def _read_header_tokens(data: bytes, count: int, path) -> tuple[list[int], int]:
 
 def read_pgm(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        data = fh.read()
+        return _parse_pgm(fh.read(), path)
+
+
+def _parse_pgm(data: bytes, path) -> np.ndarray:
+    """The image of a PGM file's bytes; ``path`` names the file in errors."""
     if len(data) < 2 or data[:2] != b"P5":
         raise FormatError(f"{path}: not a binary PGM (P5) file")
     (width, height, maxval), offset = _read_header_tokens(data, 3, path)
@@ -66,7 +70,11 @@ def write_pgm(path, img: np.ndarray) -> None:
 
 def read_pbm(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        data = fh.read()
+        return _parse_pbm(fh.read(), path)
+
+
+def _parse_pbm(data: bytes, path) -> np.ndarray:
+    """The mask of a PBM file's bytes; ``path`` names the file in errors."""
     if len(data) < 2 or data[:2] != b"P4":
         raise FormatError(f"{path}: not a binary PBM (P4) file")
     (width, height), offset = _read_header_tokens(data, 2, path)

@@ -159,11 +159,17 @@ class TileManifest:
 
     @classmethod
     def load(cls, path) -> "TileManifest":
-        with open(path, "r", encoding="ascii") as fh:
-            try:
-                d = json.load(fh)
-            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, over-long int
-                raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+        with open(path, "rb") as fh:
+            return cls.parse(fh.read(), path)
+
+    @classmethod
+    def parse(cls, data: bytes, path) -> "TileManifest":
+        """The manifest of a JSON file's ASCII bytes; ``path`` names the
+        file in errors."""
+        try:
+            d = json.loads(data.decode("ascii"))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, over-long int
+            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_dict(d)
 
     @property

@@ -372,7 +372,8 @@ def parse_many(
     out-of-range block / bad character as "corrupt".  A negative
     ``primer_tolerance`` is a :class:`ConfigError`.
     """
-    return ParseBatch(*_parse_reads(_pools(reads), layout, cfg, primer_tolerance, np.int64))
+    indices, blocks, counts = _parse_reads(_pools(reads), layout, cfg, primer_tolerance, np.int64)
+    return ParseBatch(np.concatenate(indices), np.concatenate(blocks), counts)
 
 
 def _pools(reads: ReadPool | Iterable[ReadPool] | Iterable[str]) -> Iterable[ReadPool]:
@@ -395,9 +396,10 @@ def _parse_reads(
     dtype,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """The parse loop of :func:`parse_many` and :func:`pjdna.channel.vote`:
-    the accepted int64 indices, their payload blocks as ``dtype``, and the
+    lists of the accepted int64 indices and of their payload blocks as
+    ``dtype``, one entry per parse chunk after an empty first one, and the
     counters.  Each pool is parsed ``_PARSE_CHUNK`` reads at a time before
-    the next is drawn, and each chunk's results are appended."""
+    the next is drawn."""
     layout.validate(cfg)
     require_int("primer_tolerance", primer_tolerance, 0)
     total = layout.total_nt
@@ -416,7 +418,7 @@ def _parse_reads(
                 idx, payload = _parse_rows(rows, layout, cfg, primer_tolerance, counts)
                 indices.append(idx)
                 blocks.append(payload.astype(dtype, copy=False))
-    return np.concatenate(indices), np.concatenate(blocks), counts
+    return indices, blocks, counts
 
 
 def _parse_rows(

@@ -20,7 +20,7 @@ from pjdna.channel import (
     drop_strands,
     preset,
 )
-from pjdna.errors import ConfigError
+from pjdna.errors import ConfigError, RangeError
 from pjdna.partition import decode_image, encode_image
 from pjdna.seqio import read_sequences, write_fastq
 from pjdna.strand import ReadPool, StrandSet, assemble_many, assemble_strand, parse_many
@@ -119,6 +119,37 @@ def test_drop_accepts_numpy_integer_seeds():
     assert expect != drop_strands(items, 0.3, 3)
     with pytest.raises(TypeError):
         drop_strands(items, 0.3, 3.0)
+
+
+SEED_WORDS = st.integers(0, 2**70)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    head=st.lists(SEED_WORDS, max_size=4).map(tuple),
+    tail=st.lists(SEED_WORDS, max_size=4).map(tuple),
+    ids=st.lists(st.integers(0, 2**32 - 1), max_size=6).map(lambda ids: [0, *ids, 2**32 - 1]),
+)
+def test_streams_are_default_rng_streams(head, tail, ids):
+    """Seeding many streams in one pass gives exactly the generators of
+    ``default_rng``, which runs NumPy's own ``SeedSequence``, so a NumPy that
+    changed that hash fails here instead of silently changing the reads."""
+    tail = tail[: 4 - len(head)]  # seeds of 1 to 5 words
+    streams = channel._streams(head, np.array(ids, np.int64), tail)
+    for sid in ids:
+        ours, theirs = next(streams), np.random.default_rng(head + (sid,) + tail)
+        assert np.array_equal(ours.random(64), theirs.random(64))
+        assert np.array_equal(ours.poisson(7.5, 8), theirs.poisson(7.5, 8))
+    assert next(streams, None) is None
+
+
+def test_streams_take_ids_of_one_word():
+    assert [g.random() for g in channel._streams((np.uint64(2**63), 9), [np.uint32(5)])] == [
+        np.random.default_rng((2**63, 9, 5)).random()]
+    assert list(channel._streams((1,), [])) == []
+    for ids in ([2**32], [0, 2**32 + 5], [2**64], [-1]):
+        with pytest.raises(RangeError):
+            channel._streams((1,), ids)
 
 
 def test_drop_binomial_band():
@@ -252,7 +283,8 @@ def reads_of_one_base(prof, uniforms):
             return out
 
     assert values.shape[0] <= channel._CHUNK_READS
-    with mock.patch.object(np.random, "default_rng", lambda seed: Stream()):
+    streams = lambda head, ids, tail=(): (Stream() for _ in ids)  # noqa: E731
+    with mock.patch.object(channel, "_streams", streams):
         return corrupt_reads(["A"], replace(prof, coverage_mean=len(values))).sequences
 
 

@@ -395,28 +395,41 @@ def _run_through_fifo(fifo, data: bytes, *argv) -> int:
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
-def test_decode_and_simulate_read_from_a_fifo(workdir):
-    """``simulate --lib``, ``decode --reads`` and ``decode --lib`` may name a
-    FIFO, which is read once: the outputs, and the sidecar's input digest
-    and counters, are those of reading the regular file."""
+def test_decode_and_simulate_read_from_a_fifo(workdir, rng):
+    """Every input a sidecar hashes may name a FIFO, which is read once: the
+    outputs, and the sidecar's input digest and counters, are those of
+    reading the regular file.  Hashing an input by opening it again blocked
+    for ever on a FIFO whose writer had closed."""
     tmp_path, _ = workdir
     encode(tmp_path)
+    assert run("decode", "--lib", tmp_path / "lib.fasta", "--manifest", tmp_path / "m.json",
+               "--out", tmp_path / "lost.pgm", "--mask", tmp_path / "lost.pbm") == 0
+    write_idx_images(tmp_path / "in.idx", rng.integers(0, 256, (3, 28, 28), dtype=np.uint8))
     fifo = tmp_path / "fifo"
     decode = ["decode", "--manifest", tmp_path / "m.json"]
+    image_out = [("--out", "pgm"), ("--mask", "pbm")]
     for command, source, outputs in (
-        (["simulate", "--preset", "loss10", "--seed", "5", "--lib"], "lib.fasta", ["fastq"]),
-        (decode + ["--reads"], "file.fastq", ["pgm", "pbm"]),
-        (decode + ["--lib"], "lib.fasta", ["pgm", "pbm"]),
+        (["simulate", "--preset", "loss10", "--seed", "5", "--lib"], "lib.fasta",
+         [("--out", "fastq")]),
+        (decode + ["--reads"], "file.fastq", image_out),
+        (decode + ["--lib"], "lib.fasta", image_out),
+        (["decode", "--lib", tmp_path / "lib.fasta", "--manifest"], "m.json", image_out),
+        (["encode", "--in"], "in.pgm", [("--out", "fasta"), ("--manifest", "json")]),
+        (["encode", "--raw"], "in.pgm", [("--out", "fasta"), ("--manifest", "json")]),
+        (["inpaint", "--mask", tmp_path / "lost.pbm", "--in"], "in.pgm", [("--out", "pgm")]),
+        (["inpaint", "--in", tmp_path / "lost.pgm", "--mask"], "lost.pbm", [("--out", "pgm")]),
+        (["sweep", "--rates", "0.1", "--seeds", "1", "--in"], "in.pgm", [("--out", "csv")]),
+        (["degrade-dataset", "--rate", "0.1", "--in"], "in.idx", [("--out", "idx")]),
     ):
         data = (tmp_path / source).read_bytes()
         for side, src in (("file", tmp_path / source), ("fifo", fifo)):
-            argv = [*command, src, "--out", tmp_path / f"{side}.{outputs[0]}"]
-            if len(outputs) > 1:
-                argv += ["--mask", tmp_path / f"{side}.pbm"]
+            argv = [*command, src]
+            for flag, ext in outputs:
+                argv += [flag, tmp_path / f"{side}.{ext}"]
             assert (run(*argv) if side == "file" else _run_through_fifo(fifo, data, *argv)) == 0
-        for ext in outputs:
+        for _, ext in outputs:
             assert (tmp_path / f"fifo.{ext}").read_bytes() == (tmp_path / f"file.{ext}").read_bytes()
-        file_meta, fifo_meta = (json.loads((tmp_path / f"{side}.{outputs[0]}.meta.json").read_text())
+        file_meta, fifo_meta = (json.loads((tmp_path / f"{side}.{outputs[0][1]}.meta.json").read_text())
                                 for side in ("file", "fifo"))
         digest = hashlib.sha256(data).hexdigest()
         assert fifo_meta["inputs"][str(fifo)] == file_meta["inputs"][str(tmp_path / source)] == digest

@@ -53,13 +53,26 @@ def test_reading_holds_the_file_once(reads_fastq):
 
 def test_vote_grows_by_narrow_blocks(reads_fastq, monkeypatch):
     """With parse chunks of 1,024 reads the chunk's temporaries are small, so
-    the peak is what grows with the reads: 110 bytes a read here, where
+    the peak is what grows with the reads: 105 bytes a read here, where
     voting on int64 copies of every block took 502."""
     pool = read_sequences(reads_fastq).pool
     monkeypatch.setattr(strand, "_PARSE_CHUNK", 1024)
     batch, peak = _traced_peak(lambda: vote(pool))
     assert batch.counts["indices_observed"] == STRANDS
     assert peak < 200 * len(pool)
+
+
+def test_vote_holds_its_blocks_once(reads_fastq, monkeypatch):
+    """The parse chunks' blocks (36 bytes a read here) move chunk by chunk
+    into their sorted rows, beside one int64 rank a read and no index array:
+    84 bytes a read with parse chunks of 256 reads.  Concatenating the
+    chunks and sorting the concatenation held the blocks twice beside the
+    indices, their sorted copy and the sort order: 99.8."""
+    pool = read_sequences(reads_fastq).pool
+    monkeypatch.setattr(strand, "_PARSE_CHUNK", 256)
+    batch, peak = _traced_peak(lambda: vote(pool))
+    assert batch.counts["indices_observed"] == STRANDS
+    assert peak < 92 * len(pool)
 
 
 def test_voting_off_the_stream_holds_one_window(reads_fastq, monkeypatch):

@@ -244,6 +244,19 @@ def test_idx_reads_from_a_pipe(tmp_path, rng):
             os.close(fd)
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_labels_read_from_a_pipe(tmp_path):
+    """A label file is read once: sniffing its magic from a pipe must not
+    swallow the bytes that the labels are then parsed from."""
+    write_idx_labels(tmp_path / "lab.idx", [1, 2, 9, 0])
+    for content in ((tmp_path / "lab.idx").read_bytes(), b"1\n2\n\n9\n0\n"):
+        fd = _pipe(content)
+        try:
+            assert read_labels(f"/dev/fd/{fd}").tolist() == [1, 2, 9, 0]
+        finally:
+            os.close(fd)
+
+
 # ---------------------------------------------------------------------------
 # dataset degradation
 # ---------------------------------------------------------------------------
