@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: flows, determinism, exit codes, metadata."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from pjdna.cli import main
+from pjdna.cli import build_parser, main
 from pjdna.images import read_pbm, read_pgm, write_pgm
 from pjdna.idx import read_idx_images, write_idx_images, write_idx_labels
 from pjdna.jr import max_homopolymer_run
@@ -508,6 +509,107 @@ def test_decode_pins_outputs(workdir, monkeypatch, case):
     sidecar = json.dumps(meta, indent=2, sort_keys=True) + "\n"
     data = b"".join((tmp_path / f).read_bytes() for f in [out, "mask.pbm"]) + sidecar.encode()
     assert hashlib.sha256(data).hexdigest() == DECODE_SHA256[case]
+
+
+# argv and primary output of each file-writing command, run from a directory
+# that ``sidecar_dir`` fills with inputs
+SIDECAR_CASES = {
+    "encode-in": ["encode", "--in", "in.pgm", "--out", "e.fasta", "--manifest", "e.json"],
+    "encode-raw": ["encode", "--raw", "data.bin", "--out", "r.fasta", "--manifest", "r.json",
+                   "--jump", "1"],
+    "simulate-preset": ["simulate", "--lib", "lib.fasta", "--preset", "aging95C", "--seed", "3",
+                        "--out", "a.fastq"],
+    "simulate-profile": ["simulate", "--lib", "lib.fasta", "--profile", "p.json",
+                         "--out", "p.fastq"],
+    "decode-mask-inpaint": ["decode", "--reads", "loss.fastq", "--manifest", "m.json",
+                            "--out", "d.pgm", "--mask", "d.pbm", "--inpaint"],
+    "sweep": ["sweep", "--in", "in.pgm", "--rates", "0,0.5", "--seeds", "2", "--seed", "1",
+              "--inpaint", "--out", "s.csv"],
+    "inpaint": ["inpaint", "--in", "hole.pgm", "--mask", "hole.pbm", "--out", "i.pgm"],
+    "degrade-dataset": ["degrade-dataset", "--in", "in.idx", "--rate", "0.1", "--seed", "4",
+                        "--out", "o.idx", "--masks", "om.idx"],
+}
+
+# SHA-256 of the ``.meta.json`` sidecar each SIDECAR_CASES command writes
+# beside its primary output, and the line it prints; any change to a
+# sidecar's bytes or to the line fails here.
+SIDECAR_PINS = {
+    "decode-mask-inpaint": ("c190731d6d99c4edb9473697f32dd3d8705e33546e7aac7549ec3068ebe675eb",
+                            "decoded -> d.pgm"),
+    "degrade-dataset": ("6df2abbf26b2d21f29ae6ad80459fccf9441da9bb0f859d6f6d363ddac22e7db",
+                        '{"images": 5, "masked_fraction_max": 0.15306122448979592, '
+                        '"masked_fraction_mean": 0.06632653061224489, '
+                        '"masked_fraction_min": 0.025510204081632654, '
+                        '"masked_fraction_std": 0.04731438007905971, "rate": 0.1, "seed": 4, '
+                        '"shape": [28, 28], "strands_per_image": 40}'),
+    "encode-in": ("01fc096b8612bf26cee63192e6dd0a3751e93ad96904884a8c80c0b36a3df695",
+                  "encoded 154 strands -> e.fasta"),
+    "encode-raw": ("8f738bb7a870c406c7ea45cfe23d8e8527b60f8a7a340830b765065fda257521",
+                   "encoded 178 strands -> r.fasta"),
+    "inpaint": ("549ea994ec359a7df9482d09f64762f1951f4f43751b626a19a95330eb051891",
+                "inpainted -> i.pgm"),
+    "simulate-preset": ("3476b5a5f108215ae1f2dba855c746b50d60628b83427a838412a431a86cafdf",
+                        "simulated 1350 reads -> a.fastq"),
+    "simulate-profile": ("a6b885d1dc741170f2513386fb553c28577b82fba5bd666c3411f7ee4993df34",
+                         "simulated 1240 reads -> p.fastq"),
+    "sweep": ("00bd0ab9d7d8a6a0c23d7d447d805d9b13fd69b9ce6ec691d5f366bb250c522a",
+              "swept 2 rates x 2 seeds -> s.csv"),
+}
+
+
+@pytest.fixture()
+def sidecar_dir(workdir, monkeypatch):
+    """The workdir as the current directory, with every input SIDECAR_CASES
+    reads: a library and manifest of in.pgm, loss10 reads of it and the image
+    and mask they decode to, a raw file, a profile and an IDX stack."""
+    tmp_path, _ = workdir
+    monkeypatch.chdir(tmp_path)  # relative paths keep tmp_path out of the sidecars
+    monkeypatch.delenv("PJ_SEED", raising=False)
+    (tmp_path / "data.bin").write_bytes(np.random.default_rng(7).bytes(3000))
+    (tmp_path / "p.json").write_text(json.dumps({"dropout_p": 0.2, "sub_p": 0.01, "seed": 9}))
+    write_idx_images(tmp_path / "in.idx",
+                     np.random.default_rng(8).integers(0, 256, (5, 28, 28), dtype=np.uint8))
+    assert run("encode", "--in", "in.pgm", "--out", "lib.fasta", "--manifest", "m.json") == 0
+    assert run("simulate", "--lib", "lib.fasta", "--preset", "loss10", "--seed", "5",
+               "--out", "loss.fastq") == 0
+    assert run("decode", "--reads", "loss.fastq", "--manifest", "m.json",
+               "--out", "hole.pgm", "--mask", "hole.pbm") == 0
+    return tmp_path
+
+
+@pytest.mark.parametrize("case", sorted(SIDECAR_CASES))
+def test_sidecars_pinned(sidecar_dir, capsys, case):
+    argv = SIDECAR_CASES[case]
+    capsys.readouterr()
+    assert run(*argv) == 0
+    sidecar = (sidecar_dir / (argv[argv.index("--out") + 1] + ".meta.json")).read_bytes()
+    assert (hashlib.sha256(sidecar).hexdigest(), capsys.readouterr().out) == (
+        SIDECAR_PINS[case][0], SIDECAR_PINS[case][1] + "\n")
+
+
+# Every option string of every subcommand, so that no flag is added, removed
+# or renamed unnoticed.
+OPTION_STRINGS = {
+    "encode": ["--help", "--in", "--jump", "--manifest", "--out", "--primer3", "--primer5",
+               "--raw", "--tile-pixels", "-h"],
+    "simulate": ["--help", "--lib", "--out", "--preset", "--profile", "--seed", "-h"],
+    "decode": ["--help", "--inpaint", "--input-format", "--lib", "--manifest", "--mask",
+               "--out", "--primer-mismatches", "--reads", "-h"],
+    "sweep": ["--help", "--in", "--inpaint", "--out", "--rates", "--seed", "--seeds",
+              "--threads", "-h"],
+    "ssim": ["--help", "-h", "image_a", "image_b"],
+    "inpaint": ["--help", "--in", "--mask", "--out", "-h"],
+    "degrade-dataset": ["--help", "--in", "--masks", "--out", "--rate", "--seed", "-h"],
+    "tally": ["--degraded", "--help", "--orig", "--truth", "-h"],
+}
+
+
+def test_option_strings_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(s for a in p._actions for s in (a.option_strings or [a.dest]))
+           for name, p in sub.choices.items()}
+    assert got == OPTION_STRINGS
 
 
 def test_decode_bad_manifest_exits_4(workdir):
