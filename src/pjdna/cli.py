@@ -2,10 +2,13 @@
 
 One executable with subcommands: encode, decode, simulate, sweep, inpaint,
 ssim, degrade-dataset, tally.  Every run is deterministic given its flags
-and seed (flag > PJ_SEED environment variable > profile/0), file outputs are
-written atomically (temp file + rename), and each file output gets a
-``<output>.meta.json`` sidecar echoing parameters, seed, digests and
-counters so any artifact can be reproduced.
+and seed (flag > PJ_SEED environment variable > profile/0).  A command that
+writes files returns a :class:`_Written` record, and :func:`_write` writes
+all of its outputs or none: each to ``<output>.tmp``, then every temp file
+renamed into place together with a ``<output>.meta.json`` sidecar echoing
+parameters, seed, digests and counters, so any artifact can be reproduced.
+Two outputs of one command on one path exit 2; an output that cannot be
+written exits 3.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 I/O error,
 4 file format error.
@@ -19,7 +22,10 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import partial
+from pathlib import Path
+from typing import Callable
 
 from . import __version__, jr
 from .channel import (
@@ -64,19 +70,6 @@ def _seed_arg(args, fallback: int = 0) -> int:
     return seed
 
 
-@contextlib.contextmanager
-def _atomic(path):
-    """Write through a temp file in the same directory, then rename."""
-    tmp = f"{path}.tmp"
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -95,45 +88,76 @@ def _read_input(path, digests: dict) -> bytes:
     return data
 
 
-def _write_metadata(primary_out, subcommand, params, digests, outputs, counters, seed):
-    """Write ``<primary_out>.meta.json``; ``digests`` maps each input to the
-    SHA-256 of the bytes read from it."""
-    meta = {
-        "tool": "pjdna",
-        "version": __version__,
-        "subcommand": subcommand,
-        "parameters": params,
-        "seed": seed,
-        "inputs": {str(p): digest for p, digest in digests.items()},
-        "outputs": {str(p): _sha256(p) for p in outputs},
-        "counters": counters,
-    }
-    meta_path = f"{primary_out}.meta.json"
-    with _atomic(meta_path) as tmp:
-        with open(tmp, "w", encoding="ascii") as fh:
+@dataclass
+class _Written:
+    """What a command writes: ``write(*tmp_paths)`` writes its ``outputs``,
+    the primary first, to the temp paths it is given in the same order.
+    ``params``, ``inputs`` (each input's SHA-256), ``counters`` and ``seed``
+    go to the sidecar; ``line`` is printed, ``None`` printing the counters
+    as JSON."""
+
+    subcommand: str
+    outputs: list
+    write: Callable
+    params: dict
+    inputs: dict
+    counters: dict
+    seed: int | None = None
+    line: str | None = None
+
+
+def _write(result: _Written) -> int:
+    """Write ``result``'s outputs and the ``<primary>.meta.json`` sidecar
+    all or nothing, then print its line.  Every file goes to
+    ``<path>.tmp`` first and is renamed into place only once all are
+    written; on any failure the temp files are removed.  An output path
+    given twice is a ConfigError, raised before any byte is written, and an
+    OSError while writing names the output path, not its temp file."""
+    paths = [*result.outputs, f"{result.outputs[0]}.meta.json"]
+    seen = set()
+    for path in paths:
+        if os.path.realpath(path) in seen:
+            raise ConfigError(f"output path given twice: {path}")
+        seen.add(os.path.realpath(path))
+    tmps = [f"{path}.tmp" for path in paths]
+    try:
+        result.write(*tmps[:-1])
+        meta = {
+            "tool": "pjdna",
+            "version": __version__,
+            "subcommand": result.subcommand,
+            "parameters": result.params,
+            "seed": result.seed,
+            "inputs": {str(p): digest for p, digest in result.inputs.items()},
+            "outputs": {str(p): _sha256(t) for p, t in zip(result.outputs, tmps)},
+            "counters": result.counters,
+        }
+        with open(tmps[-1], "w", encoding="ascii") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return meta_path
-
-
-def _cfg_layout(args) -> tuple[jr.JrConfig, StrandLayout]:
-    cfg = jr.JrConfig.for_jump(args.jump)
-    kwargs = {}
-    if getattr(args, "primer5", None) is not None:
-        kwargs["primer5"] = args.primer5
-    if getattr(args, "primer3", None) is not None:
-        kwargs["primer3"] = args.primer3
-    layout = StrandLayout(**kwargs)
-    layout.validate(cfg)
-    return cfg, layout
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        if not isinstance(exc, OSError):
+            raise
+        named = dict(zip(tmps, paths)).get(exc.filename) or ", ".join(map(str, result.outputs))
+        raise OSError(f"cannot write {named}: {exc.strerror or exc}") from exc
+    print(json.dumps(result.counters, sort_keys=True) if result.line is None else result.line)
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_encode(args) -> int:
-    cfg, layout = _cfg_layout(args)
+def cmd_encode(args) -> _Written:
+    cfg = jr.JrConfig.for_jump(args.jump)
+    primers = {"primer5": args.primer5, "primer3": args.primer3}
+    layout = StrandLayout(**{k: v for k, v in primers.items() if v is not None})
+    layout.validate(cfg)
     digests = {}
     if args.input:
         img = _parse_pgm(_read_input(args.input, digests), args.input)
@@ -142,28 +166,21 @@ def cmd_encode(args) -> int:
         if args.tile_pixels is not None:
             raise ConfigError("--tile-pixels applies to --in images, not to --raw")
         strands, manifest = encode_raw(_read_input(args.raw, digests), cfg, layout)
-    with _atomic(args.out) as tmp:
-        write_fasta(tmp, strands)
-    with _atomic(args.manifest) as tmp:
-        manifest.save(tmp)
-    counters = {"strands": len(strands), "mode": manifest.mode}
-    _write_metadata(
-        args.out,
-        "encode",
-        {
-            "jump": args.jump,
-            "tile_pixels": manifest.tile_pixels,
-            "primer5": layout.primer5,
-            "primer3": layout.primer3,
-            "manifest": str(args.manifest),
-        },
-        digests,
-        [args.out, args.manifest],
-        counters,
-        seed=None,
-    )
-    print(f"encoded {len(strands)} strands -> {args.out}")
-    return 0
+
+    def write(library, manifest_path):
+        write_fasta(library, strands)
+        manifest.save(manifest_path)
+
+    params = {
+        "jump": args.jump,
+        "tile_pixels": manifest.tile_pixels,
+        "primer5": layout.primer5,
+        "primer3": layout.primer3,
+        "manifest": str(args.manifest),
+    }
+    return _Written("encode", [args.out, args.manifest], write, params, digests,
+                    {"strands": len(strands), "mode": manifest.mode},
+                    line=f"encoded {len(strands)} strands -> {args.out}")
 
 
 def _resolve_profile(args) -> ChannelProfile:
@@ -179,13 +196,11 @@ def _resolve_profile(args) -> ChannelProfile:
     return replace(prof, seed=_seed_arg(args, prof.seed))
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> _Written:
     prof = _resolve_profile(args)
     lib = read_sequences(args.lib)
     survivors = lib.pool.rows(keep_mask(len(lib.pool), prof.dropout_p, prof.seed))
     reads = corrupt_reads(survivors, prof)
-    with _atomic(args.out) as tmp:
-        write_fastq(tmp, reads.pool, reads.origin_ids)
     counters = {
         "library_records": lib.total_records,
         "library_skipped_alphabet": lib.skipped_alphabet,
@@ -194,20 +209,14 @@ def cmd_simulate(args) -> int:
         "reads": len(reads),
         "rate_provenance": prof.rate_provenance,
     }
-    _write_metadata(
-        args.out,
-        "simulate",
-        {"profile": prof.to_dict(), "channel_stream": CHANNEL_STREAM},
-        {args.lib: lib.sha256},
-        [args.out],
-        counters,
-        seed=prof.seed,
-    )
-    print(f"simulated {len(reads)} reads -> {args.out}")
-    return 0
+    return _Written("simulate", [args.out],
+                    lambda out: write_fastq(out, reads.pool, reads.origin_ids),
+                    {"profile": prof.to_dict(), "channel_stream": CHANNEL_STREAM},
+                    {args.lib: lib.sha256}, counters, prof.seed,
+                    f"simulated {len(reads)} reads -> {args.out}")
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> _Written:
     digests = {}
     manifest = TileManifest.parse(_read_input(args.manifest, digests), args.manifest)
     if args.inpaint and manifest.mode != "image":
@@ -218,49 +227,35 @@ def cmd_decode(args) -> int:
     digests[src] = reads.sha256
     counts = {**batch.counts, "skipped_alphabet": reads.skipped_alphabet,
               "reads_format": reads.format}
-    outputs = [args.out]
     if manifest.mode == "image":
         recovered = decode_image(batch, manifest, parse_stats=counts)
-        img = recovered.image
-        if args.inpaint:
-            img = inpaint(img, recovered.missing_mask)
-        with _atomic(args.out) as tmp:
-            write_pgm(tmp, img)
-        if args.mask:
-            with _atomic(args.mask) as tmp:
-                write_pbm(tmp, recovered.missing_mask)
-            outputs.append(args.mask)
+        mask = recovered.missing_mask
+        img = inpaint(recovered.image, mask) if args.inpaint else recovered.image
+        write_out = partial(write_pgm, img=img)
         counters = {**recovered.stats, "masked_fraction": recovered.masked_fraction,
                     "inpainted": bool(args.inpaint)}
     else:
         data, mask, stats = decode_raw(batch, manifest, parse_stats=counts)
-        with _atomic(args.out) as tmp:
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-        if args.mask:
-            with _atomic(args.mask) as tmp:
-                write_pbm(tmp, mask.reshape(1, -1))
-            outputs.append(args.mask)
+        mask = mask.reshape(1, -1)
+        write_out = lambda out: Path(out).write_bytes(data)
         counters = {**stats, "masked_fraction": float(mask.mean()) if mask.size else 0.0}
-    _write_metadata(
-        args.out,
-        "decode",
-        {
-            "manifest": str(args.manifest),
-            "input_format": args.input_format,
-            "primer_mismatches": args.primer_mismatches,
-            "inpaint": bool(args.inpaint),
-        },
-        digests,
-        outputs,
-        counters,
-        seed=None,
-    )
-    print(f"decoded -> {args.out}")
-    return 0
+
+    def write(out, mask_path=None):
+        write_out(out)
+        if mask_path is not None:
+            write_pbm(mask_path, mask)
+
+    params = {
+        "manifest": str(args.manifest),
+        "input_format": args.input_format,
+        "primer_mismatches": args.primer_mismatches,
+        "inpaint": bool(args.inpaint),
+    }
+    return _Written("decode", [args.out] + ([args.mask] if args.mask else []), write, params,
+                    digests, counters, line=f"decoded -> {args.out}")
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> _Written:
     digests = {}
     img = _parse_pgm(_read_input(args.input, digests), args.input)
     try:
@@ -278,23 +273,15 @@ def cmd_sweep(args) -> int:
         run_inpaint=args.inpaint,
         threads=args.threads,
     )
-    with _atomic(args.out) as tmp:
-        result.write_csv(tmp)
     counters = {
         "rows": len(result.rows),
         "pm_median_non_increasing": result.pm_medians_non_increasing(),
     }
-    _write_metadata(
-        args.out,
-        "sweep",
-        {"rates": rates, "seeds": seeds, "inpaint": bool(args.inpaint), "threads": args.threads},
-        digests,
-        [args.out],
-        counters,
-        seed=seed0,
-    )
-    print(f"swept {len(rates)} rates x {len(seeds)} seeds -> {args.out}")
-    return 0
+    return _Written("sweep", [args.out], result.write_csv,
+                    {"rates": rates, "seeds": seeds, "inpaint": bool(args.inpaint),
+                     "threads": args.threads},
+                    digests, counters, seed0,
+                    f"swept {len(rates)} rates x {len(seeds)} seeds -> {args.out}")
 
 
 def cmd_ssim(args) -> int:
@@ -304,49 +291,28 @@ def cmd_ssim(args) -> int:
     return 0
 
 
-def cmd_inpaint(args) -> int:
+def cmd_inpaint(args) -> _Written:
     digests = {}
     img = _parse_pgm(_read_input(args.input, digests), args.input)
     mask = _parse_pbm(_read_input(args.mask, digests), args.mask)
     out = inpaint(img, mask)
-    with _atomic(args.out) as tmp:
-        write_pgm(tmp, out)
-    _write_metadata(
-        args.out,
-        "inpaint",
-        {"mask": str(args.mask)},
-        digests,
-        [args.out],
-        {"masked_pixels": int(mask.sum())},
-        seed=None,
-    )
-    print(f"inpainted -> {args.out}")
-    return 0
+    return _Written("inpaint", [args.out], lambda path: write_pgm(path, out),
+                    {"mask": str(args.mask)}, digests, {"masked_pixels": int(mask.sum())},
+                    line=f"inpainted -> {args.out}")
 
 
-def cmd_degrade_dataset(args) -> int:
+def cmd_degrade_dataset(args) -> _Written:
     seed = _seed_arg(args)
     digests = {}
     images = _parse_idx(_read_input(args.input, digests), _IMAGE_MAGIC, args.input)
-    summary = degrade_dataset(
-        images,
-        args.rate,
-        seed,
-        args.out,
-        args.masks,
-    )
-    outputs = [args.out] + ([args.masks] if args.masks else [])
-    _write_metadata(
-        args.out,
-        "degrade-dataset",
-        {"rate": args.rate, "masks": str(args.masks) if args.masks else None},
-        digests,
-        outputs,
-        summary,
-        seed=seed,
-    )
-    print(json.dumps(summary, sort_keys=True))
-    return 0
+    summary = {}  # degrade_dataset's, which the sidecar records and the command prints
+
+    def write(out, masks=None):
+        summary.update(degrade_dataset(images, args.rate, seed, out, masks))
+
+    return _Written("degrade-dataset", [args.out] + ([args.masks] if args.masks else []),
+                    write, {"rate": args.rate, "masks": str(args.masks) if args.masks else None},
+                    digests, summary, seed)
 
 
 def cmd_tally(args) -> int:
@@ -369,6 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"pjdna {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="random seed, else PJ_SEED")
 
     p = sub.add_parser("encode", help="encode a PGM image or raw file into a strand library")
     src = p.add_mutually_exclusive_group(required=True)
@@ -382,13 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primer3", default=None)
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("simulate", help="run a strand library through the noisy channel")
+    p = sub.add_parser("simulate", parents=[seeded],
+                       help="run a strand library through the noisy channel")
     p.add_argument("--lib", required=True, help="input FASTA library")
     prof = p.add_mutually_exclusive_group(required=True)
     prof.add_argument("--preset", choices=PRESET_NAMES)
     prof.add_argument("--profile", help="channel profile JSON")
     p.add_argument("--out", required=True, help="output FASTQ reads")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("decode", help="decode reads or a library back into the stored file")
@@ -403,11 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primer-mismatches", type=int, default=0)
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("sweep", help="loss-rate sweep comparing tile mapping to the baseline")
+    p = sub.add_parser("sweep", parents=[seeded],
+                       help="loss-rate sweep comparing tile mapping to the baseline")
     p.add_argument("--in", dest="input", required=True, help="input PGM image")
     p.add_argument("--rates", required=True, help="comma-separated loss rates")
     p.add_argument("--seeds", type=int, default=10, help="number of seeds (seed..seed+N-1)")
-    p.add_argument("--seed", type=int, default=None, help="first seed")
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument("--inpaint", action="store_true")
     p.add_argument("--threads", type=int, default=1)
@@ -424,10 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_inpaint)
 
-    p = sub.add_parser("degrade-dataset", help="strand-loss-degrade every image of an IDX stack")
+    p = sub.add_parser("degrade-dataset", parents=[seeded],
+                       help="strand-loss-degrade every image of an IDX stack")
     p.add_argument("--in", dest="input", required=True, help="input IDX image stack")
     p.add_argument("--rate", type=float, required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output IDX image stack")
     p.add_argument("--masks", default=None, help="optional IDX stack of 0/1 masks")
     p.set_defaults(func=cmd_degrade_dataset)
@@ -449,7 +417,8 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code else 0
     try:
-        return args.func(args) or 0
+        result = args.func(args)
+        return _write(result) if isinstance(result, _Written) else result
     except FileNotFoundError as exc:
         _err(f"input file not found: {exc.filename or exc}")
         return 2

@@ -587,6 +587,50 @@ def test_sidecars_pinned(sidecar_dir, capsys, case):
         SIDECAR_PINS[case][0], SIDECAR_PINS[case][1] + "\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["encode", "--in", "in.pgm", "--out", "same", "--manifest", "same"],
+    ["encode", "--in", "in.pgm", "--out", "same", "--manifest", "./same"],
+    ["encode", "--in", "in.pgm", "--out", "same", "--manifest", "same.meta.json"],
+    ["decode", "--lib", "lib.fasta", "--manifest", "m.json", "--out", "same", "--mask", "same"],
+    ["degrade-dataset", "--in", "in.idx", "--rate", "0.1", "--out", "same", "--masks", "same"],
+])
+def test_an_output_path_given_twice_exits_2(sidecar_dir, capsys, argv):
+    """Two outputs of one command on one path, or an output on the primary
+    output's sidecar, used to overwrite each other and exit 0."""
+    before = sorted(os.listdir())
+    assert run(*argv) == 2
+    assert "output path given twice" in capsys.readouterr().err
+    assert sorted(os.listdir()) == before
+
+
+# a command, the input it reads, with one output in a missing directory
+UNWRITABLE = {
+    "encode": (["encode", "--in", "in.pgm", "--out", "e.fasta", "--manifest", "nodir/e.json"],
+               "in.pgm"),
+    "decode-mask": (["decode", "--lib", "lib.fasta", "--manifest", "m.json", "--out", "d.pgm",
+                     "--mask", "nodir/d.pbm"], "lib.fasta"),
+    "degrade-dataset-masks": (["degrade-dataset", "--in", "in.idx", "--rate", "0.1",
+                               "--out", "o.idx", "--masks", "nodir/om.idx"], "in.idx"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_an_unwritable_output_exits_3_and_writes_nothing(sidecar_dir, capsys, case):
+    """An output that cannot be written is an I/O error naming that output,
+    and the command leaves no output, sidecar or temp file behind; a missing
+    input is still reported as one."""
+    argv, source = UNWRITABLE[case]
+    before = sorted(os.listdir())
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"pjdna: cannot write {argv[-1]}: ") and ".tmp" not in err
+    assert sorted(os.listdir()) == before
+    argv = ["gone" if a == source else a for a in argv]
+    assert run(*argv) == 2
+    assert "input file not found: gone" in capsys.readouterr().err
+    assert sorted(os.listdir()) == before
+
+
 # Every option string of every subcommand, so that no flag is added, removed
 # or renamed unnoticed.
 OPTION_STRINGS = {
