@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import json
 import os
 import sys
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -116,11 +116,15 @@ def _write(result: _Written) -> int:
     paths = [*result.outputs, f"{result.outputs[0]}.meta.json"]
     seen = set()
     for path in paths:
-        if os.path.realpath(path) in seen:
+        real = os.path.realpath(path)
+        if real in seen:
             raise ConfigError(f"output path given twice: {path}")
-        seen.add(os.path.realpath(path))
+        seen.add(real)
     tmps = [f"{path}.tmp" for path in paths]
     try:
+        for path in paths:  # a directory would fail only at its rename
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         result.write(*tmps[:-1])
         meta = {
             "tool": "pjdna",
@@ -143,7 +147,8 @@ def _write(result: _Written) -> int:
                 os.remove(tmp)
         if not isinstance(exc, OSError):
             raise
-        named = dict(zip(tmps, paths)).get(exc.filename) or ", ".join(map(str, result.outputs))
+        named = next((p for p, t in zip(paths, tmps) if exc.filename in (p, t)),
+                     ", ".join(map(str, result.outputs)))
         raise OSError(f"cannot write {named}: {exc.strerror or exc}") from exc
     print(json.dumps(result.counters, sort_keys=True) if result.line is None else result.line)
     return 0
@@ -231,7 +236,7 @@ def cmd_decode(args) -> _Written:
         recovered = decode_image(batch, manifest, parse_stats=counts)
         mask = recovered.missing_mask
         img = inpaint(recovered.image, mask) if args.inpaint else recovered.image
-        write_out = partial(write_pgm, img=img)
+        write_out = lambda out: write_pgm(out, img)
         counters = {**recovered.stats, "masked_fraction": recovered.masked_fraction,
                     "inpainted": bool(args.inpaint)}
     else:

@@ -603,12 +603,15 @@ def test_an_output_path_given_twice_exits_2(sidecar_dir, capsys, argv):
     assert sorted(os.listdir()) == before
 
 
-# a command, the input it reads, with one output in a missing directory
+# a command, the input it reads, with one output in a missing directory or
+# on a directory
 UNWRITABLE = {
     "encode": (["encode", "--in", "in.pgm", "--out", "e.fasta", "--manifest", "nodir/e.json"],
                "in.pgm"),
     "decode-mask": (["decode", "--lib", "lib.fasta", "--manifest", "m.json", "--out", "d.pgm",
                      "--mask", "nodir/d.pbm"], "lib.fasta"),
+    "decode-mask-on-a-directory": (["decode", "--lib", "lib.fasta", "--manifest", "m.json",
+                                    "--out", "d.pgm", "--mask", "adir"], "lib.fasta"),
     "degrade-dataset-masks": (["degrade-dataset", "--in", "in.idx", "--rate", "0.1",
                                "--out", "o.idx", "--masks", "nodir/om.idx"], "in.idx"),
 }
@@ -620,6 +623,7 @@ def test_an_unwritable_output_exits_3_and_writes_nothing(sidecar_dir, capsys, ca
     and the command leaves no output, sidecar or temp file behind; a missing
     input is still reported as one."""
     argv, source = UNWRITABLE[case]
+    os.mkdir("adir")
     before = sorted(os.listdir())
     assert run(*argv) == 3
     err = capsys.readouterr().err
