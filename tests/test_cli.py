@@ -511,8 +511,8 @@ def test_decode_pins_outputs(workdir, monkeypatch, case):
     assert hashlib.sha256(data).hexdigest() == DECODE_SHA256[case]
 
 
-# argv and primary output of each file-writing command, run from a directory
-# that ``sidecar_dir`` fills with inputs
+# argv of each file-writing command, run from the directory that
+# ``sidecar_dir`` fills with inputs
 SIDECAR_CASES = {
     "encode-in": ["encode", "--in", "in.pgm", "--out", "e.fasta", "--manifest", "e.json"],
     "encode-raw": ["encode", "--raw", "data.bin", "--out", "r.fasta", "--manifest", "r.json",
