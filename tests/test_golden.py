@@ -114,3 +114,38 @@ def command_outputs(tmp_path, capsys) -> dict[str, str]:
 
 def test_more_commands_match_golden_digests(tmp_path, capsys):
     assert command_outputs(tmp_path, capsys) == GOLDEN_COMMAND_SHA256
+
+
+# Recorded with the three-field codec config, whose bits per block and
+# payload groups were set per preset rather than derived.
+GOLDEN_JUMP_SHA256 = {
+    0: {
+        "lib.fasta": "7d772c807c3de7270b4f3bd0db763ff4f3ece59046e07d3fb4a17a8163b94cde",
+        "m.json": "4f349e7902a92d5450194fc1f82c4c5f1d65c0ecb20cbaf1fb332e1e007c4a83",
+        "out.pgm": "9213d9f1eddff0ebf3dc35abb6eebfd6d08f084ab4a9c3245a4f662f90649c8d",
+    },
+    1: {
+        "lib.fasta": "50c5938c155aa04055ff8a01af9924ed4f49cb322a334718d3a3391d422996ce",
+        "m.json": "95f3e2f0212ae7069e0514a02d6dfc8570c817cc9cd970a3e2675c4c78e1d12f",
+        "out.pgm": "9213d9f1eddff0ebf3dc35abb6eebfd6d08f084ab4a9c3245a4f662f90649c8d",
+    },
+}
+
+
+def jump_outputs(tmp_path, jump: int) -> dict[str, str]:
+    """``encode --jump`` of the fixed 80x60 image and ``decode --lib`` of
+    the library it writes; the digest of each file written."""
+    write_pgm(tmp_path / "in.pgm", _fixed_image())
+    assert main([str(a) for a in ["encode", "--in", tmp_path / "in.pgm", "--jump", jump,
+                                  "--out", tmp_path / "lib.fasta",
+                                  "--manifest", tmp_path / "m.json"]]) == 0
+    assert main([str(a) for a in ["decode", "--lib", tmp_path / "lib.fasta",
+                                  "--manifest", tmp_path / "m.json",
+                                  "--out", tmp_path / "out.pgm"]]) == 0
+    return {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+            for f in GOLDEN_JUMP_SHA256[jump]}
+
+
+@pytest.mark.parametrize("jump", sorted(GOLDEN_JUMP_SHA256))
+def test_jump_presets_match_golden_digests(tmp_path, jump):
+    assert jump_outputs(tmp_path, jump) == GOLDEN_JUMP_SHA256[jump]
