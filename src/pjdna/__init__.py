@@ -16,7 +16,7 @@ from .idx import degrade_dataset, read_idx_images, read_idx_labels, write_idx_im
 from .images import read_pbm, read_pgm, write_pbm, write_pgm
 from .inpaint import inpaint
 from .jr import JrConfig, jr_decode_stream, jr_encode_stream, max_homopolymer_run
-from .metrics import OutcomeTally, SsimParams, SsimReference, em_ssim, ssim, tally_outcomes
+from .metrics import OutcomeTally, SsimReference, em_ssim, ssim, tally_outcomes
 from .partition import (
     RecoveredImage,
     TileManifest,
@@ -61,7 +61,6 @@ __all__ = [
     "corrupt_reads",
     "vote",
     "consensus",
-    "SsimParams",
     "SsimReference",
     "ssim",
     "em_ssim",

@@ -32,6 +32,7 @@ from .channel import (
     CHANNEL_STREAM,
     ChannelProfile,
     PRESET_NAMES,
+    check_drop_rate,
     corrupt_reads,
     keep_mask,
     preset,
@@ -308,6 +309,7 @@ def cmd_inpaint(args) -> _Written:
 
 def cmd_degrade_dataset(args) -> _Written:
     seed = _seed_arg(args)
+    check_drop_rate(args.rate)
     digests = {}
     images = _parse_idx(_read_input(args.input, digests), _IMAGE_MAGIC, args.input)
     summary = {}  # degrade_dataset's, which the sidecar records and the command prints

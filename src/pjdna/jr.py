@@ -11,7 +11,8 @@ Two per-position rules are interleaved along a repeating radix pattern:
 A pattern whose longest run of direct positions (read cyclically, since the
 pattern tiles the stream) is ``n`` can never emit more than ``n + 1``
 identical nucleotides in a row, because any repetition must stop at the next
-rotating position.  The shipped presets are:
+rotating position.  A pattern is the whole code: its jump length and its
+bits per block are derived from it.  The shipped presets are:
 
 ====  ===============  ==============  =================
 jump  group radices    bits per block  density (bits/nt)
@@ -22,9 +23,11 @@ jump  group radices    bits per block  density (bits/nt)
 ====  ===============  ==============  =================
 
 Bit blocks are mapped to digit groups as most-significant-first mixed-radix
-numbers.  The default group holds 4*3*4*4*3 = 576 patterns of which the
-encoder uses the first 512 (9 bits); decoding a group to a value of 512..575
-is proof of corruption.
+numbers.  A block is the widest whole number of bits a group holds: the
+default group holds 4*3*4*4*3 = 576 patterns of which the encoder uses the
+first 512 (9 bits); decoding a group to a value of 512..575 is proof of
+corruption.  How many groups a strand's payload holds is the layout's to say
+(:meth:`pjdna.strand.StrandLayout.payload_groups`), not the code's.
 
 Each rule has one implementation, over a matrix with one stream per row:
 :func:`blocks_to_digit_rows` and :func:`digit_rows_to_blocks` convert
@@ -113,6 +116,10 @@ def max_homopolymer_run(seq: str) -> int:
     return best
 
 
+# The radix pattern of each built-in jump length.
+_PRESETS = {0: (3,), 1: (3, 4), 2: (4, 3, 4, 4, 3)}
+
+
 def _cyclic_max_direct_run(radices: Sequence[int]) -> int:
     """Longest run of radix-4 entries in the infinite tiling of the pattern,
     capped at the pattern length."""
@@ -125,21 +132,20 @@ def _cyclic_max_direct_run(radices: Sequence[int]) -> int:
     return min(best, len(radices))
 
 
-_CONFIG_KEYS = {"group_radices", "bits_per_block", "groups_per_payload", "jump_length"}
+_CONFIG_KEYS = {"group_radices", "bits_per_block", "jump_length"}
 
 
 @dataclass(frozen=True)
 class JrConfig:
-    """One jump-rotating code: radix pattern, block width, payload grouping.
+    """One jump-rotating code, which is its radix pattern.
 
-    ``jump_length``, the longest direct run in the tiled pattern, is derived
-    from ``group_radices``.  :meth:`to_dict` still writes it, and
+    ``jump_length``, the longest direct run in the tiled pattern, and
+    ``bits_per_block``, the widest block one group holds, are derived from
+    ``group_radices``.  :meth:`to_dict` still writes them, and
     :meth:`from_dict` rejects a stored value that is not the derived one.
     """
 
     group_radices: tuple[int, ...] = (4, 3, 4, 4, 3)
-    bits_per_block: int = 9
-    groups_per_payload: int = 18
 
     def __post_init__(self):
         if not self.group_radices:
@@ -150,25 +156,13 @@ class JrConfig:
             raise ConfigError("every radix must be 3 (rotating) or 4 (direct)")
         if all(r == 4 for r in self.group_radices):
             raise ConfigError("a pattern of only direct positions has no homopolymer bound")
-        require_int("bits_per_block", self.bits_per_block, 1)
-        require_int("groups_per_payload", self.groups_per_payload, 1)
-        capacity = math.prod(self.group_radices)
-        if (1 << self.bits_per_block) > capacity:
-            raise ConfigError(
-                f"2^{self.bits_per_block} block values exceed group capacity {capacity}"
-            )
         object.__setattr__(self, "group_radices", tuple(self.group_radices))
 
     @classmethod
     def for_jump(cls, jump: int) -> "JrConfig":
         """Built-in preset for a jump length of 0, 1 or 2."""
-        presets = {
-            0: cls(group_radices=(3,), bits_per_block=1, groups_per_payload=90),
-            1: cls(group_radices=(3, 4), bits_per_block=3, groups_per_payload=45),
-            2: cls(),
-        }
         try:
-            return presets[jump]
+            return cls(_PRESETS[jump])
         except KeyError:
             raise ConfigError(f"no preset for jump length {jump!r}") from None
 
@@ -176,7 +170,8 @@ class JrConfig:
     def from_dict(cls, d: dict) -> "JrConfig":
         if set(d) != _CONFIG_KEYS:
             raise ConfigError(f"config dict must have exactly the keys {sorted(_CONFIG_KEYS)}")
-        cfg = cls(d["group_radices"], d["bits_per_block"], d["groups_per_payload"])
+        cfg = cls(d["group_radices"])
+        require_derived("bits_per_block", d["bits_per_block"], cfg.bits_per_block)
         require_derived("jump_length", d["jump_length"], cfg.jump_length)
         return cfg
 
@@ -184,13 +179,17 @@ class JrConfig:
         return {
             "group_radices": list(self.group_radices),
             "bits_per_block": self.bits_per_block,
-            "groups_per_payload": self.groups_per_payload,
             "jump_length": self.jump_length,
         }
 
     @property
     def jump_length(self) -> int:
         return _cyclic_max_direct_run(self.group_radices)
+
+    @cached_property
+    def bits_per_block(self) -> int:
+        """The widest block one group holds: 2^bits_per_block <= capacity."""
+        return self.block_capacity.bit_length() - 1
 
     @property
     def group_size(self) -> int:

@@ -13,7 +13,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, ShapeError
 
 __all__ = [
-    "SsimParams",
     "SsimReference",
     "ssim",
     "em_ssim",
@@ -22,22 +21,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SsimParams:
-    window: int = 11
-    sigma: float = 1.5
-    k1: float = 0.01
-    k2: float = 0.03
-    data_range: float = 255.0
+# The SSIM of Wang et al. (2004): an 11-px Gaussian window of sigma 1.5, and
+# stabilising constants (K1 L)^2 and (K2 L)^2 for 8-bit data, L = 255.
+_WINDOW = 11
+_SIGMA = 1.5
+_C1 = (0.01 * 255.0) ** 2
+_C2 = (0.03 * 255.0) ** 2
 
 
-DEFAULT_SSIM = SsimParams()
-
-
-def _window_kernel(side: int, params: SsimParams, gaussian: bool) -> np.ndarray:
+def _window_kernel(side: int, gaussian: bool) -> np.ndarray:
     if gaussian:
         x = np.arange(side, dtype=np.float64) - (side - 1) / 2.0
-        k = np.exp(-(x * x) / (2.0 * params.sigma * params.sigma))
+        k = np.exp(-(x * x) / (2.0 * _SIGMA * _SIGMA))
     else:
         k = np.ones(side, np.float64)
     return k / k.sum()
@@ -62,16 +57,15 @@ class SsimReference:
     it, so threads may share one.
     """
 
-    def __init__(self, a: np.ndarray, params: SsimParams = DEFAULT_SSIM) -> None:
+    def __init__(self, a: np.ndarray) -> None:
         a = np.array(a, np.float64)  # a copy: the statistics must stay those of ``a``
         if a.ndim != 2:
             raise ShapeError("ssim expects 2-D grayscale images")
-        side = min(a.shape[0], a.shape[1], params.window)
+        side = min(a.shape[0], a.shape[1], _WINDOW)
         if side < 1:
             raise ShapeError("images must be non-empty")
-        self.params = params
         self.a = a
-        self.kernel = _window_kernel(side, params, gaussian=side == params.window)
+        self.kernel = _window_kernel(side, gaussian=side == _WINDOW)
         self.mu_a = _filter_valid(a, self.kernel)
         self.var_a = _filter_valid(a * a, self.kernel) - self.mu_a * self.mu_a
 
@@ -84,15 +78,12 @@ class SsimReference:
         mu_b = _filter_valid(b, k)
         var_b = _filter_valid(b * b, k) - mu_b * mu_b
         cov = _filter_valid(a * b, k) - mu_a * mu_b
-
-        c1 = (self.params.k1 * self.params.data_range) ** 2
-        c2 = (self.params.k2 * self.params.data_range) ** 2
-        num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-        den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+        num = (2.0 * mu_a * mu_b + _C1) * (2.0 * cov + _C2)
+        den = (mu_a * mu_a + mu_b * mu_b + _C1) * (var_a + var_b + _C2)
         return float((num / den).mean())
 
 
-def ssim(a: np.ndarray, b: np.ndarray, params: SsimParams = DEFAULT_SSIM) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean local structural similarity over all full window positions.
 
     Windows are 11x11 Gaussian (sigma 1.5); images smaller than the window in
@@ -100,7 +91,7 @@ def ssim(a: np.ndarray, b: np.ndarray, params: SsimParams = DEFAULT_SSIM) -> flo
     To score many images against one reference, build one
     :class:`SsimReference` and call it.
     """
-    return SsimReference(a, params)(b)
+    return SsimReference(a)(b)
 
 
 def em_ssim(strands_present: int, strands_total: int) -> float:

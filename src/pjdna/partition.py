@@ -52,10 +52,10 @@ class TileManifest:
 
     An image's stream is its ``8 * width * height`` pixel bits, cut into
     tiles of ``8 * tile_pixels``; a raw stream is its ``total_bits``, cut
-    into tiles of the whole payload capacity.  ``strand_count`` and
-    ``pad_bits_per_tile`` are derived from these fields.  :meth:`to_dict`
-    still writes them, and :meth:`from_dict` rejects a stored value that is
-    not the derived one.
+    into tiles of the whole payload capacity.  ``strand_count``,
+    ``pad_bits_per_tile`` and the codec's ``groups_per_payload`` are derived
+    from these fields.  :meth:`to_dict` still writes them, and
+    :meth:`from_dict` rejects a stored value that is not the derived one.
     """
 
     mode: str  # "image" | "raw"
@@ -119,7 +119,8 @@ class TileManifest:
             "height": self.height,
             "tile_pixels": self.tile_pixels,
             "total_bits": self.total_bits,
-            "cfg": self.cfg.to_dict(),
+            "cfg": {**self.cfg.to_dict(),
+                    "groups_per_payload": self.layout.payload_groups(self.cfg)},
             "layout": self.layout.to_dict(),
             "pad_bits_per_tile": self.pad_bits_per_tile,
             "strand_count": self.strand_count,
@@ -137,15 +138,19 @@ class TileManifest:
         if missing:
             raise FormatError(f"manifest is missing keys: {sorted(missing)}")
         try:
+            cfg = {**d["cfg"]}  # a TypeError unless a JSON object
+            groups = cfg.pop("groups_per_payload", None)
             manifest = cls(
                 mode=d["mode"],
-                cfg=jr.JrConfig.from_dict(d["cfg"]),
+                cfg=jr.JrConfig.from_dict(cfg),
                 layout=StrandLayout.from_dict(d["layout"]),
                 width=d["width"],
                 height=d["height"],
                 tile_pixels=d["tile_pixels"],
                 total_bits=d["total_bits"],
             )
+            require_derived("groups_per_payload", groups,
+                            manifest.layout.payload_groups(manifest.cfg))
             for name in _DERIVED_KEYS:
                 require_derived(name, d[name], getattr(manifest, name))
         except (TypeError, ValueError) as exc:  # ConfigError, or a field of the wrong type
@@ -307,10 +312,10 @@ def _decode_stream(
 
 def _encode_stream(stream: np.ndarray, manifest: TileManifest) -> StrandSet:
     """Strands of one stream of bytes, tile ``t`` in row ``t``."""
-    n, cfg = manifest.strand_count, manifest.cfg
+    n, cfg, layout = manifest.strand_count, manifest.cfg, manifest.layout
     bits = _zero_pad(_tile_bits(stream[None], manifest), (n, manifest.payload_capacity))
-    blocks = jr.bit_rows_to_blocks(bits, cfg.groups_per_payload, cfg.bits_per_block)
-    return assemble_many(np.arange(n, dtype=np.int64), blocks, manifest.layout, cfg)
+    blocks = jr.bit_rows_to_blocks(bits, layout.payload_groups(cfg), cfg.bits_per_block)
+    return assemble_many(np.arange(n, dtype=np.int64), blocks, layout, cfg)
 
 
 def encode_image(

@@ -145,11 +145,6 @@ class StrandLayout:
             raise ConfigError(
                 f"payload_nt {self.payload_nt} is not a positive multiple of group size"
             )
-        if self.payload_groups(cfg) != cfg.groups_per_payload:
-            raise ConfigError(
-                f"payload_nt {self.payload_nt} holds {self.payload_groups(cfg)} groups, "
-                f"config expects {cfg.groups_per_payload}"
-            )
         bound = cfg.jump_length + 1
         for name, p in (("primer5", self.primer5), ("primer3", self.primer3)):
             if not isinstance(p, str):
@@ -406,7 +401,7 @@ def _parse_reads(
     counts = dict.fromkeys(
         ("reads_total", "accepted", "reject_length", "reject_primer", "reject_corrupt"), 0)
     indices = [np.empty(0, np.int64)]
-    blocks = [np.empty((0, cfg.groups_per_payload), dtype)]
+    blocks = [np.empty((0, layout.payload_groups(cfg)), dtype)]
     for pool in pools:
         starts = pool.starts[pool.lengths == total]
         counts["reads_total"] += len(pool)

@@ -70,7 +70,7 @@ def test_criterion_2_homopolymer_bound():
         cap = DEFAULT_LAYOUT.index_capacity(cfg)
         indices = np.arange(n_strands, dtype=np.int64) % cap
         payloads = rng.integers(
-            0, cfg.block_limit, (n_strands, cfg.groups_per_payload), dtype=np.int64
+            0, cfg.block_limit, (n_strands, DEFAULT_LAYOUT.payload_groups(cfg)), dtype=np.int64
         )
         strands = assemble_many(indices, payloads, DEFAULT_LAYOUT, cfg)
         n5, n3 = len(DEFAULT_LAYOUT.primer5), len(DEFAULT_LAYOUT.primer3)

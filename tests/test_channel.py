@@ -614,14 +614,15 @@ def test_vote_matches_bincount_reference_at_any_block_width(bits):
     if bits == 9:
         cfg, layout = jr.DEFAULT_CONFIG, strand.DEFAULT_LAYOUT
     else:
-        cfg = jr.JrConfig(group_radices=(4, 4, 4, 4, 3, 4, 4, 4, 4), bits_per_block=17,
-                          groups_per_payload=4)
+        cfg = jr.JrConfig(group_radices=(4, 4, 4, 4, 3, 4, 4, 4, 4))
         layout = strand.StrandLayout(index_nt=9, payload_nt=36)
+        assert cfg.bits_per_block == 17
     rng = np.random.default_rng(11)
     indices = np.repeat(np.arange(6) * 5, [1, 2, 3, 4, 5, 6])
     rng.shuffle(indices)
     top = cfg.block_limit - 1
-    blocks = rng.choice(np.array([0, 1, top // 2 + 1, top]), (indices.size, cfg.groups_per_payload))
+    blocks = rng.choice(np.array([0, 1, top // 2 + 1, top]),
+                        (indices.size, layout.payload_groups(cfg)))
     batch = channel.vote(assemble_many(indices, blocks, layout, cfg).pool, layout, cfg)
     assert batch.payload_blocks.dtype == np.int64
     assert batch.indices.dtype == np.int64

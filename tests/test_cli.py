@@ -717,6 +717,13 @@ HOSTILE_MANIFESTS = {
     "float-strand-count": {"strand_count": 154.0},
     "wrong-jump-length": {"cfg": {"group_radices": [4, 3, 4, 4, 3], "bits_per_block": 9,
                                   "groups_per_payload": 18, "jump_length": 1}},
+    # a block narrower than the pattern holds: 18 groups of 8 bits carry
+    # 18-pixel tiles exactly, so only the derived width rejects it
+    "narrow-bits-per-block": {"cfg": {"group_radices": [4, 3, 4, 4, 3], "bits_per_block": 8,
+                                      "groups_per_payload": 18, "jump_length": 2},
+                              "tile_pixels": 18, "strand_count": 171, "pad_bits_per_tile": 0},
+    "wrong-groups-per-payload": {"cfg": {"group_radices": [4, 3, 4, 4, 3], "bits_per_block": 9,
+                                         "groups_per_payload": 17, "jump_length": 2}},
     "list-primer5": {"layout": {**DEFAULT_LAYOUT.to_dict(),
                                 "primer5": list(DEFAULT_LAYOUT.primer5)}},
 }
@@ -877,9 +884,15 @@ def test_degrade_dataset_hostile_idx_header_exits_4(tmp_path, capsys):
     assert not (tmp_path / "out.idx").exists()
 
 
-@pytest.mark.parametrize("count", [0, 3])
+@pytest.mark.parametrize("count", [0, 3, "hostile-header"])
 def test_degrade_dataset_bad_rate_exits_2(tmp_path, rng, capsys, count):
-    write_idx_images(tmp_path / "in.idx", rng.integers(0, 256, (count, 28, 28), dtype=np.uint8))
+    """The rate is checked before the input is read, so even an IDX header
+    that promises more images than the file holds exits 2, not 4."""
+    if count == "hostile-header":
+        (tmp_path / "in.idx").write_bytes(bytes.fromhex("00000803") + b"\xff" * 12)
+    else:
+        write_idx_images(tmp_path / "in.idx",
+                         rng.integers(0, 256, (count, 28, 28), dtype=np.uint8))
     assert run("degrade-dataset", "--in", tmp_path / "in.idx", "--rate", "1.5",
                "--out", tmp_path / "out.idx") == 2
     assert "drop probability must lie in [0, 1], got 1.5" in capsys.readouterr().err

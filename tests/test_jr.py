@@ -13,6 +13,7 @@ import pytest
 
 from pjdna import jr
 from pjdna.errors import ConfigError, FramingError, RangeError, StreamCorruption
+from pjdna.strand import DEFAULT_LAYOUT
 
 CFG = jr.JrConfig()
 
@@ -29,7 +30,7 @@ def enumerate_digit_tuples(radices):
 def test_default_config():
     assert CFG.group_radices == (4, 3, 4, 4, 3)
     assert CFG.bits_per_block == 9
-    assert CFG.groups_per_payload == 18
+    assert DEFAULT_LAYOUT.payload_groups(CFG) == 18
     assert CFG.jump_length == 2
     assert CFG.block_capacity == 576
     assert CFG.block_limit == 512
@@ -37,12 +38,13 @@ def test_default_config():
 
 
 def test_preset_configs_validate():
-    for jump in (0, 1, 2):
+    for jump, bits in ((0, 1), (1, 3), (2, 9)):
         cfg = jr.JrConfig.for_jump(jump)
         assert cfg.jump_length == jump
+        assert cfg.bits_per_block == bits
         assert (1 << cfg.bits_per_block) <= cfg.block_capacity
         # every preset fills the same 90-nt payload region
-        assert cfg.groups_per_payload * cfg.group_size == 90
+        assert DEFAULT_LAYOUT.payload_groups(cfg) * cfg.group_size == 90
     with pytest.raises(ConfigError):
         jr.JrConfig.for_jump(3)
 
@@ -54,20 +56,26 @@ def test_preset_configs_validate():
 def test_config_rejects_wrong_jump_length(radices, jump):
     """jump_length is derived from the pattern; a stored one must be that
     integer, not another value, a float or a bool."""
-    d = {"group_radices": list(radices), "bits_per_block": 1, "groups_per_payload": 1}
-    cfg = jr.JrConfig(**d)
-    assert jr.JrConfig.from_dict({**d, "jump_length": cfg.jump_length}) == cfg
+    cfg = jr.JrConfig(list(radices))
+    assert jr.JrConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ConfigError):
-        jr.JrConfig.from_dict({**d, "jump_length": jump})
+        jr.JrConfig.from_dict({**cfg.to_dict(), "jump_length": jump})
 
 
 def test_config_rejects_bad_patterns():
-    for radices, bits, jump in (((4, 4), 2, 2), ((3, 5), 2, 0), ((3, 3), 4, 0)):
-        d = {"group_radices": radices, "bits_per_block": bits, "groups_per_payload": 1}
+    for radices, jump in (((4, 4), 2), ((3, 5), 0)):
         with pytest.raises(ConfigError):
-            jr.JrConfig(**d)
+            jr.JrConfig(radices)
         with pytest.raises(ConfigError):
-            jr.JrConfig.from_dict({**d, "jump_length": jump})
+            jr.JrConfig.from_dict({"group_radices": radices, "bits_per_block": 2,
+                                   "jump_length": jump})
+    # (3, 3) holds 9 patterns, so 3 bits: a stored width of 4 exceeds the
+    # capacity and one of 2 is not the derived width
+    cfg = jr.JrConfig((3, 3))
+    assert cfg.bits_per_block == 3
+    for bits in (2, 4, 3.0, True):
+        with pytest.raises(ConfigError):
+            jr.JrConfig.from_dict({**cfg.to_dict(), "bits_per_block": bits})
 
 
 def test_config_dict_round_trip():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pjdna import jr
+from pjdna.channel import vote
 from pjdna.errors import CapacityError, ConfigError, FormatError
 from pjdna.images import _read_header_tokens, read_pbm, read_pgm, write_pbm, write_pgm
 from pjdna.partition import (
@@ -17,7 +18,7 @@ from pjdna.partition import (
     encode_image,
     encode_raw,
 )
-from pjdna.strand import DEFAULT_LAYOUT, ParseBatch
+from pjdna.strand import DEFAULT_LAYOUT, ParseBatch, StrandLayout
 
 CFG = jr.JrConfig()
 
@@ -69,6 +70,48 @@ def test_manifest_rejects_unknown_and_missing_keys(tmp_path):
     path.write_text("{not json")
     with pytest.raises(FormatError):
         TileManifest.load(path)
+
+
+@pytest.mark.parametrize("key, value", [("bits_per_block", 8), ("bits_per_block", 10),
+                                        ("groups_per_payload", 17), ("groups_per_payload", None)])
+def test_manifest_rejects_a_stored_codec_value_that_is_not_derived(key, value):
+    """Bits per block derive from the pattern and payload groups from the
+    layout; a stored value must be the derived one, and the key is needed."""
+    d = TileManifest.for_raw(8 * 300, CFG, DEFAULT_LAYOUT).to_dict()
+    assert (d["cfg"]["bits_per_block"], d["cfg"]["groups_per_payload"]) == (9, 18)
+    cfg = {**d["cfg"], key: value}
+    if value is None:
+        del cfg[key]
+    with pytest.raises(FormatError, match=key):
+        TileManifest.from_dict({**d, "cfg": cfg})
+
+
+# patterns of 1 to 6 radices from {3, 4} that hold at least one rotating 3
+radix_patterns = st.lists(st.sampled_from([3, 4]), min_size=1, max_size=6).filter(
+    lambda p: 3 in p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pattern=radix_patterns, payload_groups=st.integers(1, 30),
+       stray_nt=st.integers(0, 5), data=st.binary(max_size=120))
+def test_any_pattern_is_a_whole_codec(pattern, payload_groups, stray_nt, data):
+    """A radix pattern is the whole config: it survives its dict, its block
+    is the widest its capacity holds, and over any payload of whole groups
+    its raw manifest survives its dict and its strands decode to the data."""
+    cfg = jr.JrConfig(pattern)
+    assert jr.JrConfig.from_dict(cfg.to_dict()) == cfg
+    assert 2 ** cfg.bits_per_block <= cfg.block_capacity < 2 ** (cfg.bits_per_block + 1)
+    g = cfg.group_size
+    layout = StrandLayout(index_nt=10 * g, payload_nt=payload_groups * g)
+    strands, manifest = encode_raw(data, cfg, layout)
+    d = manifest.to_dict()
+    assert d["cfg"]["groups_per_payload"] == payload_groups
+    assert TileManifest.from_dict(d) == manifest
+    assert decode_raw(vote(strands.pool, layout, cfg), manifest)[0] == data
+    if stray_nt % g:
+        ragged = StrandLayout(index_nt=10 * g, payload_nt=layout.payload_nt + stray_nt % g)
+        with pytest.raises(ConfigError):
+            ragged.validate(cfg)
 
 
 def test_manifest_capacity_checks():
@@ -172,6 +215,20 @@ def test_raw_round_trip(rng):
     assert stats["strands_recovered"] == manifest.strand_count
 
 
+@pytest.mark.parametrize("jump", [0, 1, 2])
+def test_every_preset_fills_a_60_nt_payload(rng, jump):
+    """Payload groups come from the layout, so every preset works with any
+    payload of whole groups, here 60 nt instead of the default 90."""
+    cfg, layout = jr.JrConfig.for_jump(jump), StrandLayout(payload_nt=60)
+    data = rng.integers(0, 256, 200, dtype=np.uint8).tobytes()
+    strands, manifest = encode_raw(data, cfg, layout)
+    assert manifest.payload_capacity == 60 // cfg.group_size * cfg.bits_per_block
+    out, mask, stats = decode_raw(vote(strands.pool, layout, cfg), manifest)
+    assert out == data
+    assert not mask.any()
+    assert stats["strands_recovered"] == manifest.strand_count
+
+
 def test_raw_empty_input():
     strands, manifest = encode_raw(b"")
     assert len(strands) == 0
@@ -266,7 +323,7 @@ def test_decoders_match_pair_list_reference(data):
     accepted = pairs if form == "list" else iter(pairs)
     if form == "batch":
         rows = np.frombuffer(b"".join(payloads), np.uint8).reshape(-1, nbytes)
-        blocks = jr.unpack_block_rows(rows, CFG.groups_per_payload, CFG.bits_per_block)
+        blocks = jr.unpack_block_rows(rows, DEFAULT_LAYOUT.payload_groups(CFG), CFG.bits_per_block)
         accepted = ParseBatch(np.array(indices, np.int64), blocks, {"accepted": len(indices)})
         pairs = list(zip(indices, accepted.payload_bytes(CFG)))
     parse_stats = data.draw(st.sampled_from([None, {"accepted": len(indices)}]), "stats")

@@ -33,6 +33,7 @@ from pjdna.strand import (
 
 CFG = jr.JrConfig()
 CAP = DEFAULT_LAYOUT.index_capacity(CFG)
+GROUPS = DEFAULT_LAYOUT.payload_groups(CFG)
 
 
 def random_payload(rng, cfg=CFG, layout=DEFAULT_LAYOUT):
@@ -71,7 +72,11 @@ def test_layout_validation_errors():
     with pytest.raises(ConfigError):
         StrandLayout(index_nt=7).validate(CFG)  # not a multiple of 5
     with pytest.raises(ConfigError):
-        StrandLayout(payload_nt=85).validate(CFG)  # 17 groups != 18
+        StrandLayout(payload_nt=87).validate(CFG)  # not a multiple of 5
+    # any whole number of groups makes a payload
+    layout = StrandLayout(payload_nt=85)
+    layout.validate(CFG)
+    assert layout.payload_groups(CFG) == 17
     with pytest.raises(LayoutError):
         StrandLayout(primer5="ACGTNACGTA" * 2).validate(CFG)
     with pytest.raises(LayoutError):
@@ -133,7 +138,7 @@ def test_assemble_payload_validation(rng):
 
 def test_strand_set_items_are_the_strands(rng):
     indices = np.array([5, 0, 77, 3], np.int64)
-    blocks = rng.integers(0, CFG.block_limit, (4, CFG.groups_per_payload), dtype=np.int64)
+    blocks = rng.integers(0, CFG.block_limit, (4, GROUPS), dtype=np.int64)
     payloads = [row.tobytes() for row in jr.pack_block_rows(blocks, CFG.bits_per_block)]
     strands = [assemble_strand(int(i), p) for i, p in zip(indices, payloads)]
     batch = assemble_many(indices, blocks)
@@ -265,7 +270,7 @@ def test_parse_many_reject_accounting(rng):
 # ---------------------------------------------------------------------------
 
 def random_batch(rng, n):
-    blocks = rng.integers(0, CFG.block_limit, (n, CFG.groups_per_payload), dtype=np.int64)
+    blocks = rng.integers(0, CFG.block_limit, (n, GROUPS), dtype=np.int64)
     return assemble_many(np.arange(n, dtype=np.int64), blocks)
 
 
@@ -620,8 +625,7 @@ def test_write_fasta_matches_the_text_records(tmp_path, monkeypatch, indices, ch
     writer ``f">pj|{i}\\n{seq}\\n"`` gave, in any chunking."""
     monkeypatch.setattr(seqio, "_WRITE_CHUNK", chunk)
     rng = np.random.default_rng(seed)
-    blocks = rng.integers(0, CFG.block_limit, (len(indices), CFG.groups_per_payload),
-                          dtype=np.int64)
+    blocks = rng.integers(0, CFG.block_limit, (len(indices), GROUPS), dtype=np.int64)
     batch = assemble_many(np.array(indices, np.int64), blocks)
     path = tmp_path / "lib.fasta"
     for given in (batch, batch[::2]):
