@@ -15,7 +15,7 @@ from .channel import ChannelProfile, ReadSet, consensus, corrupt_reads, drop_str
 from .idx import degrade_dataset, read_idx_images, read_idx_labels, write_idx_images, write_idx_labels
 from .images import read_pbm, read_pgm, write_pbm, write_pgm
 from .inpaint import inpaint
-from .jr import JrConfig, jr_decode_stream, jr_encode_stream, max_homopolymer_run
+from .jr import JrConfig, max_homopolymer_run
 from .metrics import OutcomeTally, SsimReference, em_ssim, ssim, tally_outcomes
 from .partition import (
     RecoveredImage,
@@ -33,8 +33,6 @@ __all__ = [
     "__version__",
     "errors",
     "JrConfig",
-    "jr_encode_stream",
-    "jr_decode_stream",
     "max_homopolymer_run",
     "Strand",
     "StrandLayout",

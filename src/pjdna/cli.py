@@ -39,7 +39,7 @@ from .channel import (
     vote,
 )
 from .errors import ConfigError, FormatError, PjError, require_int
-from .idx import _IMAGE_MAGIC, _parse_idx, degrade_dataset, read_labels
+from .idx import _IMAGE_MAGIC, _parse_idx, degrade_dataset, read_labels, write_idx_images
 from .images import _parse_pbm, _parse_pgm, read_pgm, write_pbm, write_pgm
 from .inpaint import inpaint
 from .metrics import ssim, tally_outcomes
@@ -312,10 +312,12 @@ def cmd_degrade_dataset(args) -> _Written:
     check_drop_rate(args.rate)
     digests = {}
     images = _parse_idx(_read_input(args.input, digests), _IMAGE_MAGIC, args.input)
-    summary = {}  # degrade_dataset's, which the sidecar records and the command prints
+    degraded, masks, summary = degrade_dataset(images, args.rate, seed)
 
-    def write(out, masks=None):
-        summary.update(degrade_dataset(images, args.rate, seed, out, masks))
+    def write(out, masks_path=None):
+        write_idx_images(out, degraded)
+        if masks_path is not None:
+            write_idx_images(masks_path, masks)
 
     return _Written("degrade-dataset", [args.out] + ([args.masks] if args.masks else []),
                     write, {"rate": args.rate, "masks": str(args.masks) if args.masks else None},

@@ -14,25 +14,6 @@ class RangeError(PjError, ValueError):
     """A block value or digit lies outside its declared range."""
 
 
-class FramingError(PjError, ValueError):
-    """A nucleotide stream is not a whole number of code groups."""
-
-
-class StreamCorruption(PjError, ValueError):
-    """Decoder detected an impossible stream.
-
-    kind is "rotating" (a rotating position repeats its predecessor, with
-    ``position`` giving the 0-based nucleotide offset) or "range" (a decoded
-    group maps to a value the encoder can never produce, with ``position``
-    giving the 0-based block index).
-    """
-
-    def __init__(self, kind: str, position: int):
-        self.kind = kind
-        self.position = position
-        super().__init__(f"stream corruption ({kind}) at position {position}")
-
-
 class CapacityError(PjError, ValueError):
     """Index space or payload capacity exceeded."""
 

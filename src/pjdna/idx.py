@@ -3,8 +3,9 @@
 IDX is the big-endian binary container used by MNIST-style datasets: magic
 0x00000803 followed by (count, rows, cols) for image stacks, 0x00000801
 followed by (count,) for label vectors, then raw uint8 data.  Labels may
-also arrive as plain text, one integer per line.  Degrading a dataset drops
-strands and nothing else, so it zeroes each image's lost tiles
+also arrive as plain text, one integer per line.  Degrading a dataset maps
+an image stack in memory to its degraded stack and masks: it drops strands
+and nothing else, so it zeroes each image's lost tiles
 (:func:`~pjdna.partition.drop_tiles`) and never builds a strand.
 """
 
@@ -21,7 +22,7 @@ from . import jr
 from .errors import FormatError
 from .channel import _streams, check_drop_rate
 from .partition import TileManifest, drop_tiles
-from .strand import DEFAULT_LAYOUT, StrandLayout
+from .strand import DEFAULT_LAYOUT
 
 __all__ = [
     "read_idx_images",
@@ -117,38 +118,29 @@ def read_labels(path) -> np.ndarray:
 
 
 def degrade_dataset(
-    images_in,
-    rate: float,
-    seed: int,
-    images_out,
-    masks_out=None,
-    cfg: jr.JrConfig = jr.DEFAULT_CONFIG,
-    layout: StrandLayout = DEFAULT_LAYOUT,
-    tile_pixels: int | None = None,
-) -> dict:
-    """Degrade every image of an IDX stack by strand loss, each on its own.
+    images: np.ndarray, rate: float, seed: int
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Degrade every image of a (count, rows, cols) uint8 stack by strand
+    loss, each on its own, under the default codec.
 
-    ``images_in`` is an IDX path or the (count, rows, cols) uint8 stack read
-    from one, ``images_out`` an IDX path; ``masks_out`` (optional)
-    receives the per-image missing masks as a 0/1 uint8 IDX stack.  Image i
-    loses the strands ``channel.drop_strands(strands, rate, (seed, i))``
+    Image i loses the strands ``channel.drop_strands(strands, rate, (seed, i))``
     would drop, so the dataset can be regenerated one image at a time.
     Loss is the only damage here, and decoding what survives gives back the
     image with each lost tile zeroed and masked, so
     :func:`~pjdna.partition.drop_tiles` zeroes those tiles without building
     a strand.  The stack is worked in chunks of whole images, and every
-    image's stream is seeded in one pass up front.  Returns a summary with
-    the masked-fraction distribution across images.
+    image's stream is seeded in one pass up front.  Returns the degraded
+    stack, the per-image missing masks as a 0/1 uint8 stack, and a summary
+    with the masked-fraction distribution across images.
     """
     check_drop_rate(rate)
-    images = images_in if isinstance(images_in, np.ndarray) else read_idx_images(images_in)
     n, rows, cols = images.shape
     out = np.empty_like(images)
-    masks = np.empty_like(images) if masks_out is not None else None
+    masks = np.empty_like(images)
     fractions = np.empty(n, np.float64)
     strands_per_image = 0
     if n:
-        manifest = TileManifest.for_image(cols, rows, cfg, layout, tile_pixels)
+        manifest = TileManifest.for_image(cols, rows, jr.DEFAULT_CONFIG, DEFAULT_LAYOUT)
         strands_per_image = manifest.strand_count
         step = max(1, _DEGRADE_CHUNK // strands_per_image)
         # image i's stream is keep_mask's for seed (seed, i)
@@ -156,13 +148,9 @@ def degrade_dataset(
         for a in range(0, n, step):
             chunk = slice(a, a + step)
             out[chunk], missing = _degrade_images(images[chunk], streams, rate, manifest)
+            masks[chunk] = missing
             fractions[chunk] = missing.reshape(missing.shape[0], -1).mean(axis=1)
-            if masks is not None:
-                masks[chunk] = missing
-    write_idx_images(images_out, out)
-    if masks is not None:
-        write_idx_images(masks_out, masks)
-    return {
+    summary = {
         "images": int(n),
         "shape": [int(rows), int(cols)],
         "rate": float(rate),
@@ -173,6 +161,7 @@ def degrade_dataset(
         "masked_fraction_min": float(fractions.min()) if n else 0.0,
         "masked_fraction_max": float(fractions.max()) if n else 0.0,
     }
+    return out, masks, summary
 
 
 def _degrade_images(

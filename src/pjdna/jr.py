@@ -33,8 +33,6 @@ Each rule has one implementation, over a matrix with one stream per row:
 :func:`blocks_to_digit_rows` and :func:`digit_rows_to_blocks` convert
 blocks and digits, and :func:`encode_positions` and
 :func:`decode_positions` apply both position rules a column at a time.
-:func:`jr_encode_stream` and :func:`jr_decode_stream` run them on a single
-row, as the string-level view of one stream.
 """
 
 from __future__ import annotations
@@ -42,27 +40,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    FramingError,
-    RangeError,
-    StreamCorruption,
-    require_derived,
-    require_int,
-)
+from .errors import ConfigError, require_derived, require_int
 
 __all__ = [
     "ALPHABET",
     "JrConfig",
-    "jr_encode_stream",
-    "jr_decode_stream",
     "max_homopolymer_run",
-    "codes_from_seq",
-    "seq_from_codes",
     "ascii_codes",
     "block_rows_to_bits",
     "pack_block_rows",
@@ -92,16 +79,6 @@ def ascii_codes(data: np.ndarray) -> np.ndarray:
     if not valid.all():
         np.copyto(codes, 255, where=~valid)
     return codes
-
-
-def codes_from_seq(seq: str) -> np.ndarray:
-    """Map a nucleotide string to uint8 codes; invalid characters become 255."""
-    return ascii_codes(np.frombuffer(seq.encode("ascii"), np.uint8))
-
-
-def seq_from_codes(codes: np.ndarray) -> str:
-    """Map uint8 nucleotide codes to a string; a code outside 0..3 becomes N."""
-    return np.asarray(codes, np.uint8).tobytes().translate(_CODE_TRANSLATE).decode("ascii")
 
 
 def max_homopolymer_run(seq: str) -> int:
@@ -337,56 +314,3 @@ def decode_code_rows(
     rot = cfg.rotating_mask(n_groups)
     digits, viol = decode_positions(codes, rot, prev0)
     return digit_rows_to_blocks(digits, cfg), viol
-
-
-# ---------------------------------------------------------------------------
-# stream operations
-# ---------------------------------------------------------------------------
-
-def _prev_code(prev_init: str) -> np.ndarray:
-    """The one-element code array of the nucleotide before a stream."""
-    code = codes_from_seq(prev_init)
-    if code.shape != (1,) or code[0] > 3:
-        raise RangeError(f"prev_init must be one of {', '.join(ALPHABET)}, got {prev_init!r}")
-    return code
-
-
-def jr_encode_stream(
-    blocks: Iterable[int], cfg: JrConfig = DEFAULT_CONFIG, prev_init: str = "A"
-) -> str:
-    """Encode block values into one continuous nucleotide stream.
-
-    The rotating context threads through the whole stream: each rotating
-    position looks at the immediately preceding emitted nucleotide, and the
-    stream's very first position (when rotating) looks at ``prev_init``.
-    """
-    try:
-        mat = np.array(list(blocks), np.int64).reshape(1, -1)
-    except OverflowError:  # a value past int64 is past the limit too
-        mat = np.full((1, 1), -1)
-    if ((mat < 0) | (mat >= cfg.block_limit)).any():
-        raise RangeError(f"block values must lie in [0, {cfg.block_limit})")
-    return seq_from_codes(encode_block_rows(mat, cfg, _prev_code(prev_init))[0])
-
-
-def jr_decode_stream(
-    seq: str, cfg: JrConfig = DEFAULT_CONFIG, prev_init: str = "A"
-) -> list[int]:
-    """Exact inverse of :func:`jr_encode_stream` on clean streams.
-
-    Raises :class:`FramingError` when the length is not a whole number of
-    groups and :class:`StreamCorruption` at the first rotating violation
-    (nucleotide position) or out-of-range group (block index).
-    """
-    if len(seq) % cfg.group_size:
-        raise FramingError(
-            f"stream length {len(seq)} is not a multiple of group size {cfg.group_size}"
-        )
-    codes = codes_from_seq(seq).reshape(1, -1)
-    blocks, viol = decode_code_rows(codes, cfg, _prev_code(prev_init))
-    if viol[0] >= 0:
-        raise StreamCorruption("rotating", int(viol[0]))
-    bad = np.nonzero(blocks[0] >= cfg.block_limit)[0]
-    if bad.size:
-        raise StreamCorruption("range", int(bad[0]))
-    return blocks[0].tolist()

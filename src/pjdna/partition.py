@@ -88,7 +88,9 @@ class TileManifest:
                 raise ConfigError("raw manifests must not carry image geometry")
         else:
             raise ConfigError(f"unknown manifest mode {self.mode!r}")
-        if self.strand_count > self.layout.index_capacity(self.cfg):
+        # bit lengths, since a hostile index_nt makes the capacity too large to compute
+        index_bits = self.layout.index_groups(self.cfg) * self.cfg.bits_per_block
+        if (self.strand_count - 1).bit_length() > index_bits:
             raise CapacityError(
                 f"{self.strand_count} strands exceed the index capacity "
                 f"{self.layout.index_capacity(self.cfg)}"

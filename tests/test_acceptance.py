@@ -234,12 +234,12 @@ def test_criterion_8_single_substitution_detection():
 
 def _run_c9(tmp_path):
     imgs = np.random.default_rng(5).integers(0, 256, (1000, 28, 28), dtype=np.uint8)
-    src = tmp_path / "c9_in.idx"
+    degraded, masks, summary = degrade_dataset(imgs, 0.10, 42)
     dst = tmp_path / "c9_out.idx"
-    masks = tmp_path / "c9_masks.idx"
-    write_idx_images(src, imgs)
-    summary = degrade_dataset(src, 0.10, 42, dst, masks)
-    return summary, dst.read_bytes(), masks.read_bytes()
+    masks_path = tmp_path / "c9_masks.idx"
+    write_idx_images(dst, degraded)
+    write_idx_images(masks_path, masks)
+    return summary, dst.read_bytes(), masks_path.read_bytes()
 
 
 def test_criterion_9_degraded_dataset_statistics(tmp_path):

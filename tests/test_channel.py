@@ -26,6 +26,11 @@ from pjdna.seqio import read_sequences, write_fastq
 from pjdna.strand import ReadPool, StrandSet, assemble_many, assemble_strand, parse_many
 
 
+def codes_of(seq):
+    """The nucleotide codes of an ASCII string, 255 outside ACGT."""
+    return jr.ascii_codes(np.frombuffer(seq.encode("ascii"), np.uint8))
+
+
 def random_strands(rng, n):
     blocks = rng.integers(0, 512, (n, 18), dtype=np.int64)
     return assemble_many(np.arange(n, dtype=np.int64), blocks)
@@ -238,7 +243,7 @@ def test_priority_delete_over_insert_over_substitute(rng):
     reads = corrupt_reads(seqs, ChannelProfile(sub_p=1.0, coverage_mean=3, seed=1))
     shifts = set()
     for read, origin in zip(reads.sequences, reads.origins):
-        a, b = jr.codes_from_seq(read), jr.codes_from_seq(seqs[origin])
+        a, b = codes_of(read), codes_of(seqs[origin])
         shifts |= set(((a.astype(int) - b) % 4).tolist())
     assert shifts == {1, 2, 3}
 
@@ -254,8 +259,8 @@ def test_event_rates_and_choices_are_uniform(rng):
     k = 1000
     trials = k * len(seq)
     reads = corrupt_reads([seq], ChannelProfile(sub_p=0.3, coverage_mean=k, seed=3))
-    got = jr.codes_from_seq("".join(reads.sequences)).astype(int)
-    shift = (got - np.tile(jr.codes_from_seq(seq), k)) % 4
+    got = codes_of("".join(reads.sequences)).astype(int)
+    shift = (got - np.tile(codes_of(seq), k)) % 4
     shifts = np.bincount(shift, minlength=4)
     assert within_5_sigma(trials - shifts[0], trials, 0.3)
     assert all(within_5_sigma(n, trials - shifts[0], 1 / 3) for n in shifts[1:])
@@ -431,7 +436,7 @@ def string_mutate_chunk(pending, profile):
     width = int(lens.max())
     inside = np.arange(width) < lens[:, None]
     strand_codes = np.zeros(inside.shape, np.uint8)
-    strand_codes[inside] = jr.codes_from_seq("".join(seq for seq, _ in pending))
+    strand_codes[inside] = codes_of("".join(seq for seq, _ in pending))
     codes = np.repeat(strand_codes, reps, axis=0)
     u = np.ones((codes.shape[0], width))
     row = 0

@@ -4,11 +4,14 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import pjdna
 from pjdna.cli import build_parser, main
 from pjdna.images import read_pbm, read_pgm, write_pgm
 from pjdna.idx import read_idx_images, write_idx_images, write_idx_labels
@@ -739,6 +742,38 @@ def test_decode_hostile_manifest_exits_4(workdir, capsys, case):
                "--out", tmp_path / "x.pgm") == 4
     assert "inconsistent manifest" in capsys.readouterr().err
     assert not (tmp_path / "x.pgm").exists()
+
+
+def test_decode_huge_index_region_exits_0_with_every_tile_masked(workdir):
+    """An index region of 10**12 nt holds 512**(2 * 10**11) indices.  The
+    manifest check compares bit lengths rather than building that number,
+    so decode rejects every read by its length and exits 0 with every tile
+    masked.  The command runs in a child under a 1 GiB address-space limit,
+    where building the number ends in a MemoryError, not in filling the
+    machine's memory."""
+    resource = pytest.importorskip("resource")
+    tmp_path, _ = workdir
+    encode(tmp_path)
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    manifest["layout"]["index_nt"] = 10**12
+    (tmp_path / "huge.json").write_text(json.dumps(manifest))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(pjdna.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-m", "pjdna.cli", "decode", "--lib", tmp_path / "lib.fasta",
+         "--manifest", tmp_path / "huge.json", "--out", tmp_path / "x.pgm",
+         "--mask", tmp_path / "x.pbm"],
+        env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    assert (child.returncode, child.stderr) == (0, "")
+    counters = json.loads((tmp_path / "x.pgm.meta.json").read_text())["counters"]
+    assert counters["reject_length"] == counters["reads_total"] == manifest["strand_count"]
+    assert counters["masked_fraction"] == 1.0
+    assert read_pbm(tmp_path / "x.pbm").all()
 
 
 def test_raw_round_trip_via_cli(tmp_path, rng):

@@ -1,12 +1,15 @@
-"""Every exported name resolves and every imported name is used, so a
-deleted function leaves no stale export or import."""
+"""Every exported name resolves, every imported name is used and every
+error class is raised, so a deleted function leaves no stale export, import
+or exception."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
 import pjdna
+from pjdna import errors
 
 
 def test_every_name_in_all_resolves():
@@ -65,3 +68,33 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_stale_import_guard_sees_an_unused_name():
     source = "from .strand import DEFAULT_LAYOUT, ParseBatch\n\nx: 'DEFAULT_LAYOUT' = 1\n"
     assert _unused_imports(source) == ["ParseBatch (line 1)"]
+
+
+def _raised_or_subclassed(source: str) -> set[str]:
+    """Names of the classes a module raises (``raise X`` or ``raise X(...)``,
+    bare or as ``errors.X``) or subclasses."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found |= {exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)}
+        elif isinstance(node, ast.ClassDef):
+            found |= {b.id for b in node.bases if isinstance(b, ast.Name)}
+    return found
+
+
+def test_every_error_class_is_raised_or_subclassed():
+    """An exception class that no module of the package raises or extends
+    is a leftover of a deleted raiser."""
+    classes = {name for name, obj in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(obj, BaseException) and obj.__module__ == errors.__name__}
+    assert len(classes) > 5
+    paths = sorted(pathlib.Path(pjdna.__file__).parent.glob("*.py"))
+    used = set().union(*(_raised_or_subclassed(p.read_text()) for p in paths))
+    assert not sorted(classes - used)
+
+
+def test_raised_guard_sees_an_unraised_class():
+    source = ("class A(Exception): pass\nclass B(A): pass\nclass C(A): pass\n"
+              "def f():\n    raise B('x')\n")
+    assert {"A", "B", "C"} - _raised_or_subclassed(source) == {"C"}

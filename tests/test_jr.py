@@ -1,6 +1,7 @@
 """Codec-level tests: mixed-radix conversion, rotating/direct rules, streams.
 
-Each rule is checked through the row kernels every command runs.
+Each rule is checked through the row kernels every command runs; a stream is
+one row of :func:`jr.encode_block_rows` and :func:`jr.decode_code_rows`.
 
 Expected values for the non-trivial cases come from an independent oracle:
 exhaustive enumeration of all digit tuples in mixed-radix order.
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 
 from pjdna import jr
-from pjdna.errors import ConfigError, FramingError, RangeError, StreamCorruption
-from pjdna.strand import DEFAULT_LAYOUT
+from pjdna.errors import ConfigError, RangeError
+from pjdna.strand import DEFAULT_LAYOUT, assemble_many
 
 CFG = jr.JrConfig()
 
@@ -21,6 +22,29 @@ CFG = jr.JrConfig()
 def enumerate_digit_tuples(radices):
     """Oracle: all digit tuples in ascending mixed-radix order."""
     return list(itertools.product(*[range(r) for r in radices]))
+
+
+def codes_of(seq):
+    """The nucleotide codes of an ASCII string, 255 outside ACGT."""
+    return jr.ascii_codes(np.frombuffer(seq.encode("ascii"), np.uint8))
+
+
+def text_of(codes):
+    """The letters of nucleotide codes, N for a code outside 0..3."""
+    return np.asarray(codes, np.uint8).tobytes().translate(jr._CODE_TRANSLATE).decode("ascii")
+
+
+def encode_row(blocks, cfg=CFG, prev="A"):
+    """One stream of ``blocks`` after the nucleotide ``prev``, as letters."""
+    mat = np.array(blocks, np.int64).reshape(1, -1)
+    return text_of(jr.encode_block_rows(mat, cfg, codes_of(prev))[0])
+
+
+def decode_row(seq, cfg=CFG, prev="A"):
+    """The blocks of one stream after ``prev``, and the position of its
+    first rotating violation, or -1."""
+    blocks, viol = jr.decode_code_rows(codes_of(seq).reshape(1, -1), cfg, codes_of(prev))
+    return blocks[0].tolist(), int(viol[0])
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +164,8 @@ def one_position(codes_or_digits, prev, rotating, decode=False):
 
 
 def test_rotate_encode_examples():
-    a, t = jr.codes_from_seq("AT")
-    assert jr.seq_from_codes(one_position([0, 2], [a, t], True)) == "CG"
+    a, t = codes_of("AT")
+    assert text_of(one_position([0, 2], [a, t], True)) == "CG"
 
 
 def test_rotate_never_repeats_and_inverts():
@@ -155,7 +179,7 @@ def test_rotate_never_repeats_and_inverts():
 
 
 def test_rotate_decode_violation():
-    codes, prev = jr.codes_from_seq("ACG"), jr.codes_from_seq("AAT")
+    codes, prev = codes_of("ACG"), codes_of("AAT")
     digits, viol = one_position(codes, prev, True, decode=True)
     assert viol.tolist() == [0, -1, -1]  # a repeated nucleotide is a violation
     assert digits[1:, 0].tolist() == [0, 2]
@@ -165,7 +189,7 @@ def test_direct_bijection():
     digits = np.arange(4)
     for prev in range(4):  # a direct position ignores its context
         codes = one_position(digits, [prev] * 4, False)
-        assert jr.seq_from_codes(codes) == "ACGT"
+        assert text_of(codes) == "ACGT"
         back, viol = one_position(codes, [prev] * 4, False, decode=True)
         assert back[:, 0].tolist() == digits.tolist() and (viol == -1).all()
 
@@ -175,28 +199,20 @@ def test_direct_bijection():
 # ---------------------------------------------------------------------------
 
 def test_encode_stream_examples():
-    assert jr.jr_encode_stream([511], prev_init="A") == "TCGGA"
-    assert jr.jr_encode_stream([0], prev_init="A") == "ACAAC"
-    assert jr.jr_encode_stream([]) == ""
+    assert encode_row([511]) == "TCGGA"
+    assert encode_row([0]) == "ACAAC"
+    assert encode_row([]) == ""
 
 
 def test_decode_stream_examples():
-    assert jr.jr_decode_stream("TCGGA") == [511]
-    with pytest.raises(StreamCorruption) as exc:
-        jr.jr_decode_stream("TTGGA")
-    assert exc.value.kind == "rotating"
-    assert exc.value.position == 1  # 0-based: the second nucleotide repeats T
-    with pytest.raises(FramingError):
-        jr.jr_decode_stream("ACGT")
+    assert decode_row("TCGGA") == ([511], -1)
+    assert decode_row("TTGGA")[1] == 1  # 0-based: the second nucleotide repeats T
 
 
 def test_decode_detects_out_of_range_group():
     # digit bump at the first rotating position lifts the value to 559 >= 512
-    assert jr.jr_encode_stream([511]) == "TCGGA"
-    with pytest.raises(StreamCorruption) as exc:
-        jr.jr_decode_stream("TGGGA")
-    assert exc.value.kind == "range"
-    assert exc.value.position == 0  # block index
+    assert encode_row([511]) == "TCGGA"
+    assert decode_row("TGGGA") == ([559], -1)
 
 
 def test_stream_round_trip_fuzz():
@@ -207,36 +223,33 @@ def test_stream_round_trip_fuzz():
             n = int(rng.integers(0, 40))
             blocks = [int(b) for b in rng.integers(0, cfg.block_limit, n)]
             prev = jr.ALPHABET[int(rng.integers(0, 4))]
-            seq = jr.jr_encode_stream(blocks, cfg, prev)
+            seq = encode_row(blocks, cfg, prev)
             assert len(seq) == n * cfg.group_size
-            assert jr.jr_decode_stream(seq, cfg, prev) == blocks
+            assert decode_row(seq, cfg, prev) == (blocks, -1)
 
 
 def test_stream_range_error():
-    for blocks in ([512], [3, -1], [0, 0, 575], [2**70]):
+    """A payload block outside [0, block_limit) is refused before encoding."""
+    for bad in (512, -1, 575):
+        blocks = np.zeros((2, DEFAULT_LAYOUT.payload_groups(CFG)), np.int64)
+        blocks[1, -1] = bad
         with pytest.raises(RangeError):
-            jr.jr_encode_stream(blocks)
-    for prev in ("N", "", "AC"):
-        with pytest.raises(RangeError):
-            jr.jr_encode_stream([0], prev_init=prev)
-        with pytest.raises(RangeError):
-            jr.jr_decode_stream("ACAAC", prev_init=prev)
+            assemble_many(np.array([0, 1]), blocks)
 
 
 def test_code_string_maps():
     """Bytes outside ACGT give code 255; codes outside 0..3 give N."""
-    assert jr.codes_from_seq("ACGTNa-").tolist() == [0, 1, 2, 3, 255, 255, 255]
-    assert jr.seq_from_codes(np.array([3, 2, 1, 0, 4, 255], np.uint8)) == "TGCANN"
-    assert jr.seq_from_codes(np.array([0, 3], np.int64)) == "AT"
+    assert codes_of("ACGTNa-").tolist() == [0, 1, 2, 3, 255, 255, 255]
+    assert bytes([3, 2, 1, 0, 4, 255]).translate(jr._CODE_TRANSLATE) == b"TGCANN"
 
 
 def test_rotating_context_crosses_group_boundary():
     # last nucleotide of the first group feeds the second group's first
     # rotating position; re-encoding group 2 alone with the right context
     # must reproduce the tail of the joint stream
-    joint = jr.jr_encode_stream([511, 37], prev_init="A")
-    head = jr.jr_encode_stream([511], prev_init="A")
-    tail = jr.jr_encode_stream([37], prev_init=head[-1])
+    joint = encode_row([511, 37])
+    head = encode_row([511])
+    tail = encode_row([37], prev=head[-1])
     assert joint == head + tail
 
 
@@ -270,12 +283,10 @@ def test_homopolymer_bound_stream_fuzz(jump):
     prev0 = rng.integers(0, 4, 10_000).astype(np.uint8)
     codes = jr.encode_block_rows(blocks, cfg, prev0)
     assert int(batch_max_runs(codes).max()) <= bound
-    # the string-level API agrees with the batch path
+    # a row encoded on its own agrees with the batch
     for i in (0, 999, 9_999):
-        seq = jr.jr_encode_stream(
-            [int(b) for b in blocks[i]], cfg, jr.ALPHABET[int(prev0[i])]
-        )
-        assert seq == jr.seq_from_codes(codes[i])
+        alone = jr.encode_block_rows(blocks[i : i + 1], cfg, prev0[i : i + 1])
+        assert np.array_equal(alone[0], codes[i])
 
 
 def test_round_trip_bulk_block_lists():
@@ -290,17 +301,18 @@ def test_round_trip_bulk_block_lists():
 
 
 def test_out_of_range_group_always_detected():
-    """Any group decoding to a value past the encoder limit is corruption."""
+    """Any group decoding to a value past the encoder limit is corruption:
+    the decoded block is that value, which the range check refuses."""
     rng = np.random.default_rng(31)
     tuples = enumerate_digit_tuples(CFG.group_radices)
-    rot = CFG.rotating_mask(1)
-    for value in range(CFG.block_limit, CFG.block_capacity):
-        digits = np.array([tuples[value]], np.uint8)
-        prev = int(rng.integers(0, 4))
-        codes = jr.encode_positions(digits, rot, np.array([prev], np.uint8))
-        with pytest.raises(StreamCorruption) as exc:
-            jr.jr_decode_stream(jr.seq_from_codes(codes[0]), CFG, jr.ALPHABET[prev])
-        assert exc.value.kind == "range"
+    values = np.arange(CFG.block_limit, CFG.block_capacity)
+    digits = np.array(tuples, np.uint8)[values]
+    prev0 = rng.integers(0, 4, values.size).astype(np.uint8)
+    codes = jr.encode_positions(digits, CFG.rotating_mask(1), prev0)
+    blocks, viol = jr.decode_code_rows(codes, CFG, prev0)
+    assert (viol == -1).all()
+    assert blocks[:, 0].tolist() == values.tolist()
+    assert (blocks >= CFG.block_limit).all()
 
 
 def test_rotating_substitution_to_predecessor_always_detected():
@@ -309,14 +321,13 @@ def test_rotating_substitution_to_predecessor_always_detected():
     rot_positions = [i for i, r in enumerate(cfg.group_radices) if r == 3]
     for _ in range(100):
         blocks = [int(b) for b in rng.integers(0, cfg.block_limit, 6)]
-        seq = jr.jr_encode_stream(blocks, cfg)
+        seq = encode_row(blocks, cfg)
         g = int(rng.integers(0, 6))
         p = g * cfg.group_size + rot_positions[int(rng.integers(0, len(rot_positions)))]
         corrupted = seq[:p] + seq[p - 1] + seq[p + 1 :]
         if corrupted == seq:
             continue  # substitution must change the nucleotide to count
-        with pytest.raises(StreamCorruption):
-            jr.jr_decode_stream(corrupted, cfg)
+        assert decode_row(corrupted, cfg)[1] == p
 
 
 # ---------------------------------------------------------------------------

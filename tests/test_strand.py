@@ -117,7 +117,10 @@ def test_assemble_zero_payload_pattern():
     data = s.sequence[20:120]
     # all-zero blocks encode as repeated "?C??C" groups whose rotating
     # positions chain off the previous emitted nucleotide
-    assert data == jr.jr_encode_stream([0] * 20, CFG, prev_init=DEFAULT_PRIMER5[-1])
+    prev0 = np.array([jr.ALPHABET.index(DEFAULT_PRIMER5[-1])], np.uint8)
+    codes = jr.encode_block_rows(np.zeros((1, 20), np.int64), CFG, prev0)
+    assert data == codes.tobytes().translate(jr._CODE_TRANSLATE).decode("ascii")
+    assert data == "ACAAC" * 20
 
 
 def test_assemble_capacity_error(rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pjdna import idx
-from pjdna.channel import ChannelProfile, drop_strands, preset, vote
+from pjdna.channel import ChannelProfile, drop_strands, keep_mask, preset, vote
 from pjdna.errors import ConfigError, FormatError
 from pjdna.idx import (
     degrade_dataset,
@@ -18,7 +18,8 @@ from pjdna.idx import (
 )
 from pjdna.jr import DEFAULT_CONFIG, JrConfig
 from pjdna.metrics import em_ssim, ssim
-from pjdna.partition import decode_image, encode_image
+from pjdna.partition import TileManifest, decode_image, drop_tiles, encode_image
+from pjdna.strand import DEFAULT_LAYOUT
 from pjdna.sweep import CSV_HEADER, loss_sweep
 
 
@@ -261,28 +262,20 @@ def test_labels_read_from_a_pipe(tmp_path):
 # dataset degradation
 # ---------------------------------------------------------------------------
 
-def test_degrade_rate_zero_is_identity(tmp_path, rng):
+def test_degrade_rate_zero_is_identity(rng):
     imgs = rng.integers(0, 256, (5, 28, 28), dtype=np.uint8)
-    src = tmp_path / "in.idx"
-    dst = tmp_path / "out.idx"
-    write_idx_images(src, imgs)
-    summary = degrade_dataset(src, 0.0, 1, dst)
-    assert src.read_bytes() == dst.read_bytes()
+    out, masks, summary = degrade_dataset(imgs, 0.0, 1)
+    assert np.array_equal(out, imgs)
+    assert not masks.any()
     assert summary["masked_fraction_mean"] == 0.0
     assert summary["strands_per_image"] == 40  # ceil(784 / 20)
 
 
-def test_degrade_writes_masks_and_stats(tmp_path, rng):
+def test_degrade_writes_masks_and_stats(rng):
     imgs = rng.integers(0, 256, (30, 28, 28), dtype=np.uint8)
-    src = tmp_path / "in.idx"
-    dst = tmp_path / "out.idx"
-    masks = tmp_path / "masks.idx"
-    summary = None
-    write_idx_images(src, imgs)
-    summary = degrade_dataset(src, 0.10, 3, dst, masks)
-    out = read_idx_images(dst)
-    m = read_idx_images(masks)
+    out, m, summary = degrade_dataset(imgs, 0.10, 3)
     assert out.shape == imgs.shape and m.shape == imgs.shape
+    assert out.dtype == m.dtype == np.uint8
     assert set(np.unique(m)) <= {0, 1}
     # degraded pixels are zero exactly where masked
     assert ((out == imgs) | (m == 1)).all()
@@ -290,14 +283,12 @@ def test_degrade_writes_masks_and_stats(tmp_path, rng):
     assert 0.0 < summary["masked_fraction_mean"] < 0.3
 
 
-def test_degrade_deterministic(tmp_path, rng):
+def test_degrade_deterministic(rng):
     imgs = rng.integers(0, 256, (10, 28, 28), dtype=np.uint8)
-    src = tmp_path / "in.idx"
-    write_idx_images(src, imgs)
-    a, b = tmp_path / "a.idx", tmp_path / "b.idx"
-    degrade_dataset(src, 0.15, 9, a)
-    degrade_dataset(src, 0.15, 9, b)
-    assert a.read_bytes() == b.read_bytes()
+    a_out, a_masks, a_summary = degrade_dataset(imgs, 0.15, 9)
+    b_out, b_masks, b_summary = degrade_dataset(imgs, 0.15, 9)
+    assert np.array_equal(a_out, b_out) and np.array_equal(a_masks, b_masks)
+    assert a_summary == b_summary
 
 
 def _degrade_one_at_a_time(images, rate, seed, tile_pixels, cfg):
@@ -330,18 +321,30 @@ def _degrade_one_at_a_time(images, rate, seed, tile_pixels, cfg):
     return out, masks, summary
 
 
-def _check_degrade_matches_one_image_at_a_time(tmp_path, images, rate, tile_pixels, cfg):
-    write_idx_images(tmp_path / "in.idx", images)
-    summary = degrade_dataset(
-        tmp_path / "in.idx", rate, 11, tmp_path / "out.idx", tmp_path / "masks.idx",
-        cfg=cfg, tile_pixels=tile_pixels,
-    )
+def _drop_tiles_of_stack(images, rate, seed, tile_pixels, cfg):
+    """The stack through one :func:`drop_tiles` call, image i keeping the
+    strands ``keep_mask(strand_count, rate, (seed, i))`` flags."""
+    count, rows, cols = images.shape
+    manifest = TileManifest.for_image(cols, rows, cfg, DEFAULT_LAYOUT, tile_pixels)
+    keep = np.concatenate(
+        [keep_mask(manifest.strand_count, rate, (seed, i)) for i in range(count)])
+    pixels, missing = drop_tiles(images.reshape(count, -1), keep, manifest, 8)
+    return pixels.reshape(images.shape), missing.reshape(images.shape)
+
+
+def _check_degrade_matches_one_image_at_a_time(images, rate, tile_pixels, cfg):
+    """The default codec and tile size through :func:`degrade_dataset`, its
+    summary included; any other through the :func:`drop_tiles` core it
+    runs, which takes the manifest as given."""
     out, masks, expect = _degrade_one_at_a_time(images, rate, 11, tile_pixels, cfg)
-    write_idx_images(tmp_path / "ref_out.idx", out)
-    write_idx_images(tmp_path / "ref_masks.idx", masks)
-    assert (tmp_path / "out.idx").read_bytes() == (tmp_path / "ref_out.idx").read_bytes()
-    assert (tmp_path / "masks.idx").read_bytes() == (tmp_path / "ref_masks.idx").read_bytes()
-    assert summary == expect
+    if cfg == DEFAULT_CONFIG and tile_pixels is None:
+        got_out, got_masks, summary = degrade_dataset(images, rate, 11)
+        assert got_out.dtype == got_masks.dtype == np.uint8
+        assert summary == expect
+    else:
+        got_out, got_masks = _drop_tiles_of_stack(images, rate, 11, tile_pixels, cfg)
+    assert np.array_equal(got_out, out)
+    assert np.array_equal(got_masks, masks)
 
 
 @pytest.mark.parametrize("chunk", [None, 100, 1])
@@ -351,27 +354,24 @@ def _check_degrade_matches_one_image_at_a_time(tmp_path, images, rate, tile_pixe
     [(7, (28, 28), None), (9, (5, 7), None), (9, (5, 7), 3), (0, (28, 28), None)],
 )
 def test_degrade_matches_one_image_at_a_time(
-    tmp_path, rng, monkeypatch, chunk, rate, count, shape, tile_pixels
+    rng, monkeypatch, chunk, rate, count, shape, tile_pixels
 ):
-    """The chunked stack pass writes the bytes the per-image calls would,
+    """The chunked stack pass gives the images the per-image calls would,
     whatever the chunk size (100 strands split 7 images of 40 as 2+2+2+1
-    and 9 images of 12 as 8+1; 1 strand gives one image per chunk)."""
+    and 9 images of 12 as 8+1; 1 strand gives one image per chunk).  With
+    3-pixel tiles the stack goes through drop_tiles, which has no chunks."""
     if chunk is not None:
         monkeypatch.setattr(idx, "_DEGRADE_CHUNK", chunk)
     images = rng.integers(0, 256, (count, *shape), dtype=np.uint8)
-    _check_degrade_matches_one_image_at_a_time(tmp_path, images, rate, tile_pixels,
-                                               DEFAULT_CONFIG)
+    _check_degrade_matches_one_image_at_a_time(images, rate, tile_pixels, DEFAULT_CONFIG)
 
 
 @pytest.mark.parametrize("jump", [0, 1])
 @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("shape, tile_pixels", [((28, 28), None), ((5, 7), 3)])
-def test_degrade_matches_one_image_at_a_time_jumps_0_and_1(
-    tmp_path, rng, monkeypatch, jump, rate, shape, tile_pixels
-):
-    """The same bytes under the other codec presets, with chunks of 100
-    strands, so each stack spans several chunks."""
-    monkeypatch.setattr(idx, "_DEGRADE_CHUNK", 100)
+def test_degrade_matches_one_image_at_a_time_jumps_0_and_1(rng, jump, rate, shape, tile_pixels):
+    """drop_tiles gives the per-image images and masks under the other
+    codec presets too."""
     images = rng.integers(0, 256, (9, *shape), dtype=np.uint8)
-    _check_degrade_matches_one_image_at_a_time(tmp_path, images, rate, tile_pixels,
+    _check_degrade_matches_one_image_at_a_time(images, rate, tile_pixels,
                                                JrConfig.for_jump(jump))
