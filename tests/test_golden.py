@@ -149,3 +149,42 @@ def jump_outputs(tmp_path, jump: int) -> dict[str, str]:
 @pytest.mark.parametrize("jump", sorted(GOLDEN_JUMP_SHA256))
 def test_jump_presets_match_golden_digests(tmp_path, jump):
     assert jump_outputs(tmp_path, jump) == GOLDEN_JUMP_SHA256[jump]
+
+
+# Recorded with the column-by-column position walk, before the codec tables.
+GOLDEN_JUMP_AGING_SHA256 = {
+    0: {
+        "aging95C.fastq": "81ef0348c8b7412c75a3a4163c25922003fa247d22c5d029eee87290d431339c",
+        "aging95C.out": "6f761cc68e8ee4400a4fd39397fbdd52b69fed74e9dc0be3bd053017c30d139b",
+        "aging95C.mask.pbm": "3a723c46f49664cf7de10709abef1204dfadc5c2a39bf2ebb6703331949aa49d",
+    },
+    1: {
+        "aging95C.fastq": "498e2f31971c26f32f4063ef9ebb3daeec9b1b4446c649d4c9c3541dda29c89d",
+        "aging95C.out": "8af3b85a8319d7c829cbb14364c4bb6682edeba48f1dec17c7ae9958100694bd",
+        "aging95C.mask.pbm": "b4c3fce0c5c350d97a3899f521f858c650d4f2ef4a956d1804ca7b8bdb7a9fdd",
+    },
+}
+
+
+def jump_aging_outputs(tmp_path, jump: int) -> dict[str, str]:
+    """``encode --jump`` of the fixed 80x60 image, ``simulate --preset
+    aging95C --seed 1`` of its library and ``decode --reads --mask`` of
+    those reads; the digest of each file the last two write."""
+    write_pgm(tmp_path / "in.pgm", _fixed_image())
+    assert main([str(a) for a in ["encode", "--in", tmp_path / "in.pgm", "--jump", jump,
+                                  "--out", tmp_path / "lib.fasta",
+                                  "--manifest", tmp_path / "m.json"]]) == 0
+    assert main([str(a) for a in ["simulate", "--lib", tmp_path / "lib.fasta", "--preset",
+                                  "aging95C", "--seed", "1",
+                                  "--out", tmp_path / "aging95C.fastq"]]) == 0
+    assert main([str(a) for a in ["decode", "--reads", tmp_path / "aging95C.fastq",
+                                  "--manifest", tmp_path / "m.json",
+                                  "--out", tmp_path / "aging95C.out",
+                                  "--mask", tmp_path / "aging95C.mask.pbm"]]) == 0
+    return {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+            for f in ("aging95C.fastq", "aging95C.out", "aging95C.mask.pbm")}
+
+
+@pytest.mark.parametrize("jump", sorted(GOLDEN_JUMP_AGING_SHA256))
+def test_jump_presets_through_aging95C_match_golden_digests(tmp_path, jump):
+    assert jump_aging_outputs(tmp_path, jump) == GOLDEN_JUMP_AGING_SHA256[jump]
