@@ -30,8 +30,9 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptyLibraryError, FormatError, RangeError
+from .errors import EmptyLibraryError, FormatError, RangeError, ShapeError
 from .strand import ReadPool, StrandSet
 
 __all__ = ["ReadFileResult", "ReadStream", "write_fasta", "write_fastq", "read_sequences"]
@@ -50,9 +51,10 @@ _FIRST_BYTE_FORMAT = {ord(">"): "fasta", ord("@"): "fastq"}
 _SCAN_BYTES = 1 << 20
 # Bytes classed per call of ``np.take``, which copies its indices as intp.
 _TAKE_CHUNK = 1 << 16
-# Records per write: about 80 KiB of FASTQ or 40 KiB of FASTA text at
-# 141 nt, so a write never holds the whole file.
-_WRITE_CHUNK = 256
+# Records per write: about 320 KiB of FASTQ or 150 KiB of FASTA text at
+# 141 nt, so a write never holds the whole file, and few enough array
+# calls per record (256 records a chunk took half again as long).
+_WRITE_CHUNK = 1024
 
 
 @dataclass
@@ -104,33 +106,106 @@ def write_fasta(path, strands: StrandSet) -> int:
 def write_fastq(
     path, reads: ReadPool | Sequence[str], origins: Sequence[int] | None = None
 ) -> int:
-    """Write reads with a constant quality line.
+    """Write reads with a constant quality line; returns the record count.
 
-    ``reads`` is a :class:`~pjdna.strand.ReadPool`, turned into strings
-    ``_WRITE_CHUNK`` reads at a time, or a sequence of strings.  ``origins``
-    (per-read source strand ids, a sequence or an array) go into the header
-    as a comment for diagnostics only; decoding never reads them.
+    Record ``k`` is ``@pj.read.<k> origin=<origins[k]>``, the read, ``+``
+    and ``I`` once per base, each line ending in ``\n``; without
+    ``origins`` (per-read source strand ids, a comment for diagnostics
+    that decoding never reads) the header ends at the id.  ``reads`` is a
+    :class:`~pjdna.strand.ReadPool`; a sequence of strings is joined into
+    one first.
+
+    Records are laid out ``_WRITE_CHUNK`` at a time in a byte matrix, one
+    row per record: the id and the origin each in a field as wide as the
+    chunk's largest, right-aligned, and the read and its quality as wide
+    as the chunk's longest read, whose bytes are gathered from the pool's
+    buffer without copying it.  A chunk whose fields and reads all fill
+    their width (every chunk of a noiseless channel) is written as it is;
+    otherwise one boolean compress drops the leading zeros and the cells
+    past each read's end.
     """
-    if isinstance(origins, np.ndarray):
-        origins = origins.tolist()  # a list indexes to an int far faster
-    quality: dict[int, str] = {}  # one quality line per read length
-    with open(path, "w", encoding="ascii") as fh:
-        for a in range(0, len(reads), _WRITE_CHUNK):
-            if isinstance(reads, ReadPool):
-                part = reads.rows(slice(a, a + _WRITE_CHUNK)).to_strings()
-            else:
-                part = reads[a : a + _WRITE_CHUNK]
-            ids = range(a, a + len(part))
-            lines = ["+"] * (4 * len(part))
-            if origins is None:
-                lines[0::4] = [f"@pj.read.{k}" for k in ids]
-            else:
-                lines[0::4] = [f"@pj.read.{k} origin={origins[k]}" for k in ids]
-            lines[1::4] = part
-            lines[3::4] = [quality.get(n) or quality.setdefault(n, "I" * n) for n in map(len, part)]
-            lines.append("")  # the newline after the last line
-            fh.write("\n".join(lines))
-    return len(reads)
+    if not isinstance(reads, ReadPool):
+        reads = ReadPool.from_strings(reads)
+    n = len(reads)
+    if origins is not None:
+        origins = np.asarray(origins, np.int64)
+        if origins.shape != (n,):
+            raise ShapeError(f"{origins.size} origins for {n} reads")
+        if origins.min(initial=0) < 0:
+            raise RangeError("FASTQ origins must be non-negative")
+    with open(path, "wb") as fh:
+        for a in range(0, n, _WRITE_CHUNK):
+            part = reads.rows(slice(a, a + _WRITE_CHUNK))
+            numbers = [np.arange(a, a + len(part))]
+            if origins is not None:
+                numbers.append(origins[a : a + len(part)])
+            fields = [_Decimal(v) for v in numbers]
+            width = int(part.lengths.max())
+            head = b"@pj.read." + b" origin=".join(b"0" * f.width for f in fields)
+            template = head + b"\n" + b"N" * width + b"\n+\n" + b"I" * width + b"\n"
+            out = np.empty((len(part), len(template)), np.uint8)
+            out[:] = np.frombuffer(template, np.uint8)
+            at = [9, 9 + fields[0].width + 8][: len(fields)]
+            for f, col in zip(fields, at):
+                out[:, col : col + f.width] = f.digits()
+            seq_at = len(head) + 1
+            qual_at = seq_at + width + 3
+            out[:, seq_at : seq_at + width] = _read_rows(part, width)
+            if all(f.full for f in fields) and part.lengths.min() == width:
+                fh.write(out.data)
+                continue
+            keep = np.ones(out.shape, bool)
+            for f, col in zip(fields, at):
+                keep[:, col : col + f.width] = f.shown()
+            keep[:, seq_at : seq_at + width] = np.arange(width) < part.lengths[:, None]
+            keep[:, qual_at : qual_at + width] = keep[:, seq_at : seq_at + width]
+            fh.write(out[keep].data)
+    return n
+
+
+# The four ASCII digits of 0..9999, zero-padded, one uint32 per number.
+_DIGITS4 = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0"))
+_DIGITS4 = np.ascontiguousarray(_DIGITS4, np.uint8).view(np.uint32).ravel()
+
+
+class _Decimal:
+    """Non-negative int64 values written in a decimal field as wide as the
+    largest."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
+        self.width = len(str(int(values.max())))
+        # a digit shows once the value reaches its place; the last always
+        self.lead = np.append(10 ** np.arange(self.width - 1, 0, -1, dtype=np.int64), 0)
+        self.full = int(values.min()) >= self.lead[0]
+
+    def digits(self) -> np.ndarray:
+        """The (n, width) ASCII digits, zero-padded on the left, four per
+        table lookup."""
+        limbs = -(-self.width // 4)
+        out = np.empty((self.values.size, limbs), np.uint32)
+        rest = self.values
+        for j in range(limbs - 1, 0, -1):
+            rest, low = np.divmod(rest, 10_000)
+            out[:, j] = _DIGITS4[low]
+        out[:, 0] = _DIGITS4[rest]
+        return out.view(np.uint8)[:, 4 * limbs - self.width :]
+
+    def shown(self) -> np.ndarray:
+        """Per value, which cells of the field hold a digit, not a leading zero."""
+        return self.values[:, None] >= self.lead
+
+
+def _read_rows(pool: ReadPool, width: int) -> np.ndarray:
+    """The first ``width`` bytes at each read's start, as a (n, width)
+    matrix; the bytes past a read's end are any.  Rows are gathered as
+    windows of the pool's buffer, or byte by byte where a window would run
+    past its end."""
+    if width == 0:
+        return np.empty((len(pool), 0), np.uint8)
+    if int(pool.starts.max()) + width <= pool.buf.size:
+        return sliding_window_view(pool.buf, width)[pool.starts]
+    return np.take(pool.buf, pool.starts[:, None] + np.arange(width), mode="clip")
 
 
 def _format_of(path, part: np.ndarray, fmt: str) -> str | None:

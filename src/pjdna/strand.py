@@ -441,8 +441,8 @@ def _parse_rows(
     # a character outside ACGT has code 255
     codes = jr.ascii_codes(rows[keep, n5 : n5 + layout.data_nt])
     prev0 = np.full(codes.shape[0], jr.ALPHABET.index(layout.prev_init()), np.uint8)
-    blocks, viol = jr.decode_code_rows(codes, cfg, prev0)
-    ok = ~(codes == 255).any(axis=1) & (viol < 0) & (blocks < cfg.block_limit).all(axis=1)
+    blocks = jr.decode_code_rows(codes, cfg, prev0)
+    ok = ~(codes == 255).any(axis=1) & (blocks < cfg.block_limit).all(axis=1)
     blocks = blocks[ok]
     counts["reject_corrupt"] += int((~ok).sum())
     counts["accepted"] += int(blocks.shape[0])

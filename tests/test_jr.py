@@ -1,7 +1,9 @@
 """Codec-level tests: mixed-radix conversion, rotating/direct rules, streams.
 
 Each rule is checked through the row kernels every command runs; a stream is
-one row of :func:`jr.encode_block_rows` and :func:`jr.decode_code_rows`.
+one row of :func:`jr.encode_block_rows` and of the position walk
+(:func:`jr.decode_positions`) that builds the table of
+:func:`jr.decode_code_rows`, and the table is checked against the walk.
 
 Expected values for the non-trivial cases come from an independent oracle:
 exhaustive enumeration of all digit tuples in mixed-radix order.
@@ -41,10 +43,17 @@ def encode_row(blocks, cfg=CFG, prev="A"):
 
 
 def decode_row(seq, cfg=CFG, prev="A"):
-    """The blocks of one stream after ``prev``, and the position of its
-    first rotating violation, or -1."""
-    blocks, viol = jr.decode_code_rows(codes_of(seq).reshape(1, -1), cfg, codes_of(prev))
-    return blocks[0].tolist(), int(viol[0])
+    """The blocks of one stream after ``prev`` by the position walk, and the
+    position of its first rotating violation, or -1."""
+    codes = codes_of(seq).reshape(1, -1)
+    rot = cfg.rotating_mask(codes.shape[1] // cfg.group_size)
+    digits, viol = jr.decode_positions(codes, rot, codes_of(prev))
+    return jr.digit_rows_to_blocks(digits, cfg)[0].tolist(), int(viol[0])
+
+
+def table_row(seq, cfg=CFG, prev="A"):
+    """The blocks of one stream after ``prev`` by the decode table."""
+    return jr.decode_code_rows(codes_of(seq).reshape(1, -1), cfg, codes_of(prev))[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +216,15 @@ def test_encode_stream_examples():
 def test_decode_stream_examples():
     assert decode_row("TCGGA") == ([511], -1)
     assert decode_row("TTGGA")[1] == 1  # 0-based: the second nucleotide repeats T
+    assert table_row("TCGGA") == [511]
+    assert table_row("TTGGA") == [CFG.block_limit]
 
 
 def test_decode_detects_out_of_range_group():
     # digit bump at the first rotating position lifts the value to 559 >= 512
     assert encode_row([511]) == "TCGGA"
     assert decode_row("TGGGA") == ([559], -1)
+    assert table_row("TGGGA") == [CFG.block_limit]
 
 
 def test_stream_round_trip_fuzz():
@@ -226,6 +238,7 @@ def test_stream_round_trip_fuzz():
             seq = encode_row(blocks, cfg, prev)
             assert len(seq) == n * cfg.group_size
             assert decode_row(seq, cfg, prev) == (blocks, -1)
+            assert table_row(seq, cfg, prev) == blocks
 
 
 def test_stream_range_error():
@@ -295,24 +308,22 @@ def test_round_trip_bulk_block_lists():
     blocks = rng.integers(0, CFG.block_limit, (10_000, 20), dtype=np.int64)
     prev0 = rng.integers(0, 4, 10_000).astype(np.uint8)
     codes = jr.encode_block_rows(blocks, CFG, prev0)
-    back, viol = jr.decode_code_rows(codes, CFG, prev0)
-    assert (viol == -1).all()
-    assert np.array_equal(back, blocks)
+    assert np.array_equal(jr.decode_code_rows(codes, CFG, prev0), blocks)
 
 
 def test_out_of_range_group_always_detected():
     """Any group decoding to a value past the encoder limit is corruption:
-    the decoded block is that value, which the range check refuses."""
+    the walk decodes it to that value, and the table to the limit."""
     rng = np.random.default_rng(31)
     tuples = enumerate_digit_tuples(CFG.group_radices)
     values = np.arange(CFG.block_limit, CFG.block_capacity)
     digits = np.array(tuples, np.uint8)[values]
     prev0 = rng.integers(0, 4, values.size).astype(np.uint8)
     codes = jr.encode_positions(digits, CFG.rotating_mask(1), prev0)
-    blocks, viol = jr.decode_code_rows(codes, CFG, prev0)
+    digits, viol = jr.decode_positions(codes, CFG.rotating_mask(1), prev0)
     assert (viol == -1).all()
-    assert blocks[:, 0].tolist() == values.tolist()
-    assert (blocks >= CFG.block_limit).all()
+    assert jr.digit_rows_to_blocks(digits, CFG)[:, 0].tolist() == values.tolist()
+    assert (jr.decode_code_rows(codes, CFG, prev0) == CFG.block_limit).all()
 
 
 def test_rotating_substitution_to_predecessor_always_detected():
@@ -328,6 +339,7 @@ def test_rotating_substitution_to_predecessor_always_detected():
         if corrupted == seq:
             continue  # substitution must change the nucleotide to count
         assert decode_row(corrupted, cfg)[1] == p
+        assert CFG.block_limit in table_row(corrupted, cfg)
 
 
 # ---------------------------------------------------------------------------
