@@ -248,6 +248,13 @@ def drop_tiles(
     return _streams_from_tiles(tiles, keep, streams.shape[0], manifest, unit)
 
 
+def _placed_bits(manifest: TileManifest) -> int:
+    """The bits of a tile that reach the stream: all of them, except in a
+    raw tile longer than its stream (then the only tile), which a hostile
+    payload region can make too large to allocate."""
+    return min(manifest.tile_bits, manifest.stream_bits)
+
+
 def _streams_from_tiles(
     tiles: np.ndarray, seen: np.ndarray, k: int, manifest: TileManifest, unit: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -255,9 +262,9 @@ def _streams_from_tiles(
     :func:`_scatter_tiles`: the ``(k, stream_bits // 8)`` streams, and their
     missing masks of one flag per ``unit`` stream bits, True under every
     tile not ``seen``."""
-    n, tile_bits, stream_bits = manifest.strand_count, manifest.tile_bits, manifest.stream_bits
-    streams = np.packbits(tiles[:, :tile_bits].reshape(k, n * tile_bits)[:, :stream_bits], axis=1)
-    missing = np.repeat(~seen.reshape(k, n), tile_bits // unit, axis=1)[:, : stream_bits // unit]
+    n, stream_bits, width = manifest.strand_count, manifest.stream_bits, _placed_bits(manifest)
+    streams = np.packbits(tiles[:, :width].reshape(k, n * width)[:, :stream_bits], axis=1)
+    missing = np.repeat(~seen.reshape(k, n), width // unit, axis=1)[:, : stream_bits // unit]
     return streams, missing
 
 
@@ -289,7 +296,7 @@ def _decode_stream(
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Stream bytes, missing mask of one flag per ``unit`` bits, and stats
     of a vote result or of (index, packed payload) pairs."""
-    cfg, n, tile_bits = manifest.cfg, manifest.strand_count, manifest.tile_bits
+    cfg, n = manifest.cfg, manifest.strand_count
     if isinstance(accepted, ParseBatch):
         rows = accepted.indices
         bits = jr.block_rows_to_bits(accepted.payload_blocks, cfg.bits_per_block)
@@ -299,7 +306,7 @@ def _decode_stream(
         packed = np.frombuffer(b"".join(p for _, p in pairs), np.uint8)
         nbytes = manifest.layout.payload_bytes_len(cfg)
         bits = np.unpackbits(packed.reshape(len(pairs), nbytes), axis=1)
-    tiles, seen, stray = _scatter_tiles(rows, bits[:, :tile_bits], n)
+    tiles, seen, stray = _scatter_tiles(rows, bits[:, : _placed_bits(manifest)], n)
     stream, missing = _streams_from_tiles(tiles, seen, 1, manifest, unit)
     recovered = int(seen.sum())
     stats = {

@@ -198,14 +198,18 @@ class _Decimal:
 
 def _read_rows(pool: ReadPool, width: int) -> np.ndarray:
     """The first ``width`` bytes at each read's start, as a (n, width)
-    matrix; the bytes past a read's end are any.  Rows are gathered as
-    windows of the pool's buffer, or byte by byte where a window would run
-    past its end."""
-    if width == 0:
-        return np.empty((len(pool), 0), np.uint8)
-    if int(pool.starts.max()) + width <= pool.buf.size:
+    matrix; the bytes past a read's end are any.  Rows are windows of the
+    pool's buffer, gathered byte by byte only for the reads near its end,
+    where a window would run past it."""
+    fits = pool.starts <= pool.buf.size - width
+    if fits.all():
         return sliding_window_view(pool.buf, width)[pool.starts]
-    return np.take(pool.buf, pool.starts[:, None] + np.arange(width), mode="clip")
+    rows = np.empty((len(pool), width), np.uint8)
+    if fits.any():
+        rows[fits] = sliding_window_view(pool.buf, width)[pool.starts[fits]]
+    late = pool.starts[~fits]
+    rows[~fits] = np.take(pool.buf, late[:, None] + np.arange(width), mode="clip")
+    return rows
 
 
 def _format_of(path, part: np.ndarray, fmt: str) -> str | None:

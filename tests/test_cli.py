@@ -744,19 +744,11 @@ def test_decode_hostile_manifest_exits_4(workdir, capsys, case):
     assert not (tmp_path / "x.pgm").exists()
 
 
-def test_decode_huge_index_region_exits_0_with_every_tile_masked(workdir):
-    """An index region of 10**12 nt holds 512**(2 * 10**11) indices.  The
-    manifest check compares bit lengths rather than building that number,
-    so decode rejects every read by its length and exits 0 with every tile
-    masked.  The command runs in a child under a 1 GiB address-space limit,
-    where building the number ends in a MemoryError, not in filling the
-    machine's memory."""
+def decode_in_a_limited_child(*argv) -> subprocess.CompletedProcess:
+    """``pjdna decode`` in a child under a 1 GiB address-space limit, where
+    an allocation the size of a hostile manifest field ends in a
+    MemoryError, not in filling the machine's memory."""
     resource = pytest.importorskip("resource")
-    tmp_path, _ = workdir
-    encode(tmp_path)
-    manifest = json.loads((tmp_path / "m.json").read_text())
-    manifest["layout"]["index_nt"] = 10**12
-    (tmp_path / "huge.json").write_text(json.dumps(manifest))
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -764,15 +756,52 @@ def test_decode_huge_index_region_exits_0_with_every_tile_masked(workdir):
     src = os.path.dirname(os.path.dirname(pjdna.__file__))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    child = subprocess.run(
-        [sys.executable, "-m", "pjdna.cli", "decode", "--lib", tmp_path / "lib.fasta",
-         "--manifest", tmp_path / "huge.json", "--out", tmp_path / "x.pgm",
-         "--mask", tmp_path / "x.pbm"],
-        env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-m", "pjdna.cli", "decode", *map(str, argv)],
+                          env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120)
+
+
+def test_decode_huge_index_region_exits_0_with_every_tile_masked(workdir):
+    """An index region of 10**12 nt holds 512**(2 * 10**11) indices.  The
+    manifest check compares bit lengths rather than building that number,
+    so decode rejects every read by its length and exits 0 with every tile
+    masked, in a child whose address space is limited to 1 GiB."""
+    tmp_path, _ = workdir
+    encode(tmp_path)
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    manifest["layout"]["index_nt"] = 10**12
+    (tmp_path / "huge.json").write_text(json.dumps(manifest))
+    child = decode_in_a_limited_child(
+        "--lib", tmp_path / "lib.fasta", "--manifest", tmp_path / "huge.json",
+        "--out", tmp_path / "x.pgm", "--mask", tmp_path / "x.pbm")
     assert (child.returncode, child.stderr) == (0, "")
     counters = json.loads((tmp_path / "x.pgm.meta.json").read_text())["counters"]
     assert counters["reject_length"] == counters["reads_total"] == manifest["strand_count"]
     assert counters["masked_fraction"] == 1.0
+    assert read_pbm(tmp_path / "x.pbm").all()
+
+
+def test_decode_huge_raw_payload_exits_0_with_every_tile_masked(tmp_path, rng):
+    """A raw manifest whose payload region is 10**12 nt has one tile of
+    1.8 * 10**12 bits for a 24,000-bit stream.  Decode places no more tile
+    bits than the stream holds, so it rejects every read by its length and
+    exits 0 with every bit masked, in a child whose address space is
+    limited to 1 GiB."""
+    (tmp_path / "r.bin").write_bytes(rng.integers(0, 256, 3000, dtype=np.uint8).tobytes())
+    assert run("encode", "--raw", tmp_path / "r.bin", "--out", tmp_path / "lib.fasta",
+               "--manifest", tmp_path / "m.json") == 0
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    manifest["layout"]["payload_nt"] = 10**12
+    manifest["cfg"]["groups_per_payload"] = 2 * 10**11
+    manifest["strand_count"] = 1
+    (tmp_path / "huge.json").write_text(json.dumps(manifest))
+    child = decode_in_a_limited_child(
+        "--lib", tmp_path / "lib.fasta", "--manifest", tmp_path / "huge.json",
+        "--out", tmp_path / "x.bin", "--mask", tmp_path / "x.pbm")
+    assert (child.returncode, child.stderr) == (0, "")
+    counters = json.loads((tmp_path / "x.bin.meta.json").read_text())["counters"]
+    assert counters["reject_length"] == counters["reads_total"] == 149
+    assert counters["masked_fraction"] == 1.0
+    assert (tmp_path / "x.bin").read_bytes() == bytes(3000)
     assert read_pbm(tmp_path / "x.pbm").all()
 
 

@@ -13,6 +13,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pjdna import jr
 from pjdna.errors import ConfigError, RangeError
@@ -358,3 +360,99 @@ def test_position_kernels_round_trip():
     back, viol = jr.decode_positions(codes, rot, prev0)
     assert np.array_equal(back, digits)
     assert (viol == -1).all()
+
+
+# ---------------------------------------------------------------------------
+# codec tables against the position walk
+# ---------------------------------------------------------------------------
+
+radix_patterns = st.lists(st.sampled_from([3, 4]), min_size=1, max_size=6).filter(
+    lambda p: 3 in p)
+
+
+def walk_decode(codes, cfg, prev0):
+    """The rows the parser accepts by the position walk, and their blocks:
+    no code of 255, no rotating violation and every block below the limit."""
+    n_groups = codes.shape[1] // cfg.group_size
+    digits, viol = jr.decode_positions(codes, cfg.rotating_mask(n_groups), prev0)
+    blocks = jr.digit_rows_to_blocks(digits, cfg)
+    ok = (codes != 255).all(axis=1) & (viol < 0) & (blocks < cfg.block_limit).all(axis=1)
+    return ok, blocks[ok]
+
+
+@settings(max_examples=60, deadline=None)
+@given(radices=radix_patterns, n_groups=st.integers(0, 7), n=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_decode_table_accepts_the_rows_the_walk_accepts(radices, n_groups, n, seed):
+    """Random code rows, some encoded from every digit tuple a group holds
+    (so blocks past the limit appear), some with a position set to the code
+    before it (a violation where that position rotates) or to 255, some
+    random: the table decode accepts the same rows as the walk, with the
+    same blocks."""
+    cfg = jr.JrConfig(tuple(radices))
+    rng = np.random.default_rng(seed)
+    width = n_groups * cfg.group_size
+    radii = np.tile(np.array(cfg.group_radices), n_groups)
+    digits = (rng.random((n, width)) * radii).astype(np.uint8)
+    prev0 = rng.integers(0, 4, n).astype(np.uint8)
+    codes = jr.encode_positions(digits, cfg.rotating_mask(n_groups), prev0)
+    if width:
+        hit = np.flatnonzero(rng.random(n) < 0.4)
+        col = rng.integers(0, width, hit.size)
+        before = np.where(col > 0, codes[hit, col - 1], prev0[hit])
+        kind = rng.integers(0, 3, hit.size)
+        codes[hit, col] = np.select([kind == 0, kind == 1], [before, 255], rng.integers(0, 4, hit.size))
+        codes[rng.random(n) < 0.1] = rng.integers(0, 4, width)
+    ok, blocks = walk_decode(codes, cfg, prev0)
+    got = jr.decode_code_rows(codes, cfg, prev0)
+    assert got.shape == (n, n_groups)
+    got_ok = (codes != 255).all(axis=1) & (got < cfg.block_limit).all(axis=1)
+    assert np.array_equal(got_ok, ok)
+    assert np.array_equal(got[got_ok], blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(radices=radix_patterns, n_groups=st.integers(0, 13), n=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_encode_table_matches_the_walk(radices, n_groups, n, seed):
+    """Random blocks below the limit, in any count of groups (so the last
+    run of an encode key is padded): the table encode gives the walk's
+    codes."""
+    cfg = jr.JrConfig(tuple(radices))
+    rng = np.random.default_rng(seed)
+    blocks = rng.integers(0, cfg.block_limit, (n, n_groups))
+    prev0 = rng.integers(0, 4, n).astype(np.uint8)
+    want = jr.encode_positions(jr.blocks_to_digit_rows(blocks, cfg),
+                               cfg.rotating_mask(n_groups), prev0)
+    assert np.array_equal(jr.encode_block_rows(blocks, cfg, prev0), want)
+
+
+@pytest.mark.parametrize("jump", [0, 1, 2])
+def test_preset_tables_are_built_from_the_walk(jump):
+    """Each preset's decode table has 4 * 4^g entries, every key through
+    the walk, and its encode table keys runs of about 5 nt."""
+    cfg = jr.JrConfig.for_jump(jump)
+    g = cfg.group_size
+    keys = np.arange(4 ** (g + 1))
+    codes = ((keys[:, None] >> np.arange(2 * g, -1, -2)) & 3).astype(np.uint8)
+    ok, blocks = walk_decode(codes[:, 1:], cfg, codes[:, 0])
+    table = cfg.decode_table
+    assert table.shape == (4 * 4**g,)
+    assert np.array_equal(table[ok], blocks[:, 0])
+    assert (table[~ok] == cfg.block_limit).all()
+    m = {0: 5, 1: 2, 2: 1}[jump]
+    assert cfg.encode_table.shape == (4 * cfg.block_limit**m, m * g)
+
+
+def test_groups_too_wide_to_tabulate_walk():
+    """A group of 7 nt has no table; both kernels walk, with the tables'
+    contract: a rejected group decodes to the limit."""
+    cfg = jr.JrConfig((4, 3, 4, 4, 3, 4, 3))
+    assert cfg.decode_table is None and cfg.encode_table is None
+    rng = np.random.default_rng(4)
+    blocks = rng.integers(0, cfg.block_limit, (50, 4))
+    prev0 = rng.integers(0, 4, 50).astype(np.uint8)
+    codes = jr.encode_block_rows(blocks, cfg, prev0)
+    assert np.array_equal(jr.decode_code_rows(codes, cfg, prev0), blocks)
+    codes[0, 1] = codes[0, 0]  # position 1 rotates: a violation
+    assert jr.decode_code_rows(codes, cfg, prev0)[0].max() == cfg.block_limit

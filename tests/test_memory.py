@@ -87,3 +87,19 @@ def test_voting_off_the_stream_holds_one_window(reads_fastq, monkeypatch):
     assert batch.counts["reads_total"] == STRANDS * COVERAGE
     assert batch.counts["indices_observed"] == STRANDS
     assert peak < 0.4 * size
+
+
+def test_writing_fastq_copies_no_pool_buffer(tmp_path):
+    """``write_fastq`` gathers each chunk's reads from the pool's buffer, so
+    its peak is one chunk's byte matrix and what goes with it: 0.22 of the
+    4.3 MiB buffer of these noisy reads, where a copy of the buffer alone
+    would be 1."""
+    rng = np.random.default_rng(5)
+    blocks = rng.integers(0, jr.DEFAULT_CONFIG.block_limit, (4000, 18))
+    reads = corrupt_reads(assemble_many(np.arange(4000), blocks),
+                          ChannelProfile(sub_p=0.01, ins_p=0.003, del_p=0.003, coverage_mean=8))
+    assert len(np.unique(reads.pool.lengths)) > 1  # chunks go through the compress
+    count, peak = _traced_peak(
+        lambda: write_fastq(tmp_path / "r.fastq", reads.pool, reads.origin_ids))
+    assert count == len(reads)
+    assert peak < 0.4 * reads.pool.buf.nbytes

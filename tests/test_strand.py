@@ -15,6 +15,7 @@ from pjdna.errors import (
     FormatError,
     LayoutError,
     RangeError,
+    ShapeError,
     StrandReject,
 )
 from pjdna.seqio import ReadStream, read_sequences, write_fasta, write_fastq
@@ -613,6 +614,88 @@ def test_writers_give_the_same_bytes_in_any_chunking(tmp_path, rng, monkeypatch,
     assert (tmp_path / "c.fasta").read_text() == "".join(
         f">pj|{s.index_value}\n{s.sequence}\n" for s in strands
     )
+
+
+def fastq_text(reads, origins=None) -> bytes:
+    """The records the text writer gave, one f-string each."""
+    if origins is None:
+        return "".join(f"@pj.read.{k}\n{s}\n+\n{'I' * len(s)}\n"
+                       for k, s in enumerate(reads)).encode("ascii")
+    return "".join(f"@pj.read.{k} origin={o}\n{s}\n+\n{'I' * len(s)}\n"
+                   for k, (s, o) in enumerate(zip(reads, origins))).encode("ascii")
+
+
+def scattered_pool(reads, rng) -> ReadPool:
+    """``reads`` as a pool whose reads lie in shuffled order with a byte
+    between each two, so a row gathered past a read's end holds another's."""
+    order = rng.permutation(len(reads))
+    buf, starts = bytearray(), np.empty(len(reads), np.int64)
+    for k in order:
+        buf += b"|"
+        starts[k] = len(buf)
+        buf += reads[k].encode("ascii")
+    lengths = np.array([len(r) for r in reads], np.int64)
+    return ReadPool(np.frombuffer(bytes(buf), np.uint8), starts, lengths)
+
+
+@pytest.mark.parametrize("chunk", [3, 101, 1024])
+def test_write_fastq_matches_the_text_records_across_digit_widths(tmp_path, monkeypatch, chunk):
+    """150 reads: ids cross 9 -> 10 and 99 -> 100 inside one chunk of 3,
+    101 or 1,024 records, origins of 1 to 5 digits share every chunk, and
+    reads of unequal length (0 included) share it too; as strings and as a
+    pool, with origins as a list or an array and without.  Reads of one
+    length without origins leave only the ids to pad."""
+    monkeypatch.setattr(seqio, "_WRITE_CHUNK", chunk)
+    rng = np.random.default_rng(8)
+    lengths = ([0, 1, 5, 141, 3, 0, 7] * 22)[:150]
+    reads = ["".join(rng.choice(list("ACGT"), n)) for n in lengths]
+    origins = ([7, 42, 999, 1234, 98765, 0, 10, 100, 10_000, 9, 99] * 14)[:150]
+    path = tmp_path / "r.fastq"
+    for given_reads in (reads, scattered_pool(reads, rng)):
+        assert write_fastq(path, given_reads, origins) == 150
+        assert path.read_bytes() == fastq_text(reads, origins)
+        assert write_fastq(path, given_reads, np.array(origins)) == 150
+        assert path.read_bytes() == fastq_text(reads, origins)
+        assert write_fastq(path, given_reads) == 150
+        assert path.read_bytes() == fastq_text(reads)
+    even = ["".join(rng.choice(list("ACGT"), 4)) for _ in range(150)]
+    for given_reads in (even, scattered_pool(even, rng)):
+        assert write_fastq(path, given_reads) == 150
+        assert path.read_bytes() == fastq_text(even)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lengths=st.lists(st.integers(0, 9), max_size=40),
+    same_length=st.booleans(),
+    origins=st.lists(st.one_of(st.sampled_from([0, 9, 10, 99, 100, 10**6]),
+                               st.integers(0, 10**7)), min_size=40, max_size=40),
+    with_origins=st.booleans(),
+    chunk=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_write_fastq_matches_the_text_writer(tmp_path, monkeypatch, lengths, same_length,
+                                             origins, with_origins, chunk, seed):
+    """Random reads, all of one length or not, and origins, in any
+    chunking: the bytes of the text writer, from strings and from a pool."""
+    monkeypatch.setattr(seqio, "_WRITE_CHUNK", chunk)
+    rng = np.random.default_rng(seed)
+    if same_length and lengths:
+        lengths = [lengths[0]] * len(lengths)
+    reads = ["".join(rng.choice(list("ACGT"), n)) for n in lengths]
+    origins = origins[: len(reads)] if with_origins else None
+    path = tmp_path / "r.fastq"
+    for given_reads in (reads, scattered_pool(reads, rng)):
+        assert write_fastq(path, given_reads, origins) == len(reads)
+        assert path.read_bytes() == fastq_text(reads, origins)
+
+
+def test_write_fastq_rejects_bad_origins(tmp_path):
+    with pytest.raises(RangeError):
+        write_fastq(tmp_path / "r.fastq", ["AC", "GT"], [1, -1])
+    with pytest.raises(ShapeError):
+        write_fastq(tmp_path / "r.fastq", ["AC", "GT"], [1])
 
 
 @settings(max_examples=80, deadline=None,
