@@ -221,9 +221,10 @@ class JrConfig:
     def decode_table(self) -> np.ndarray | None:
         """Block of each key ``prev * 4^g + codes`` (previous code, then the
         group's g codes most significant first), or ``block_limit`` where
-        the group has a rotating violation or an out-of-range block; the
-        narrowest unsigned type holding ``block_limit``.  :func:`decode_positions`
-        over every key builds it.  None for a group wider than ``_TABLE_NT``."""
+        the group has a rotating violation or an out-of-range block, in the
+        narrowest unsigned type holding ``block_limit``.  Built by
+        :func:`decode_positions` over every key; None for a group wider
+        than ``_TABLE_NT``."""
         g = self.group_size
         if g > _TABLE_NT:
             return None
@@ -239,9 +240,9 @@ class JrConfig:
         """Codes of each key ``run * 4 + prev``, where ``run`` is m blocks in
         base ``block_limit``, most significant first, and ``prev`` the code
         before them: a (4 * block_limit^m, m * g) uint8 matrix, m groups the
-        most that fit ``_KEY_NT`` nucleotides, at least one.
-        :func:`encode_positions` over every key builds it.  None for a
-        group wider than ``_TABLE_NT``."""
+        most that fit ``_KEY_NT`` nucleotides, at least one.  Built by
+        :func:`encode_positions` over every key; None for a group wider
+        than ``_TABLE_NT``."""
         g, limit = self.group_size, self.block_limit
         if g > _TABLE_NT:
             return None
@@ -388,11 +389,12 @@ def decode_code_rows(codes: np.ndarray, cfg: JrConfig, prev0: np.ndarray) -> np.
     """Decode a (n, width) code matrix into (n, width // group_size) blocks.
 
     A group with a rotating violation or an out-of-range block decodes to
-    ``cfg.block_limit``, so a row is sound when every block is below it.
-    Codes are taken modulo 4: a code of 255 (a byte outside ACGT) is the
-    caller's to reject.  Every group of ``_DECODE_ROWS`` rows is one gather
-    from ``cfg.decode_table``, keyed by the code before the group and the
-    group's codes; the blocks come in the table's type.
+    ``cfg.block_limit`` (where a group is too wide for a table, every group
+    of a row with a violation does), so a row is sound when every block is
+    below it.  Codes are taken modulo 4: a code of 255 (a byte outside ACGT)
+    is the caller's to reject.  Every group of ``_DECODE_ROWS`` rows is one
+    gather from ``cfg.decode_table``, keyed by the code before the group and
+    the group's codes; the blocks come in the table's type.
     """
     n, width = codes.shape
     g = cfg.group_size

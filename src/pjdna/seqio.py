@@ -20,6 +20,12 @@ last FASTA header, and a line without its line end.  FASTQ reads point at
 their lines in the buffer, and FASTA records are joined in place at its
 front.  :func:`read_sequences` appends each window's reads to one buffer,
 so it holds the sequences, not the file.
+
+Both writers lay out ``_WRITE_CHUNK`` records at a time in a uint8 matrix,
+one record a row: header bytes, decimal fields as wide as the chunk's
+largest value and read cells as wide as its longest read.  A chunk whose
+cells are all used is written as it is; otherwise one boolean compress
+drops the leading zeros and the cells past each read's end.
 """
 
 from __future__ import annotations
@@ -78,28 +84,28 @@ def write_fasta(path, strands: StrandSet) -> int:
     """Write one record ``>pj|<index>`` per strand; returns the record count.
 
     Records are laid out ``_WRITE_CHUNK`` rows at a time in a byte matrix,
-    the index right-aligned with its leading zeros masked out, and the kept
-    bytes are written with one boolean compress per chunk.
+    the index right-aligned in a field as wide as the chunk's largest; a
+    chunk with a shorter index drops its leading zeros with one boolean
+    compress.
     """
     index_values, rows = strands.index_values, strands.rows
     if index_values.min(initial=0) < 0:
         raise RangeError("FASTA index values must be non-negative")
-    digits = len(str(int(index_values.max(initial=0))))
-    powers = 10 ** np.arange(digits - 1, -1, -1, dtype=np.int64)
-    lead = np.append(powers[:-1], 0)  # a digit shows once the value reaches it
-    seq_at = 4 + digits + 1  # after ">pj|", the digits and a newline
     with open(path, "wb") as fh:
         for a in range(0, index_values.size, _WRITE_CHUNK):
-            b = a + _WRITE_CHUNK
-            idx = index_values[a:b, None]
-            out = np.empty((idx.shape[0], seq_at + rows.shape[1] + 1), np.uint8)
-            keep = np.ones(out.shape, bool)
+            field = _Decimal(index_values[a : a + _WRITE_CHUNK])
+            seq_at = 4 + field.width + 1  # after ">pj|", the digits and a newline
+            out = np.empty((field.values.size, seq_at + rows.shape[1] + 1), np.uint8)
             out[:, :4] = np.frombuffer(b">pj|", np.uint8)
-            out[:, 4 : seq_at - 1] = idx // powers % 10 + ord("0")
-            keep[:, 4 : seq_at - 1] = idx >= lead
+            out[:, 4 : seq_at - 1] = field.digits()
             out[:, seq_at - 1] = out[:, -1] = ord("\n")
-            out[:, seq_at:-1] = rows[a:b]
-            fh.write(out[keep].tobytes())
+            out[:, seq_at:-1] = rows[a : a + _WRITE_CHUNK]
+            if field.full:
+                fh.write(out.data)
+                continue
+            keep = np.ones(out.shape, bool)
+            keep[:, 4 : seq_at - 1] = field.shown()
+            fh.write(out[keep].data)
     return int(index_values.size)
 
 
@@ -140,12 +146,15 @@ def write_fastq(
             if origins is not None:
                 numbers.append(origins[a : a + len(part)])
             fields = [_Decimal(v) for v in numbers]
+            head, at = b"", []  # the header, and where each field starts in it
+            for f, label in zip(fields, (b"@pj.read.", b" origin=")):
+                head += label
+                at.append(len(head))
+                head += b"0" * f.width
             width = int(part.lengths.max())
-            head = b"@pj.read." + b" origin=".join(b"0" * f.width for f in fields)
             template = head + b"\n" + b"N" * width + b"\n+\n" + b"I" * width + b"\n"
             out = np.empty((len(part), len(template)), np.uint8)
             out[:] = np.frombuffer(template, np.uint8)
-            at = [9, 9 + fields[0].width + 8][: len(fields)]
             for f, col in zip(fields, at):
                 out[:, col : col + f.width] = f.digits()
             seq_at = len(head) + 1
