@@ -129,9 +129,10 @@ _TABLE_NT = 6
 # Nucleotides an encode key spans at most, in whole groups, at least one:
 # five groups of one at jump 0, two of two at jump 1, one of five at jump 2.
 _KEY_NT = 5
-# Rows decoded per gather, so that the keys stay in cache: 8,192 rows of
-# 100 nt take 2.4 ms a call at jump 0, where one call on 116,240 rows takes
-# 98 ms.
+# Rows decoded per gather.  ``np.take`` copies its keys as intp, 8 bytes a
+# group, so a bounded chunk keeps the keys and their copy in cache: 116,240
+# rows of 100 nt at jump 0 took 98 ms in one gather and 42 ms in chunks of
+# 8,192.
 _DECODE_ROWS = 8192
 
 
