@@ -29,9 +29,9 @@ first 512 (9 bits); decoding a group to a value of 512..575 is proof of
 corruption.  How many groups a strand's payload holds is the layout's to say
 (:meth:`pjdna.strand.StrandLayout.payload_groups`), not the code's.
 
-Each rule has one implementation, over a matrix with one stream per row:
-:func:`blocks_to_digit_rows` and :func:`digit_rows_to_blocks` convert
-blocks and digits, and :func:`encode_positions` and
+Each rule has one implementation: :func:`to_digits` and :func:`from_digits`
+convert values and mixed-radix digits (blocks and their digits, and a
+strand's index and its blocks), and :func:`encode_positions` and
 :func:`decode_positions` apply both position rules a column at a time.
 
 That position walk defines the codec's tables.  A group's nucleotides
@@ -44,7 +44,8 @@ nucleotides.  Both are built on first use.  :func:`decode_code_rows`
 decodes every group of a matrix with one gather, and
 :func:`encode_block_rows` encodes one run of groups per gather, left to
 right, since each run starts after the code the last one ended on.  A
-group wider than ``_TABLE_NT`` has no table, and walks.
+pattern's group is at most ``_TABLE_NT`` nucleotides, so every code has
+its tables.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ __all__ = [
     "JrConfig",
     "max_homopolymer_run",
     "ascii_codes",
+    "to_digits",
+    "from_digits",
     "block_rows_to_bits",
     "pack_block_rows",
     "unpack_block_rows",
@@ -71,26 +74,17 @@ __all__ = [
 
 ALPHABET = "ACGT"
 
-# bytes.translate table from nucleotide codes to ASCII; a code outside the
-# alphabet comes out as N.
+# bytes.translate tables between nucleotide codes and ASCII: a code outside
+# the alphabet comes out as N, and a byte other than A, C, G or T as 255.
 _CODE_TRANSLATE = ALPHABET.encode("ascii") + b"N" * (256 - len(ALPHABET))
-_ACGT_BYTES = tuple(ALPHABET.encode("ascii"))
+_ASCII_CODE = bytes(ALPHABET.find(chr(b)) % 256 for b in range(256))
 
 
 def ascii_codes(data: np.ndarray) -> np.ndarray:
-    """The nucleotide code of every byte of a uint8 array, by arithmetic:
-    ``((b >> 1) ^ (b >> 2)) & 3`` maps A, C, G, T to 0..3, and any byte
-    other than those four becomes 255.  A lookup table would turn every
-    byte into an ``intp`` index first."""
-    codes = data >> np.uint8(1)
-    codes ^= data >> np.uint8(2)
-    codes &= np.uint8(3)
-    valid = data == _ACGT_BYTES[0]
-    for b in _ACGT_BYTES[1:]:
-        valid |= data == b
-    if not valid.all():
-        np.copyto(codes, 255, where=~valid)
-    return codes
+    """The nucleotide code of every byte of a uint8 array, A, C, G, T as
+    0..3 and any other byte as 255, through one ``bytes.translate``; the
+    result is read-only."""
+    return np.frombuffer(data.tobytes().translate(_ASCII_CODE), np.uint8).reshape(data.shape)
 
 
 def max_homopolymer_run(seq: str) -> int:
@@ -123,8 +117,8 @@ def _cyclic_max_direct_run(radices: Sequence[int]) -> int:
 
 _CONFIG_KEYS = {"group_radices", "bits_per_block", "jump_length"}
 
-# The widest group the codec tabulates: a decode table has 4^(g+1) entries,
-# 16,384 at 6 nt.
+# The widest group a pattern may have, so that every code has its tables: a
+# decode table has 4^(g+1) entries, 16,384 at 6 nt.
 _TABLE_NT = 6
 # Nucleotides an encode key spans at most, in whole groups, at least one:
 # five groups of one at jump 0, two of two at jump 1, one of five at jump 2.
@@ -157,6 +151,9 @@ class JrConfig:
             raise ConfigError("every radix must be 3 (rotating) or 4 (direct)")
         if all(r == 4 for r in self.group_radices):
             raise ConfigError("a pattern of only direct positions has no homopolymer bound")
+        if len(self.group_radices) > _TABLE_NT:
+            raise ConfigError(f"a group of {len(self.group_radices)} nt is wider than the "
+                              f"{_TABLE_NT} nt a codec table holds")
         object.__setattr__(self, "group_radices", tuple(self.group_radices))
 
     @classmethod
@@ -206,53 +203,38 @@ class JrConfig:
         """One past the largest value the encoder may emit (2^bits_per_block)."""
         return 1 << self.bits_per_block
 
-    @cached_property
-    def place_weights(self) -> tuple[int, ...]:
-        w = [1] * self.group_size
-        for i in range(self.group_size - 2, -1, -1):
-            w[i] = w[i + 1] * self.group_radices[i + 1]
-        return tuple(w)
-
     def rotating_mask(self, n_groups: int) -> np.ndarray:
         """Boolean per-position mask (True = rotating) for ``n_groups`` groups."""
         one = np.array([r == 3 for r in self.group_radices], np.bool_)
         return np.tile(one, n_groups)
 
     @cached_property
-    def decode_table(self) -> np.ndarray | None:
+    def decode_table(self) -> np.ndarray:
         """Block of each key ``prev * 4^g + codes`` (previous code, then the
         group's g codes most significant first), or ``block_limit`` where
         the group has a rotating violation or an out-of-range block, in the
         narrowest unsigned type holding ``block_limit``.  Built by
-        :func:`decode_positions` over every key; None for a group wider
-        than ``_TABLE_NT``."""
+        :func:`decode_positions` over every key."""
         g = self.group_size
-        if g > _TABLE_NT:
-            return None
-        keys = np.arange(4 ** (g + 1))
-        codes = ((keys[:, None] >> np.arange(2 * g, -1, -2)) & 3).astype(np.uint8)
+        codes = to_digits(np.arange(4 ** (g + 1)), (4,) * (g + 1))
         digits, viol = decode_positions(codes[:, 1:], self.rotating_mask(1), codes[:, 0])
-        blocks = digit_rows_to_blocks(digits, self)[:, 0]
-        blocks[(viol >= 0) | (blocks >= self.block_limit)] = self.block_limit
+        blocks = from_digits(digits, self.group_radices)
+        blocks[viol | (blocks >= self.block_limit)] = self.block_limit
         return blocks.astype(np.min_scalar_type(self.block_limit))
 
     @cached_property
-    def encode_table(self) -> np.ndarray | None:
+    def encode_table(self) -> np.ndarray:
         """Codes of each key ``run * 4 + prev``, where ``run`` is m blocks in
         base ``block_limit``, most significant first, and ``prev`` the code
         before them: a (4 * block_limit^m, m * g) uint8 matrix, m groups the
         most that fit ``_KEY_NT`` nucleotides, at least one.  Built by
-        :func:`encode_positions` over every key; None for a group wider
-        than ``_TABLE_NT``."""
+        :func:`encode_positions` over every key."""
         g, limit = self.group_size, self.block_limit
-        if g > _TABLE_NT:
-            return None
         m = max(1, _KEY_NT // g)
         keys = np.arange(4 * limit**m)
-        runs = keys >> 2
-        blocks = np.stack([runs // limit ** (m - 1 - k) % limit for k in range(m)], axis=1)
-        prev = (keys & 3).astype(np.uint8)
-        return encode_positions(blocks_to_digit_rows(blocks, self), self.rotating_mask(m), prev)
+        blocks = to_digits(keys >> 2, (limit,) * m)
+        digits = to_digits(blocks, self.group_radices).reshape(keys.size, m * g)
+        return encode_positions(digits, self.rotating_mask(m), (keys & 3).astype(np.uint8))
 
 
 DEFAULT_CONFIG = JrConfig()
@@ -262,29 +244,27 @@ DEFAULT_CONFIG = JrConfig()
 # batch block/digit plumbing (shared with the strand and tile layers)
 # ---------------------------------------------------------------------------
 
-def blocks_to_digit_rows(blocks: np.ndarray, cfg: JrConfig) -> np.ndarray:
-    """(n, B) block values -> (n, B*group_size) uint8 digit matrix."""
-    n, nblocks = blocks.shape
-    rem = blocks.astype(np.int64, copy=True)
-    digits = np.empty((n, nblocks, cfg.group_size), np.uint8)
-    for k, w in enumerate(cfg.place_weights):
-        digits[:, :, k] = rem // w
-        rem %= w
-    return digits.reshape(n, nblocks * cfg.group_size)
+def to_digits(values: np.ndarray, radices: Sequence[int]) -> np.ndarray:
+    """Integer values -> their mixed-radix digits in ``radices``, most
+    significant first, as a new last axis in the narrowest unsigned type
+    holding the largest digit.  Values must lie in ``[0, prod(radices))``,
+    and ``radices`` must not be empty."""
+    rest = np.asarray(values, np.int64)
+    digits = np.empty(rest.shape + (len(radices),), np.min_scalar_type(max(radices) - 1))
+    for k in range(len(radices) - 1, 0, -1):
+        rest, digits[..., k] = np.divmod(rest, radices[k])
+    digits[..., 0] = rest
+    return digits
 
 
-def digit_rows_to_blocks(digits: np.ndarray, cfg: JrConfig) -> np.ndarray:
-    """(n, B*group_size) digit matrix -> (n, B) int64 block values."""
-    n, width = digits.shape
-    nblocks = width // cfg.group_size
-    groups = digits.reshape(n, nblocks, cfg.group_size)
-    w = cfg.place_weights
-    # an explicit int64 dtype, since promotion from a uint8 array times a
-    # scalar differs across numpy versions; the sum keeps the digits' order
-    blocks = np.multiply(groups[:, :, 0], w[0], dtype=np.int64)
-    for k in range(1, cfg.group_size):
-        blocks += np.multiply(groups[:, :, k], w[k], dtype=np.int64)
-    return blocks
+def from_digits(digits: np.ndarray, radices: Sequence[int]) -> np.ndarray:
+    """Inverse of :func:`to_digits`: the int64 value of each run of digits
+    along the last axis, most significant first."""
+    values = np.zeros(digits.shape[:-1], np.int64)
+    for k, r in enumerate(radices):
+        values *= r
+        values += digits[..., k]
+    return values
 
 
 def block_rows_to_bits(blocks: np.ndarray, bits: int) -> np.ndarray:
@@ -336,17 +316,16 @@ def encode_positions(digits: np.ndarray, rot: np.ndarray, prev0: np.ndarray) -> 
 def decode_positions(
     codes: np.ndarray, rot: np.ndarray, prev0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`encode_positions`: the digit matrix, and per row the
-    column of the first rotating violation, or -1."""
+    """Inverse of :func:`encode_positions`: the digit matrix, and per row
+    whether a rotating position repeats the code before it."""
     # walk the rows of the transpose: a column of a row-major matrix is strided
     cols = np.ascontiguousarray(codes.T)
     digits = np.empty_like(cols)
-    viol = np.full(codes.shape[0], -1, np.int32)
+    viol = np.zeros(codes.shape[0], bool)
     prev = prev0.astype(np.uint8, copy=False)
     for j, c in enumerate(cols):
         if rot[j]:
-            hit = (c == prev) & (viol < 0)
-            viol[hit] = j
+            viol |= c == prev
             digits[j] = (c + 3 - prev) % 4
         else:
             digits[j] = c
@@ -362,9 +341,6 @@ def encode_block_rows(blocks: np.ndarray, cfg: JrConfig, prev0: np.ndarray) -> n
     run and the code before it, the runs taken left to right; the last run
     is padded with zero blocks, whose codes are dropped."""
     table = cfg.encode_table
-    if table is None:
-        rot = cfg.rotating_mask(blocks.shape[1])
-        return encode_positions(blocks_to_digit_rows(blocks, cfg), rot, prev0)
     n, nblocks = blocks.shape
     span = table.shape[1]
     m = span // cfg.group_size
@@ -390,22 +366,16 @@ def decode_code_rows(codes: np.ndarray, cfg: JrConfig, prev0: np.ndarray) -> np.
     """Decode a (n, width) code matrix into (n, width // group_size) blocks.
 
     A group with a rotating violation or an out-of-range block decodes to
-    ``cfg.block_limit`` (where a group is too wide for a table, every group
-    of a row with a violation does), so a row is sound when every block is
-    below it.  Codes are taken modulo 4: a code of 255 (a byte outside ACGT)
-    is the caller's to reject.  Every group of ``_DECODE_ROWS`` rows is one
-    gather from ``cfg.decode_table``, keyed by the code before the group and
-    the group's codes; the blocks come in the table's type.
+    ``cfg.block_limit``, so a row is sound when every block is below it.
+    Codes are taken modulo 4: a code of 255 (a byte outside ACGT) is the
+    caller's to reject.  Every group of ``_DECODE_ROWS`` rows is one gather
+    from ``cfg.decode_table``, keyed by the code before the group and the
+    group's codes; the blocks come in the table's type.
     """
     n, width = codes.shape
     g = cfg.group_size
     n_groups = width // g
     table = cfg.decode_table
-    if table is None:
-        digits, viol = decode_positions(codes, cfg.rotating_mask(n_groups), prev0)
-        blocks = np.minimum(digit_rows_to_blocks(digits, cfg), cfg.block_limit)
-        blocks[viol >= 0] = cfg.block_limit
-        return blocks
     out = np.empty((n, n_groups), table.dtype)
     # one row per position after the row's prev0, one column per stream
     cols = np.empty((n_groups * g + 1, min(n, _DECODE_ROWS)), np.uint8)

@@ -21,10 +21,12 @@ their lines in the buffer, and FASTA records are joined in place at its
 front.  :func:`read_sequences` appends each window's reads to one buffer,
 so it holds the sequences, not the file.
 
-Both writers lay out ``_WRITE_CHUNK`` records at a time in a uint8 matrix,
-one record a row: header bytes, decimal fields as wide as the chunk's
-largest value and read cells as wide as its longest read.  A chunk whose
-cells are all used is written as it is; otherwise one boolean compress
+Both writers go through ``_write_records``, which lays out
+``_WRITE_CHUNK`` records at a time in a uint8 matrix, one record a row:
+header bytes, decimal fields as wide as the chunk's largest value and read
+cells as wide as its longest read, gathered from the pool's buffer without
+copying it.  A chunk whose cells are all used (every chunk of strands, or
+of a noiseless channel) is written as it is; otherwise one boolean compress
 drops the leading zeros and the cells past each read's end.
 """
 
@@ -81,31 +83,11 @@ class ReadFileResult:
 
 
 def write_fasta(path, strands: StrandSet) -> int:
-    """Write one record ``>pj|<index>`` per strand; returns the record count.
-
-    Records are laid out ``_WRITE_CHUNK`` rows at a time in a byte matrix,
-    the index right-aligned in a field as wide as the chunk's largest; a
-    chunk with a shorter index drops its leading zeros with one boolean
-    compress.
-    """
-    index_values, rows = strands.index_values, strands.rows
+    """Write one record ``>pj|<index>`` per strand; returns the record count."""
+    index_values = strands.index_values
     if index_values.min(initial=0) < 0:
         raise RangeError("FASTA index values must be non-negative")
-    with open(path, "wb") as fh:
-        for a in range(0, index_values.size, _WRITE_CHUNK):
-            field = _Decimal(index_values[a : a + _WRITE_CHUNK])
-            seq_at = 4 + field.width + 1  # after ">pj|", the digits and a newline
-            out = np.empty((field.values.size, seq_at + rows.shape[1] + 1), np.uint8)
-            out[:, :4] = np.frombuffer(b">pj|", np.uint8)
-            out[:, 4 : seq_at - 1] = field.digits()
-            out[:, seq_at - 1] = out[:, -1] = ord("\n")
-            out[:, seq_at:-1] = rows[a : a + _WRITE_CHUNK]
-            if field.full:
-                fh.write(out.data)
-                continue
-            keep = np.ones(out.shape, bool)
-            keep[:, 4 : seq_at - 1] = field.shown()
-            fh.write(out[keep].data)
+    _write_records(path, strands.pool, [(b">pj|", index_values)], quality=False)
     return int(index_values.size)
 
 
@@ -120,56 +102,57 @@ def write_fastq(
     that decoding never reads) the header ends at the id.  ``reads`` is a
     :class:`~pjdna.strand.ReadPool`; a sequence of strings is joined into
     one first.
-
-    Records are laid out ``_WRITE_CHUNK`` at a time in a byte matrix, one
-    row per record: the id and the origin each in a field as wide as the
-    chunk's largest, right-aligned, and the read and its quality as wide
-    as the chunk's longest read, whose bytes are gathered from the pool's
-    buffer without copying it.  A chunk whose fields and reads all fill
-    their width (every chunk of a noiseless channel) is written as it is;
-    otherwise one boolean compress drops the leading zeros and the cells
-    past each read's end.
     """
     if not isinstance(reads, ReadPool):
         reads = ReadPool.from_strings(reads)
     n = len(reads)
+    fields = [(b"@pj.read.", np.arange(n))]
     if origins is not None:
         origins = np.asarray(origins, np.int64)
         if origins.shape != (n,):
             raise ShapeError(f"{origins.size} origins for {n} reads")
         if origins.min(initial=0) < 0:
             raise RangeError("FASTQ origins must be non-negative")
+        fields.append((b" origin=", origins))
+    _write_records(path, reads, fields, quality=True)
+    return n
+
+
+def _write_records(path, pool: ReadPool, fields: list, quality: bool) -> None:
+    """Write one record per read of ``pool``: a header line of each
+    ``(label, values)`` field's label and its non-negative value in
+    decimal, the read, and with ``quality`` a ``+`` line and ``I`` once per
+    base, each line ending in ``\n``."""
     with open(path, "wb") as fh:
-        for a in range(0, n, _WRITE_CHUNK):
-            part = reads.rows(slice(a, a + _WRITE_CHUNK))
-            numbers = [np.arange(a, a + len(part))]
-            if origins is not None:
-                numbers.append(origins[a : a + len(part)])
-            fields = [_Decimal(v) for v in numbers]
+        for a in range(0, len(pool), _WRITE_CHUNK):
+            part = pool.rows(slice(a, a + _WRITE_CHUNK))
+            decimals = [_Decimal(values[a : a + _WRITE_CHUNK]) for _, values in fields]
             head, at = b"", []  # the header, and where each field starts in it
-            for f, label in zip(fields, (b"@pj.read.", b" origin=")):
+            for (label, _), f in zip(fields, decimals):
                 head += label
                 at.append(len(head))
                 head += b"0" * f.width
             width = int(part.lengths.max())
-            template = head + b"\n" + b"N" * width + b"\n+\n" + b"I" * width + b"\n"
+            template = head + b"\n" + b"N" * width + b"\n"
+            if quality:
+                template += b"+\n" + b"I" * width + b"\n"
             out = np.empty((len(part), len(template)), np.uint8)
             out[:] = np.frombuffer(template, np.uint8)
-            for f, col in zip(fields, at):
+            for f, col in zip(decimals, at):
                 out[:, col : col + f.width] = f.digits()
             seq_at = len(head) + 1
-            qual_at = seq_at + width + 3
             out[:, seq_at : seq_at + width] = _read_rows(part, width)
-            if all(f.full for f in fields) and part.lengths.min() == width:
+            if all(f.full for f in decimals) and part.lengths.min() == width:
                 fh.write(out.data)
                 continue
             keep = np.ones(out.shape, bool)
-            for f, col in zip(fields, at):
+            for f, col in zip(decimals, at):
                 keep[:, col : col + f.width] = f.shown()
             keep[:, seq_at : seq_at + width] = np.arange(width) < part.lengths[:, None]
-            keep[:, qual_at : qual_at + width] = keep[:, seq_at : seq_at + width]
+            if quality:
+                qual_at = seq_at + width + 3
+                keep[:, qual_at : qual_at + width] = keep[:, seq_at : seq_at + width]
             fh.write(out[keep].data)
-    return n
 
 
 # The four ASCII digits of 0..9999, zero-padded, one uint32 per number.

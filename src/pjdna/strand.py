@@ -236,22 +236,6 @@ class ParseBatch:
         return [row.tobytes() for row in packed]
 
 
-def _index_to_blocks(index_values: np.ndarray, n_blocks: int, limit: int) -> np.ndarray:
-    rem = index_values.astype(np.int64, copy=True)
-    out = np.empty((index_values.shape[0], n_blocks), np.int64)
-    for j in range(n_blocks - 1, -1, -1):
-        out[:, j] = rem % limit
-        rem //= limit
-    return out
-
-
-def _blocks_to_index(blocks: np.ndarray, limit: int) -> np.ndarray:
-    value = np.zeros(blocks.shape[0], np.int64)
-    for j in range(blocks.shape[1]):
-        value = value * limit + blocks[:, j]
-    return value
-
-
 def _payload_to_blocks(payload: bytes, layout: StrandLayout, cfg: jr.JrConfig) -> np.ndarray:
     nbytes = layout.payload_bytes_len(cfg)
     if len(payload) != nbytes:
@@ -280,7 +264,7 @@ def assemble_many(
         raise CapacityError(f"index values must lie in [0, {cap})")
     if payload_blocks.min(initial=0) < 0 or payload_blocks.max(initial=0) >= cfg.block_limit:
         raise RangeError("payload block values outside the encodable range")
-    idx_blocks = _index_to_blocks(index_values, layout.index_groups(cfg), cfg.block_limit)
+    idx_blocks = jr.to_digits(index_values, (cfg.block_limit,) * layout.index_groups(cfg))
     blocks = np.concatenate([idx_blocks, payload_blocks.astype(np.int64)], axis=1)
     prev0 = np.full(n, jr.ALPHABET.index(layout.prev_init()), np.uint8)
     codes = jr.encode_block_rows(blocks, cfg, prev0)
@@ -447,7 +431,7 @@ def _parse_rows(
     counts["reject_corrupt"] += int((~ok).sum())
     counts["accepted"] += int(blocks.shape[0])
     n_idx = layout.index_groups(cfg)
-    return _blocks_to_index(blocks[:, :n_idx], cfg.block_limit), blocks[:, n_idx:]
+    return jr.from_digits(blocks[:, :n_idx], (cfg.block_limit,) * n_idx), blocks[:, n_idx:]
 
 
 def parse_strand(

@@ -612,16 +612,20 @@ def test_consensus_matches_bincount_reference(group_sizes, choices, seed):
     assert got == bincount_vote(blocks, indices)
 
 
-@pytest.mark.parametrize("bits", [9, 17])
+@pytest.mark.parametrize("bits", [1, 9, 11])
 def test_vote_matches_bincount_reference_at_any_block_width(bits):
-    """9-bit blocks are voted on as uint16 and 17-bit ones as uint32; either
-    way the vote is the reference's, returned as int64 blocks."""
-    if bits == 9:
-        cfg, layout = jr.DEFAULT_CONFIG, strand.DEFAULT_LAYOUT
+    """1-bit blocks are voted on as uint8, and 9-bit ones and the widest a
+    code allows, 11-bit, as uint16; either way the vote is the
+    reference's, returned as int64 blocks."""
+    layout = strand.DEFAULT_LAYOUT
+    if bits == 1:
+        cfg = jr.JrConfig.for_jump(0)
+    elif bits == 9:
+        cfg = jr.DEFAULT_CONFIG
     else:
-        cfg = jr.JrConfig(group_radices=(4, 4, 4, 4, 3, 4, 4, 4, 4))
-        layout = strand.StrandLayout(index_nt=9, payload_nt=36)
-        assert cfg.bits_per_block == 17
+        cfg = jr.JrConfig(group_radices=(4, 4, 4, 4, 4, 3))
+        layout = strand.StrandLayout(index_nt=6, payload_nt=36)
+    assert cfg.bits_per_block == bits
     rng = np.random.default_rng(11)
     indices = np.repeat(np.arange(6) * 5, [1, 2, 3, 4, 5, 6])
     rng.shuffle(indices)

@@ -729,6 +729,12 @@ HOSTILE_MANIFESTS = {
                                          "groups_per_payload": 17, "jump_length": 2}},
     "list-primer5": {"layout": {**DEFAULT_LAYOUT.to_dict(),
                                 "primer5": list(DEFAULT_LAYOUT.primer5)}},
+    # a group of 7 nt, wider than any codec table: every derived field is
+    # consistent (12-bit blocks, 14 groups of 168 bits for 160-bit tiles)
+    "seven-nt-group": {"cfg": {"group_radices": [4, 3, 4, 4, 3, 4, 3], "bits_per_block": 12,
+                               "groups_per_payload": 14, "jump_length": 2},
+                       "layout": {**DEFAULT_LAYOUT.to_dict(), "index_nt": 14, "payload_nt": 98},
+                       "pad_bits_per_tile": 8},
 }
 
 

@@ -10,6 +10,7 @@ exhaustive enumeration of all digit tuples in mixed-radix order.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +39,13 @@ def text_of(codes):
     return np.asarray(codes, np.uint8).tobytes().translate(jr._CODE_TRANSLATE).decode("ascii")
 
 
+def blocks_of(digits, cfg=CFG):
+    """The block of each group of a (n, groups * g) digit matrix."""
+    n, width = digits.shape
+    return jr.from_digits(digits.reshape(n, width // cfg.group_size, cfg.group_size),
+                          cfg.group_radices)
+
+
 def encode_row(blocks, cfg=CFG, prev="A"):
     """One stream of ``blocks`` after the nucleotide ``prev``, as letters."""
     mat = np.array(blocks, np.int64).reshape(1, -1)
@@ -45,12 +53,12 @@ def encode_row(blocks, cfg=CFG, prev="A"):
 
 
 def decode_row(seq, cfg=CFG, prev="A"):
-    """The blocks of one stream after ``prev`` by the position walk, and the
-    position of its first rotating violation, or -1."""
+    """The blocks of one stream after ``prev`` by the position walk, and
+    whether it has a rotating violation."""
     codes = codes_of(seq).reshape(1, -1)
     rot = cfg.rotating_mask(codes.shape[1] // cfg.group_size)
     digits, viol = jr.decode_positions(codes, rot, codes_of(prev))
-    return jr.digit_rows_to_blocks(digits, cfg)[0].tolist(), int(viol[0])
+    return blocks_of(digits, cfg)[0].tolist(), bool(viol[0])
 
 
 def table_row(seq, cfg=CFG, prev="A"):
@@ -69,7 +77,9 @@ def test_default_config():
     assert CFG.jump_length == 2
     assert CFG.block_capacity == 576
     assert CFG.block_limit == 512
-    assert CFG.place_weights == (144, 48, 12, 3, 1)
+    # the place value of each digit of a group
+    assert jr.from_digits(np.eye(5, dtype=np.uint8), CFG.group_radices).tolist() == [
+        144, 48, 12, 3, 1]
 
 
 def test_preset_configs_validate():
@@ -127,10 +137,12 @@ def test_config_dict_round_trip():
 
 def test_block_to_digits_examples():
     tuples = enumerate_digit_tuples(CFG.group_radices)
-    digits = jr.blocks_to_digit_rows(np.array([[0, 511]]), CFG)
-    assert digits.tolist() == [[0, 0, 0, 0, 0, 3, 1, 2, 2, 1]]
-    assert tuple(digits[0, 5:]) == tuples[511]
-    blocks = jr.digit_rows_to_blocks(np.array([[3, 2, 3, 3, 2, 0, 0, 0, 0, 0, 3, 1, 2, 2, 1]]), CFG)
+    digits = jr.to_digits(np.array([[0, 511]]), CFG.group_radices)
+    assert digits.dtype == np.uint8
+    assert digits.tolist() == [[[0, 0, 0, 0, 0], [3, 1, 2, 2, 1]]]
+    assert tuple(digits[0, 1]) == tuples[511]
+    blocks = jr.from_digits(np.array([[[3, 2, 3, 3, 2], [0, 0, 0, 0, 0], [3, 1, 2, 2, 1]]]),
+                            CFG.group_radices)
     assert blocks.tolist() == [[575, 0, 511]]
     assert blocks[0, 0] >= CFG.block_limit
 
@@ -138,26 +150,61 @@ def test_block_to_digits_examples():
 def test_block_digit_bijection_exhaustive():
     tuples = enumerate_digit_tuples(CFG.group_radices)
     values = np.arange(CFG.block_limit).reshape(1, -1)
-    digits = jr.blocks_to_digit_rows(values, CFG)
+    digits = jr.to_digits(values, CFG.group_radices)
     assert digits.reshape(-1, CFG.group_size).tolist() == [list(t) for t in tuples[:512]]
-    assert np.array_equal(jr.digit_rows_to_blocks(digits, CFG), values)
+    assert np.array_equal(jr.from_digits(digits, CFG.group_radices), values)
     # values past the encoder limit still decode, and fail the range check
-    past = np.array(tuples[CFG.block_limit :], np.uint8).reshape(1, -1)
-    back = jr.digit_rows_to_blocks(past, CFG)
-    assert back.tolist() == [list(range(CFG.block_limit, CFG.block_capacity))]
+    past = np.array(tuples[CFG.block_limit :], np.uint8)
+    back = jr.from_digits(past, CFG.group_radices)
+    assert back.tolist() == list(range(CFG.block_limit, CFG.block_capacity))
     assert (back >= CFG.block_limit).all()
 
 
-def test_digit_rows_to_blocks_all_tuples_in_int64():
-    """uint8 digit rows in either memory order sum to int64 block values,
+def test_from_digits_all_tuples_in_int64():
+    """uint8 digits in either memory order sum to int64 block values,
     including those past the byte range (432 = 144 * 3 and up)."""
     tuples = enumerate_digit_tuples(CFG.group_radices)
-    digits = np.array(tuples, np.uint8).reshape(-1, 4 * CFG.group_size)  # 4 blocks a row
+    digits = np.array(tuples, np.uint8).reshape(-1, 4, CFG.group_size)  # 4 blocks a row
     want = np.arange(CFG.block_capacity).reshape(-1, 4)
     for rows in (digits, np.asfortranarray(digits)):
-        got = jr.digit_rows_to_blocks(rows, CFG)
+        got = jr.from_digits(rows, CFG.group_radices)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
+
+
+def python_digits(value, radices):
+    """Oracle: the mixed-radix digits of a Python int, most significant first."""
+    out = []
+    for r in reversed(radices):
+        value, d = divmod(value, r)
+        out.append(d)
+    return out[::-1]
+
+
+@st.composite
+def radices_and_values(draw):
+    radices = draw(st.lists(st.integers(2, 1024), min_size=1, max_size=6))
+    top = math.prod(radices) - 1
+    values = draw(st.lists(st.integers(0, top), min_size=1, max_size=20)
+                  | st.just([0, top]))
+    return tuple(radices), values
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=radices_and_values())
+def test_digit_converters_match_python_ints(case):
+    """Over 1 to 6 radices of 2 to 1,024 and values anywhere in their range,
+    ``to_digits`` gives the digits Python ints give, in a type holding the
+    largest digit, and ``from_digits`` inverts it, also from uint16 digits
+    as the parser passes them."""
+    radices, values = case
+    digits = jr.to_digits(np.array(values, np.int64), radices)
+    assert digits.shape == (len(values), len(radices))
+    assert np.iinfo(digits.dtype).max >= max(radices) - 1
+    assert digits.tolist() == [python_digits(v, radices) for v in values]
+    for given_digits in (digits, digits.astype(np.uint16)):
+        back = jr.from_digits(given_digits, radices)
+        assert back.dtype == np.int64 and back.tolist() == values
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +233,13 @@ def test_rotate_never_repeats_and_inverts():
     # a bijection onto the three alternatives of each context
     assert all(len(set(codes[prev == p].tolist())) == 3 for p in range(4))
     back, viol = one_position(codes, prev, True, decode=True)
-    assert back[:, 0].tolist() == digit.tolist() and (viol == -1).all()
+    assert back[:, 0].tolist() == digit.tolist() and not viol.any()
 
 
 def test_rotate_decode_violation():
     codes, prev = codes_of("ACG"), codes_of("AAT")
     digits, viol = one_position(codes, prev, True, decode=True)
-    assert viol.tolist() == [0, -1, -1]  # a repeated nucleotide is a violation
+    assert viol.tolist() == [True, False, False]  # a repeated nucleotide is a violation
     assert digits[1:, 0].tolist() == [0, 2]
 
 
@@ -202,7 +249,7 @@ def test_direct_bijection():
         codes = one_position(digits, [prev] * 4, False)
         assert text_of(codes) == "ACGT"
         back, viol = one_position(codes, [prev] * 4, False, decode=True)
-        assert back[:, 0].tolist() == digits.tolist() and (viol == -1).all()
+        assert back[:, 0].tolist() == digits.tolist() and not viol.any()
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +263,9 @@ def test_encode_stream_examples():
 
 
 def test_decode_stream_examples():
-    assert decode_row("TCGGA") == ([511], -1)
-    assert decode_row("TTGGA")[1] == 1  # 0-based: the second nucleotide repeats T
+    assert decode_row("TCGGA") == ([511], False)
+    assert decode_row("TTGGA")[1]  # the second nucleotide, which rotates, repeats T
+    assert not decode_row("TCGGA", prev="T")[1]  # the first position is direct
     assert table_row("TCGGA") == [511]
     assert table_row("TTGGA") == [CFG.block_limit]
 
@@ -225,7 +273,7 @@ def test_decode_stream_examples():
 def test_decode_detects_out_of_range_group():
     # digit bump at the first rotating position lifts the value to 559 >= 512
     assert encode_row([511]) == "TCGGA"
-    assert decode_row("TGGGA") == ([559], -1)
+    assert decode_row("TGGGA") == ([559], False)
     assert table_row("TGGGA") == [CFG.block_limit]
 
 
@@ -239,7 +287,7 @@ def test_stream_round_trip_fuzz():
             prev = jr.ALPHABET[int(rng.integers(0, 4))]
             seq = encode_row(blocks, cfg, prev)
             assert len(seq) == n * cfg.group_size
-            assert decode_row(seq, cfg, prev) == (blocks, -1)
+            assert decode_row(seq, cfg, prev) == (blocks, False)
             assert table_row(seq, cfg, prev) == blocks
 
 
@@ -323,8 +371,8 @@ def test_out_of_range_group_always_detected():
     prev0 = rng.integers(0, 4, values.size).astype(np.uint8)
     codes = jr.encode_positions(digits, CFG.rotating_mask(1), prev0)
     digits, viol = jr.decode_positions(codes, CFG.rotating_mask(1), prev0)
-    assert (viol == -1).all()
-    assert jr.digit_rows_to_blocks(digits, CFG)[:, 0].tolist() == values.tolist()
+    assert not viol.any()
+    assert blocks_of(digits)[:, 0].tolist() == values.tolist()
     assert (jr.decode_code_rows(codes, CFG, prev0) == CFG.block_limit).all()
 
 
@@ -340,8 +388,11 @@ def test_rotating_substitution_to_predecessor_always_detected():
         corrupted = seq[:p] + seq[p - 1] + seq[p + 1 :]
         if corrupted == seq:
             continue  # substitution must change the nucleotide to count
-        assert decode_row(corrupted, cfg)[1] == p
-        assert CFG.block_limit in table_row(corrupted, cfg)
+        assert decode_row(corrupted, cfg)[1]
+        # the walk is clean up to the corrupted group, and the table rejects that group
+        assert not decode_row(corrupted[: g * cfg.group_size], cfg)[1]
+        got = table_row(corrupted, cfg)
+        assert got[:g] == blocks[:g] and got[g] == CFG.block_limit
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +410,7 @@ def test_position_kernels_round_trip():
     codes = jr.encode_positions(digits, rot, prev0)
     back, viol = jr.decode_positions(codes, rot, prev0)
     assert np.array_equal(back, digits)
-    assert (viol == -1).all()
+    assert not viol.any()
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +426,8 @@ def walk_decode(codes, cfg, prev0):
     no code of 255, no rotating violation and every block below the limit."""
     n_groups = codes.shape[1] // cfg.group_size
     digits, viol = jr.decode_positions(codes, cfg.rotating_mask(n_groups), prev0)
-    blocks = jr.digit_rows_to_blocks(digits, cfg)
-    ok = (codes != 255).all(axis=1) & (viol < 0) & (blocks < cfg.block_limit).all(axis=1)
+    blocks = blocks_of(digits, cfg)
+    ok = (codes != 255).all(axis=1) & ~viol & (blocks < cfg.block_limit).all(axis=1)
     return ok, blocks[ok]
 
 
@@ -422,8 +473,8 @@ def test_encode_table_matches_the_walk(radices, n_groups, n, seed):
     rng = np.random.default_rng(seed)
     blocks = rng.integers(0, cfg.block_limit, (n, n_groups))
     prev0 = rng.integers(0, 4, n).astype(np.uint8)
-    want = jr.encode_positions(jr.blocks_to_digit_rows(blocks, cfg),
-                               cfg.rotating_mask(n_groups), prev0)
+    digits = jr.to_digits(blocks, cfg.group_radices).reshape(n, n_groups * cfg.group_size)
+    want = jr.encode_positions(digits, cfg.rotating_mask(n_groups), prev0)
     assert np.array_equal(jr.encode_block_rows(blocks, cfg, prev0), want)
 
 
@@ -444,15 +495,12 @@ def test_preset_tables_are_built_from_the_walk(jump):
     assert cfg.encode_table.shape == (4 * cfg.block_limit**m, m * g)
 
 
-def test_groups_too_wide_to_tabulate_walk():
-    """A group of 7 nt has no table; both kernels walk, with the tables'
-    contract: a rejected group decodes to the limit."""
-    cfg = jr.JrConfig((4, 3, 4, 4, 3, 4, 3))
-    assert cfg.decode_table is None and cfg.encode_table is None
-    rng = np.random.default_rng(4)
-    blocks = rng.integers(0, cfg.block_limit, (50, 4))
-    prev0 = rng.integers(0, 4, 50).astype(np.uint8)
-    codes = jr.encode_block_rows(blocks, cfg, prev0)
-    assert np.array_equal(jr.decode_code_rows(codes, cfg, prev0), blocks)
-    codes[0, 1] = codes[0, 0]  # position 1 rotates: a violation
-    assert jr.decode_code_rows(codes, cfg, prev0)[0].max() == cfg.block_limit
+def test_groups_too_wide_to_tabulate_are_refused():
+    """Every code has its tables: a pattern whose group is wider than a
+    table holds (7 nt) is not a code."""
+    with pytest.raises(ConfigError):
+        jr.JrConfig((4, 3, 4, 4, 3, 4, 3))
+    with pytest.raises(ConfigError):
+        jr.JrConfig.from_dict({"group_radices": [4, 3, 4, 4, 3, 4, 3], "bits_per_block": 12,
+                               "jump_length": 2})
+    assert jr.JrConfig((4, 4, 4, 4, 4, 3)).bits_per_block == 11  # the widest that is
