@@ -469,27 +469,39 @@ def vote(
 
     ``reads`` is a :class:`~pjdna.strand.ReadPool`, an iterable of pools
     (such as the windows of a :class:`~pjdna.seqio.ReadStream`, each parsed
-    before the next is drawn) or an iterable of strings.  Reads are parsed
-    individually; accepted parses group by index and each payload block
-    settles by plurality vote, ties to the smallest value.  Returns one row
-    per observed index, indices ascending, with counters for every rejection
-    reason and ``indices_observed``.  The indices and the winning blocks are
-    int64; the accepted blocks are kept in the narrowest unsigned type that
-    holds ``cfg.block_limit - 1`` (uint16 at the default 9 bits per block),
-    appended parse chunk by parse chunk; each chunk then moves to its sorted
-    rows of one array and is dropped, so no unsorted concatenation is made.
+    before the next is drawn) or an iterable of strings.  Accepted parses
+    group by index and each payload block settles by plurality vote, ties
+    to the smallest value.  Returns one row per observed index, indices
+    ascending, with counters for every rejection reason and
+    ``indices_observed``.  The indices and the winning blocks are int64.
+
+    A read equal to the read before it in the same parse chunk is parsed
+    once with it and votes with the run's length as its weight, so a pool
+    that repeats each read in a row (what ``simulate`` writes) parses and
+    keeps only its distinct reads.  Winners and counters do not depend on
+    the order of the reads.  A shuffled pool has no runs to collapse: it
+    pays the row comparison for nothing, about 0.3-0.4 ms per 8,192 reads
+    on a 2-vCPU machine, and keeps every read.  The kept blocks are in the
+    narrowest unsigned type that holds ``cfg.block_limit - 1`` (uint16 at
+    the default 9 bits per block), appended parse chunk by parse chunk;
+    each chunk then moves to its sorted rows of one array and is dropped,
+    so no unsorted concatenation is made.  Each column is then settled
+    over only the indices whose kept reads disagree in it
+    (:func:`_column_modes`), so noisy reads cost little more memory than
+    clean ones.
     """
-    index_parts, block_parts, counts = _parse_reads(
+    index_parts, block_parts, weight_parts, counts = _parse_reads(
         _pools(reads), layout, cfg, primer_tolerance, np.min_scalar_type(cfg.block_limit - 1))
     indices = np.concatenate(index_parts)
-    del index_parts
+    weights = np.concatenate(weight_parts)
+    del index_parts, weight_parts
     order = np.argsort(indices, kind="stable")
     indices = indices[order]
+    weights = weights[order]
     starts = np.diff(indices, prepend=-1) != 0  # indices are non-negative
-    heads = np.flatnonzero(starts)
-    observed = indices[heads]
+    observed = indices[starts]
     del indices
-    # each accepted read's row in index order
+    # each accepted row's place in index order
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     del order
@@ -500,14 +512,8 @@ def vote(
         placed += len(part)
         block_parts[j] = part = None  # frees the chunk
     del rank
-    winners = blocks[heads]
-    # only groups where some read differs from the read before it vote
-    differs = (blocks[1:] != blocks[:-1]).any(axis=1) & ~starts[1:]
-    if differs.any():
-        group = np.cumsum(starts) - 1
-        contested = np.unique(group[1:][differs])
-        winners[contested] = _column_modes(blocks, group, contested)
-    counts = {**counts, "indices_observed": int(heads.size)}
+    winners = _column_modes(blocks, weights, starts)
+    counts = {**counts, "indices_observed": int(observed.size)}
     return ParseBatch(observed, winners.astype(np.int64), counts)
 
 
@@ -523,18 +529,39 @@ def consensus(
     return list(zip(batch.indices.tolist(), batch.payload_bytes(cfg))), batch.counts
 
 
-def _column_modes(blocks: np.ndarray, group: np.ndarray, voters: np.ndarray) -> np.ndarray:
-    """Per-column plurality of the rows of each group in ``voters`` (sorted),
-    ties to the smallest value: one row of modes per voting group."""
-    rows = np.isin(group, voters)
-    rank = np.searchsorted(voters, group[rows])
-    n_cols = blocks.shape[1]
-    vals = blocks[rows].astype(np.int64)  # unsigned and int64 keys would mix to float
-    span = int(vals.max()) + 1
-    segment = rank[:, None] * n_cols + np.arange(n_cols)
-    keys, count = np.unique((segment * span + vals).ravel(), return_counts=True)
-    seg = keys // span
-    # by segment, then most votes, then smallest value
-    best = np.lexsort((keys, -count, seg))
-    first = np.r_[True, seg[best][1:] != seg[best][:-1]]
-    return (keys[best][first] % span).reshape(voters.size, n_cols)
+def _column_modes(blocks: np.ndarray, weights: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-column plurality of each group of rows, a group starting at each
+    set flag of ``starts`` and a row counting ``weights`` votes, ties to the
+    smallest value: one row of modes per group, in the dtype of ``blocks``.
+
+    Column by column, only the groups whose rows disagree in that column
+    vote.  Their keys ``group * span + value`` (int32 where they fit) are
+    sorted stably, each run of equal keys sums its rows' weights, and each
+    group takes the run with the most votes, the smallest value among
+    equals."""
+    modes = blocks[starts]
+    if modes.shape[0] == blocks.shape[0]:
+        return modes  # every group is one row
+    span = int(blocks.max()) + 1
+    key_type = np.int32 if modes.shape[0] * span <= 2**31 else np.int64
+    group = np.cumsum(starts, dtype=key_type) - 1
+    inner = ~starts[1:]
+    for j in range(blocks.shape[1]):
+        col = blocks[:, j]
+        split = (col[1:] != col[:-1]) & inner
+        if not split.any():
+            continue
+        voting = np.zeros(modes.shape[0], bool)
+        voting[group[1:][split]] = True
+        rows = np.flatnonzero(voting[group])
+        keys = group[rows] * span + col[rows]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        runs = np.flatnonzero(np.diff(keys, prepend=-1))
+        tally = np.add.reduceat(weights[rows[order]], runs, dtype=np.int64)
+        run_group, value = np.divmod(keys[runs], span)
+        # a group's greatest score is its most votes, then its smallest value
+        score = tally * span + (span - 1 - value)
+        firsts = np.flatnonzero(np.diff(run_group, prepend=-1))
+        modes[run_group[firsts], j] = span - 1 - np.maximum.reduceat(score, firsts) % span
+    return modes

@@ -259,7 +259,8 @@ def to_digits(values: np.ndarray, radices: Sequence[int]) -> np.ndarray:
 
 def from_digits(digits: np.ndarray, radices: Sequence[int]) -> np.ndarray:
     """Inverse of :func:`to_digits`: the int64 value of each run of digits
-    along the last axis, most significant first."""
+    along the last axis, most significant first.  A value past
+    ``2**63 - 1`` wraps, so callers bound the digits first."""
     values = np.zeros(digits.shape[:-1], np.int64)
     for k, r in enumerate(radices):
         values *= r

@@ -48,8 +48,9 @@ REJECT_CORRUPT = "corrupt"
 REJECT_REASONS = (REJECT_LENGTH, REJECT_PRIMER, REJECT_CORRUPT)
 
 # Reads parsed together in one pass; bounds the pass's temporaries to a few
-# MiB at 141 nt.  Its int64 blocks are appended to the caller's output: int64
-# for parse_many, the narrowest unsigned type of a block value for vote.
+# MiB at 141 nt.  Its accepted blocks are appended to the caller's output:
+# int64 for parse_many, the narrowest unsigned type of a block value for vote;
+# a run of equal reads, at most one chunk long, is one row and one weight.
 _PARSE_CHUNK = 8192
 
 
@@ -348,11 +349,17 @@ def parse_many(
     joined into one first.  Rejects carry no payload: a read of the wrong
     length counts as "length", a primer Hamming distance above
     ``primer_tolerance`` as "primer", and a rotating violation /
-    out-of-range block / bad character as "corrupt".  A negative
-    ``primer_tolerance`` is a :class:`ConfigError`.
+    out-of-range block / bad character / an index past 63 bits as
+    "corrupt".  A negative ``primer_tolerance`` is a :class:`ConfigError`.
+    A read equal to the read before it is parsed once with it, and the
+    accepted rows are repeated back, so there is one row per accepted read,
+    in input order.
     """
-    indices, blocks, counts = _parse_reads(_pools(reads), layout, cfg, primer_tolerance, np.int64)
-    return ParseBatch(np.concatenate(indices), np.concatenate(blocks), counts)
+    indices, blocks, weights, counts = _parse_reads(
+        _pools(reads), layout, cfg, primer_tolerance, np.int64)
+    weights = np.concatenate(weights)
+    return ParseBatch(np.repeat(np.concatenate(indices), weights),
+                      np.repeat(np.concatenate(blocks), weights, axis=0), counts)
 
 
 def _pools(reads: ReadPool | Iterable[ReadPool] | Iterable[str]) -> Iterable[ReadPool]:
@@ -373,19 +380,23 @@ def _parse_reads(
     cfg: jr.JrConfig,
     primer_tolerance: int,
     dtype,
-) -> tuple[np.ndarray, np.ndarray, dict]:
+) -> tuple[list, list, list, dict]:
     """The parse loop of :func:`parse_many` and :func:`pjdna.channel.vote`:
-    lists of the accepted int64 indices and of their payload blocks as
-    ``dtype``, one entry per parse chunk after an empty first one, and the
-    counters.  Each pool is parsed ``_PARSE_CHUNK`` reads at a time before
-    the next is drawn."""
+    lists of the accepted distinct reads' int64 indices, of their payload
+    blocks as ``dtype`` and of their weights, one entry per parse chunk
+    after an empty first one, and the counters.  Each pool is parsed
+    ``_PARSE_CHUNK`` reads at a time before the next is drawn.  A run of
+    equal reads within a chunk is parsed once, as its first read, whose
+    weight is the run's length; the counters count every read."""
     layout.validate(cfg)
     require_int("primer_tolerance", primer_tolerance, 0)
     total = layout.total_nt
     counts = dict.fromkeys(
         ("reads_total", "accepted", "reject_length", "reject_primer", "reject_corrupt"), 0)
+    weight_type = np.min_scalar_type(_PARSE_CHUNK)
     indices = [np.empty(0, np.int64)]
     blocks = [np.empty((0, layout.payload_groups(cfg)), dtype)]
+    weights = [np.empty(0, weight_type)]
     for pool in pools:
         starts = pool.starts[pool.lengths == total]
         counts["reads_total"] += len(pool)
@@ -394,10 +405,11 @@ def _parse_reads(
             records = sliding_window_view(pool.buf, total)
             for k in range(0, starts.size, _PARSE_CHUNK):
                 rows = records[starts[k : k + _PARSE_CHUNK]]
-                idx, payload = _parse_rows(rows, layout, cfg, primer_tolerance, counts)
+                idx, payload, weight = _parse_rows(rows, layout, cfg, primer_tolerance, counts)
                 indices.append(idx)
                 blocks.append(payload.astype(dtype, copy=False))
-    return indices, blocks, counts
+                weights.append(weight.astype(weight_type))
+    return indices, blocks, weights, counts
 
 
 def _parse_rows(
@@ -406,11 +418,18 @@ def _parse_rows(
     cfg: jr.JrConfig,
     primer_tolerance: int,
     counts: dict,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parse a (n, total_nt) matrix of ASCII reads; adds to ``counts`` and
-    returns the accepted (indices, payload blocks)."""
+    returns the accepted (indices, payload blocks, weights), one per run of
+    equal rows, weighted by the run's length."""
     total = layout.total_nt
     n5, n3 = len(layout.primer5), len(layout.primer3)
+
+    # equal reads parse alike, so only the first of each run is parsed
+    heads = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    weight = np.diff(heads, append=rows.shape[0])
+    if heads.size < rows.shape[0]:
+        rows = rows[heads]
 
     # primers are ACGT, so comparing bytes counts what comparing codes would
     keep = np.ones(rows.shape[0], bool)
@@ -420,18 +439,25 @@ def _parse_rows(
     if n3:
         p3 = np.frombuffer(layout.primer3.encode("ascii"), np.uint8)
         keep &= (rows[:, total - n3 :] != p3).sum(axis=1) <= primer_tolerance
-    counts["reject_primer"] += int((~keep).sum())
+    counts["reject_primer"] += int(weight[~keep].sum())
+    weight = weight[keep]
 
     # a character outside ACGT has code 255
     codes = jr.ascii_codes(rows[keep, n5 : n5 + layout.data_nt])
     prev0 = np.full(codes.shape[0], jr.ALPHABET.index(layout.prev_init()), np.uint8)
     blocks = jr.decode_code_rows(codes, cfg, prev0)
     ok = ~(codes == 255).any(axis=1) & (blocks < cfg.block_limit).all(axis=1)
-    blocks = blocks[ok]
-    counts["reject_corrupt"] += int((~ok).sum())
-    counts["accepted"] += int(blocks.shape[0])
     n_idx = layout.index_groups(cfg)
-    return jr.from_digits(blocks[:, :n_idx], (cfg.block_limit,) * n_idx), blocks[:, n_idx:]
+    excess = n_idx * cfg.bits_per_block - 63
+    if excess > 0:  # an int64 index holds 63 bits, so a read setting a higher one is corrupt
+        index_bits = jr.block_rows_to_bits(blocks[:, :n_idx], cfg.bits_per_block)
+        ok &= ~index_bits[:, :excess].any(axis=1)
+    blocks = blocks[ok]
+    counts["reject_corrupt"] += int(weight[~ok].sum())
+    weight = weight[ok]
+    counts["accepted"] += int(weight.sum())
+    indices = jr.from_digits(blocks[:, :n_idx], (cfg.block_limit,) * n_idx)
+    return indices, blocks[:, n_idx:], weight
 
 
 def parse_strand(

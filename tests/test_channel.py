@@ -1,6 +1,7 @@
 """Channel simulation: dropout, read corruption, replication, consensus."""
 
 import bisect
+import collections
 import inspect
 import itertools
 from dataclasses import replace
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pjdna import channel, jr, strand
+from pjdna import channel, jr, seqio, strand
 from pjdna.channel import (
     ChannelProfile,
     PRESET_NAMES,
@@ -22,7 +23,7 @@ from pjdna.channel import (
 )
 from pjdna.errors import ConfigError, RangeError
 from pjdna.partition import decode_image, encode_image
-from pjdna.seqio import read_sequences, write_fastq
+from pjdna.seqio import ReadStream, read_sequences, write_fastq
 from pjdna.strand import ReadPool, StrandSet, assemble_many, assemble_strand, parse_many
 
 
@@ -664,6 +665,74 @@ def test_pool_and_strings_parse_and_vote_alike(tmp_path, rng, monkeypatch, toler
     counts = seen[0][2]
     assert min(counts["reject_length"], counts["reject_corrupt"], counts["accepted"]) > 0
     assert result.skipped_alphabet == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.sampled_from([1, 9, 11]),
+    group_sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+    n_values=st.integers(1, 3),
+    max_weight=st.sampled_from([1, 3, 8192]),
+    seed=st.integers(0, 2**16),
+)
+def test_column_modes_match_a_weighted_counter(bits, group_sizes, n_values, max_weight, seed):
+    """Each group's weighted per-column plurality, ties to the smallest
+    value, is what a ``Counter`` of each group's weighted votes gives.  Few
+    distinct values per column and weights of 1 force ties."""
+    rng = np.random.default_rng(seed)
+    top = (1 << bits) - 1
+    values = np.array(sorted({0, 1, top // 2 + 1, top}))
+    values = rng.choice(values, min(n_values, values.size), replace=False)
+    blocks = rng.choice(values, (sum(group_sizes), 4)).astype(np.min_scalar_type(top))
+    weights = rng.integers(1, max_weight, blocks.shape[0], endpoint=True).astype(np.uint16)
+    starts = np.zeros(blocks.shape[0], bool)
+    starts[np.cumsum(group_sizes) - group_sizes] = True
+    modes = channel._column_modes(blocks, weights, starts)
+    assert modes.dtype == blocks.dtype
+    expect = []
+    for rows in np.split(np.arange(blocks.shape[0]), np.cumsum(group_sizes)[:-1]):
+        row = []
+        for col in blocks[rows].T:
+            tally = collections.Counter()
+            for v, w in zip(col.tolist(), weights[rows].tolist()):
+                tally[v] += w
+            row.append(min(tally, key=lambda v: (-tally[v], v)))
+        expect.append(row)
+    assert modes.tolist() == expect
+
+
+@pytest.mark.parametrize("tolerance", [0, 2])
+def test_vote_does_not_depend_on_read_order(tmp_path, rng, monkeypatch, tolerance):
+    """Runs of equal reads parse once and vote with their length as weight,
+    so a shuffled pool, whose runs are broken up, gives the winners and
+    counters of the ordered one; so do both as files, read in windows of
+    1 KiB and parsed 7 reads at a time, which splits runs at both
+    boundaries."""
+    strands = random_strands(rng, 40)
+    reads = corrupt_reads(strands, ChannelProfile(sub_p=0.004, coverage_mean=9, seed=5)).pool
+    shuffled = reads.rows(rng.permutation(len(reads)))
+    write_fastq(tmp_path / "ordered.fastq", reads)
+    write_fastq(tmp_path / "shuffled.fastq", shuffled)
+    expect = channel.vote(reads, primer_tolerance=tolerance)
+    got = [channel.vote(shuffled, primer_tolerance=tolerance)]
+    monkeypatch.setattr(strand, "_PARSE_CHUNK", 7)
+    monkeypatch.setattr(seqio, "_SCAN_BYTES", 1 << 10)
+    for pool in (reads, shuffled):
+        got.append(channel.vote(pool, primer_tolerance=tolerance))
+    for name in ("ordered", "shuffled"):
+        got.append(channel.vote(ReadStream(tmp_path / f"{name}.fastq"), primer_tolerance=tolerance))
+    for batch in got:
+        assert batch.counts == expect.counts
+        assert np.array_equal(batch.indices, expect.indices)
+        assert np.array_equal(batch.payload_blocks, expect.payload_blocks)
+    # the pool has runs to collapse, contested indices and rejected reads
+    seqs = reads.to_strings()
+    assert sum(a == b for a, b in zip(seqs, seqs[1:])) > len(seqs) // 4
+    parsed = parse_many(reads, primer_tolerance=tolerance)
+    distinct = set(zip(parsed.indices.tolist(), map(tuple, parsed.payload_blocks.tolist())))
+    assert len(distinct) > expect.counts["indices_observed"]
+    assert expect.counts["reject_corrupt"] > 0
+    assert expect.counts["reject_primer"] > 0 or tolerance
 
 
 def test_consensus_monte_carlo_recovery():

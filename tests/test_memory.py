@@ -1,5 +1,7 @@
 """Peak memory of the decode read path, traced with ``tracemalloc`` (numpy
-reports its buffers to it) on a generated noiseless FASTQ of 4.8 MiB."""
+reports its buffers to it) on a generated noiseless FASTQ of 4.8 MiB, whose
+reads come in runs of 8 equal reads, and on noisy reads through
+``aging95C``."""
 
 import tracemalloc
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from pjdna import jr, seqio, strand
-from pjdna.channel import ChannelProfile, corrupt_reads, vote
+from pjdna.channel import ChannelProfile, corrupt_reads, preset, vote
 from pjdna.seqio import ReadStream, read_sequences, write_fastq
 from pjdna.strand import assemble_many
 
@@ -53,22 +55,35 @@ def test_reading_holds_the_file_once(reads_fastq):
 
 def test_vote_grows_by_narrow_blocks(reads_fastq, monkeypatch):
     """With parse chunks of 1,024 reads the chunk's temporaries are small, so
-    the peak is what grows with the reads: 105 bytes a read here, where
-    voting on int64 copies of every block took 502."""
+    the peak is what grows with the reads: 33 bytes a read here, where
+    parsing and keeping every read of a run took 92 and voting on int64
+    copies of every block 502."""
     pool = read_sequences(reads_fastq).pool
     monkeypatch.setattr(strand, "_PARSE_CHUNK", 1024)
     batch, peak = _traced_peak(lambda: vote(pool))
     assert batch.counts["indices_observed"] == STRANDS
-    assert peak < 200 * len(pool)
+    assert peak < 60 * len(pool)
 
 
 def test_vote_holds_its_blocks_once(reads_fastq, monkeypatch):
-    """The parse chunks' blocks (36 bytes a read here) move chunk by chunk
-    into their sorted rows, beside one int64 rank a read and no index array:
-    84 bytes a read with parse chunks of 256 reads.  Concatenating the
-    chunks and sorting the concatenation held the blocks twice beside the
-    indices, their sorted copy and the sort order: 99.8."""
+    """The parse chunks' blocks (36 bytes a distinct read here) move chunk
+    by chunk into their sorted rows, beside one int64 rank a row and no
+    index array: 29 bytes a read with parse chunks of 256 reads, each run
+    of 8 equal reads being parsed and kept once.  Keeping every read took
+    88; concatenating the chunks and sorting the concatenation, 99.8."""
     pool = read_sequences(reads_fastq).pool
+    monkeypatch.setattr(strand, "_PARSE_CHUNK", 256)
+    batch, peak = _traced_peak(lambda: vote(pool))
+    assert batch.counts["indices_observed"] == STRANDS
+    assert peak < 45 * len(pool)
+
+
+def test_vote_holds_the_blocks_of_shuffled_reads_once(reads_fastq, monkeypatch):
+    """Shuffled, the reads have no runs to collapse, so every read is kept:
+    89 bytes a read with parse chunks of 256 reads, the bound that held
+    before runs were collapsed."""
+    pool = read_sequences(reads_fastq).pool
+    pool = pool.rows(np.random.default_rng(1).permutation(len(pool)))
     monkeypatch.setattr(strand, "_PARSE_CHUNK", 256)
     batch, peak = _traced_peak(lambda: vote(pool))
     assert batch.counts["indices_observed"] == STRANDS
@@ -78,15 +93,32 @@ def test_vote_holds_its_blocks_once(reads_fastq, monkeypatch):
 def test_voting_off_the_stream_holds_one_window(reads_fastq, monkeypatch):
     """Voting on the windows of a :class:`ReadStream` as they are read holds
     one window and what the vote keeps: with 64 KiB windows and parse chunks
-    of 1,024 reads, 0.31 of the file's size here (96 bytes a read), where
-    reading the file first and voting on its pool took 1.75."""
+    of 1,024 reads, 0.17 of the file's size here (54 bytes a read), where
+    keeping every read of a run took 0.30 and reading the file first and
+    voting on its pool 1.75."""
     monkeypatch.setattr(seqio, "_SCAN_BYTES", 1 << 16)
     monkeypatch.setattr(strand, "_PARSE_CHUNK", 1024)
     size = reads_fastq.stat().st_size
     batch, peak = _traced_peak(lambda: vote(ReadStream(reads_fastq)))
     assert batch.counts["reads_total"] == STRANDS * COVERAGE
     assert batch.counts["indices_observed"] == STRANDS
-    assert peak < 0.4 * size
+    assert peak < 0.25 * size
+
+
+def test_noisy_vote_settles_one_column_at_a_time(monkeypatch):
+    """Through ``aging95C`` 30 % of the reads are rejected and most indices
+    are contested.  Settling one column at a time, over only the groups
+    whose rows disagree in it, peaks at 60 bytes a read here with parse
+    chunks of 1,024 reads; building keys, counts and a lexsort order over
+    every (row, column) pair of every contested group at once took 463."""
+    rng = np.random.default_rng(5)
+    blocks = rng.integers(0, jr.DEFAULT_CONFIG.block_limit, (STRANDS, 18))
+    pool = corrupt_reads(assemble_many(np.arange(STRANDS), blocks),
+                         preset("aging95C", seed=1)).pool
+    monkeypatch.setattr(strand, "_PARSE_CHUNK", 1024)
+    batch, peak = _traced_peak(lambda: vote(pool))
+    assert batch.counts["reject_primer"] + batch.counts["reject_corrupt"] > 0.25 * len(pool)
+    assert peak < 120 * len(pool)
 
 
 def test_writing_fastq_copies_no_pool_buffer(tmp_path):

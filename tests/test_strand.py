@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pjdna import jr, seqio
+from pjdna import jr, seqio, strand as strand_module
 from pjdna.errors import (
     CapacityError,
     ConfigError,
@@ -267,6 +267,54 @@ def test_parse_many_reject_accounting(rng):
     assert c["reject_primer"] == 1
     assert c["reject_corrupt"] >= 1
     assert c["accepted"] + c["reject_length"] + c["reject_primer"] + c["reject_corrupt"] == 20
+
+
+def test_parse_many_parses_each_run_of_equal_reads_once_and_repeats_it(rng, monkeypatch):
+    """A run of equal reads, accepted or rejected, is parsed as one read and
+    counted as many: the rows and counters are each read's own parse, in
+    input order, whole or with runs split across parse chunks of 3."""
+    strands = [assemble_strand(i, random_payload(rng)) for i in range(6)]
+    seqs = [s.sequence for s in strands]
+    seqs[1] = seqs[1][:-1]  # length
+    seqs[2] = ("T" if seqs[2][0] != "T" else "A") + seqs[2][1:]  # primer
+    seqs[3] = seqs[3][:21] + seqs[3][20] + seqs[3][22:]  # rotating violation
+    reads = [seqs[k] for k in (0, 0, 0, 1, 1, 2, 2, 2, 3, 3, 4, 0, 0, 5, 5, 5, 5)]
+    expect = []
+    for read in reads:
+        try:
+            expect.append(parse_strand(read))
+        except StrandReject:
+            pass
+    for chunk in (8192, 3):
+        monkeypatch.setattr(strand_module, "_PARSE_CHUNK", chunk)
+        batch = parse_many(reads)
+        assert list(zip(batch.indices.tolist(), batch.payload_bytes(CFG))) == expect
+        assert batch.counts == {"reads_total": 17, "accepted": 10, "reject_length": 2,
+                                "reject_primer": 3, "reject_corrupt": 2}
+
+
+def test_parse_rejects_an_index_past_63_bits():
+    """An index region of 8 blocks of 9 bits holds 72 bits, more than an
+    int64 index holds.  A read that sets any bit above the 63rd is corrupt:
+    index blocks [256, 0, ..., 5] used to parse as index 5, a real tile,
+    and [1, 0, ..., 5] as a negative index.  Indices of up to 63 bits still
+    parse, up to 2**63 - 1."""
+    cfg = jr.JrConfig.for_jump(2)
+    layout = StrandLayout(index_nt=40)
+    assert layout.index_groups(cfg) * cfg.bits_per_block == 72
+    index_blocks = np.array([[256, 0, 0, 0, 0, 0, 0, 5],
+                             [1, 0, 0, 0, 0, 0, 0, 5],
+                             [0, 1, 0, 0, 0, 0, 0, 5],
+                             [0, 511, 511, 511, 511, 511, 511, 511]])
+    n = len(index_blocks)
+    blocks = np.concatenate([index_blocks, np.zeros((n, layout.payload_groups(cfg)), int)], axis=1)
+    prev0 = np.full(n, jr.ALPHABET.index(layout.prev_init()), np.uint8)
+    data = jr.encode_block_rows(blocks, cfg, prev0).tobytes().translate(jr._CODE_TRANSLATE)
+    seqs = [layout.primer5 + row.decode("ascii") + layout.primer3
+            for row in (data[k * layout.data_nt : (k + 1) * layout.data_nt] for k in range(n))]
+    batch = parse_many(seqs, layout, cfg)
+    assert batch.counts["reject_corrupt"] == 2
+    assert batch.indices.tolist() == [512**6 + 5, 2**63 - 1]
 
 
 # ---------------------------------------------------------------------------
