@@ -18,8 +18,16 @@ over the buffer.  What a window cannot finish is carried to the front of the
 next: the lines from the first of an unfinished FASTQ record, or from the
 last FASTA header, and a line without its line end.  FASTQ reads point at
 their lines in the buffer, and FASTA records are joined in place at its
-front.  :func:`read_sequences` appends each window's reads to one buffer,
-so it holds the sequences, not the file.
+front.  :func:`read_sequences` appends each window's distinct reads to one
+buffer, so it holds the sequences, not the file.
+
+In a FASTQ window only the search for line ends and the upper-casing read
+every byte.  A line's first byte shows that it is not blank, unless that
+byte is whitespace, and only lines that start with whitespace are classed
+in full.  A sequence line is compared with the one before it, and one equal
+to it is the same read: its start is that of the first line of their run,
+so in a FASTQ pool a repeated start is a repeated read, and only the first
+line of each run is checked for characters outside ACGT.
 
 Both writers go through ``_write_records``, which lays out
 ``_WRITE_CHUNK`` records at a time in a uint8 matrix, one record a row:
@@ -51,14 +59,15 @@ _BYTE_CLASS = np.array(
     [(c >= 128 or not chr(c).isspace()) | (chr(c & 0xDF) not in "ACGT") << 1 for c in range(256)],
     np.uint8,
 )
+_CLASS_TABLE = _BYTE_CLASS.tobytes()
 _FIRST_BYTE_FORMAT = {ord(">"): "fasta", ord("@"): "fastq"}
 # Bytes a read window starts at: read into one buffer, scanned for line
 # ends and line classes, and gathered; its temporaries are a few bytes per
 # byte.  A record carried over that fills more than half the buffer
 # doubles it.
 _SCAN_BYTES = 1 << 20
-# Bytes classed per call of ``np.take``, which copies its indices as intp.
-_TAKE_CHUNK = 1 << 16
+# Bytes classed per ``bytes.translate``, which takes a copy of them as bytes.
+_CLASS_CHUNK = 1 << 16
 # Records per write: about 320 KiB of FASTQ or 150 KiB of FASTA text at
 # 141 nt, so a write never holds the whole file, and few enough array
 # calls per record (256 records a chunk took half again as long).
@@ -207,8 +216,8 @@ def _read_rows(pool: ReadPool, width: int) -> np.ndarray:
 def _format_of(path, part: np.ndarray, fmt: str) -> str | None:
     """``fmt``, or for "auto" the format the first non-blank byte of ``part``
     names; None when ``part`` is blank."""
-    for k in range(0, part.size, _TAKE_CHUNK):
-        chunk = part[k : k + _TAKE_CHUNK]
+    for k in range(0, part.size, _CLASS_CHUNK):
+        chunk = part[k : k + _CLASS_CHUNK]
         solid = chunk[_BYTE_CLASS[chunk] & 1 == 1]
         if solid.size:
             if fmt != "auto":
@@ -220,10 +229,12 @@ def _format_of(path, part: np.ndarray, fmt: str) -> str | None:
 
 
 def _classify(part: np.ndarray, out: np.ndarray) -> None:
-    """Write ``_BYTE_CLASS`` of each byte of ``part`` to ``out``."""
-    for k in range(0, part.size, _TAKE_CHUNK):
-        chunk = part[k : k + _TAKE_CHUNK]
-        np.take(_BYTE_CLASS, chunk, out=out[k : k + chunk.size], mode="clip")
+    """Write ``_BYTE_CLASS`` of each byte of ``part`` to ``out``, which may
+    be ``part`` itself.  (``np.take`` on the table took a third longer: it
+    copies its indices as intp.)"""
+    for k in range(0, part.size, _CLASS_CHUNK):
+        chunk = part[k : k + _CLASS_CHUNK]
+        out[k : k + chunk.size] = np.frombuffer(chunk.tobytes().translate(_CLASS_TABLE), np.uint8)
 
 
 def _or_lines(classes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -233,16 +244,16 @@ def _or_lines(classes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return np.bitwise_or.reduceat(classes, np.column_stack([lo, hi]).ravel())[::2]
 
 
-def _scan_lines(
+def _line_bounds(
     part: np.ndarray, fastq: bool, eof: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The bounds ``[begins, ends)`` of the complete non-blank lines of
-    ``part``, the OR of their bytes' ``_BYTE_CLASS``, and where the
-    unterminated last line starts (``part.size`` at the end of the file,
-    where that line is complete).
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The bounds ``[begins, ends)`` of the complete lines of ``part``, blank
+    ones included, and where the unterminated last line starts
+    (``part.size`` at the end of the file, where that line is complete).
 
-    A FASTQ line ends at ``\\n`` and drops one ``\\r`` before it; a FASTA
-    line ends at ``\\n`` or ``\\r``.
+    A FASTQ line ends at ``\\n`` and drops one ``\\r`` before it, so an
+    empty line may end before it begins; a FASTA line ends at ``\\n`` or
+    ``\\r``.
     """
     hit = part == ord("\n")
     if not fastq:
@@ -257,39 +268,37 @@ def _scan_lines(
     begins[:1] = 0
     np.add(ends[:-1], 1, out=begins[1:])
     if fastq:
-        # an empty line may end before it begins, and is dropped as blank
         ends -= 1
         ends += part[ends] != ord("\r")
-
-    classes = np.empty(part.size + 1, np.uint8)
-    _classify(part, classes)
-    # an empty line ORs in one stray class, and is dropped below
-    line_class = _or_lines(classes, begins, ends)
-    keep = (ends > begins) & (line_class & 1 == 1)  # not blank
-    return begins[keep], ends[keep], line_class[keep], tail
+    return begins, ends, tail
 
 
-def _strip_edges(buf, begins, ends, line_class, lines: np.ndarray) -> None:
-    """``str.strip`` on ``lines``: move their bounds onto their outer non-blank
-    bytes and class them again.  Only these lines' bytes are classed, about
-    ``_TAKE_CHUNK`` of them at a time."""
+def _class_lines(buf, begins, ends, lines: np.ndarray, strip: bool = False) -> np.ndarray:
+    """The OR of ``_BYTE_CLASS`` over the bytes of each of the non-empty
+    ``lines``.  Only these lines' bytes are classed, about ``_CLASS_CHUNK``
+    of them at a time.  With ``strip``, ``str.strip`` them first: move their
+    bounds onto their outer non-blank bytes (each must hold one) and OR only
+    between them."""
+    out = np.empty(lines.size, np.uint8)
     sizes = ends[lines] - begins[lines]
     reach = np.cumsum(sizes)
     k = 0
     while k < lines.size:
-        stop = max(k + 1, int(np.searchsorted(reach, reach[k] - sizes[k] + _TAKE_CHUNK, "right")))
+        stop = max(k + 1, int(np.searchsorted(reach, reach[k] - sizes[k] + _CLASS_CHUNK, "right")))
         at, n = lines[k:stop], sizes[k:stop]
         offset = np.cumsum(n) - n  # each line's start in the joined bytes
         shift = begins[at] - offset
         classes = np.zeros(int(n.sum()) + 1, np.uint8)
         _classify(buf[np.repeat(shift, n) + np.arange(classes.size - 1)], classes)
-        solid = np.flatnonzero(classes & 1)  # every line holds a non-blank byte
-        first = solid[np.searchsorted(solid, offset)]
-        last = solid[np.searchsorted(solid, offset + n) - 1] + 1
-        line_class[at] = _or_lines(classes, first, last)
-        begins[at] = shift + first
-        ends[at] = shift + last
+        first, last = offset, offset + n
+        if strip:
+            solid = np.flatnonzero(classes & 1)
+            first = solid[np.searchsorted(solid, first)]
+            last = solid[np.searchsorted(solid, last) - 1] + 1
+            begins[at], ends[at] = shift + first, shift + last
+        out[k:stop] = _or_lines(classes, first, last)
         k = stop
+    return out
 
 
 def _span_mask(size: int, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -308,11 +317,19 @@ def _span_mask(size: int, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
 def _fasta_window(path, part: np.ndarray, eof: bool) -> tuple[ReadPool, int, int]:
     """The records of ``part`` that end in it, joined in place at its front
     and upper-cased, as a pool; the count of records skipped; and where the
-    unfinished record, carried to the next window, starts."""
-    begins, ends, line_class, tail = _scan_lines(part, False, eof)
-    edge = (_BYTE_CLASS[part[begins]] & _BYTE_CLASS[part[ends - 1]] & 1) == 0
-    if edge.any():
-        _strip_edges(part, begins, ends, line_class, np.flatnonzero(edge))
+    unfinished record, carried to the next window, starts.  Every byte is
+    classed: every sequence line's bytes decide whether its record is
+    skipped."""
+    begins, ends, tail = _line_bounds(part, False, eof)
+    classes = np.empty(part.size + 1, np.uint8)
+    _classify(part, classes)
+    # an empty line ORs in one stray class, and is dropped below
+    line_class = _or_lines(classes, begins, ends)
+    del classes
+    keep = (ends > begins) & (line_class & 1 == 1)  # not blank
+    begins, ends, line_class = begins[keep], ends[keep], line_class[keep]
+    edge = np.flatnonzero((_BYTE_CLASS[part[begins]] & _BYTE_CLASS[part[ends - 1]] & 1) == 0)
+    line_class[edge] = _class_lines(part, begins, ends, edge, strip=True)
 
     head = part[begins] == ord(">")
     # a window after the first starts at the header carried into it
@@ -335,20 +352,70 @@ def _fasta_window(path, part: np.ndarray, eof: bool) -> tuple[ReadPool, int, int
     return ReadPool(part[: kept.size], np.cumsum(lengths) - lengths, lengths), n - int(ok.sum()), cut
 
 
+def _equal_runs(
+    buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each non-empty line ``buf[starts : starts + lengths]``, the first
+    line of its run of equal lines, and whether that first line is all ACGT
+    in either case.
+
+    A line is compared with the line before it only where their lengths
+    are equal, and only the first line of each run is classed, both over
+    the lines gathered as rows as wide as the longest and masked by length,
+    with at most about ``buf.size`` cells at a time."""
+    n = starts.size
+    fresh = np.ones(n, bool)  # the line starts a run
+    acgt = np.ones(n, bool)  # set where the line that starts a run is all ACGT
+    k = 0
+    while k < n:
+        lo = max(k - 1, 0)  # the line before the chunk, compared with its first
+        cells = np.maximum.accumulate(lengths[lo:]) * np.arange(1, n - lo + 1)
+        stop = max(k + 1, lo + int(np.searchsorted(cells, buf.size, "right")))
+        length = lengths[lo:stop]
+        width = int(length.max())
+        rows = _read_rows(ReadPool(buf, starts[lo:stop], length), width)
+        kind = np.min_scalar_type(width)
+        within = np.arange(width, dtype=kind) < length.astype(kind)[:, None]
+        differ = rows[1:] != rows[:-1]
+        differ &= within[1:]
+        fresh[lo + 1 : stop] = differ.any(axis=1) | (length[1:] != length[:-1])
+        heads = np.flatnonzero(fresh[k:stop]) + (k - lo)
+        classes = rows[heads]
+        del differ, rows
+        _classify(classes.ravel(), classes.ravel())
+        classes >>= 1  # bit 1 of a class: the byte is outside ACGT
+        classes &= within[heads]
+        acgt[lo + heads] = ~classes.any(axis=1)
+        k = stop
+    first = np.maximum.accumulate(np.where(fresh, np.arange(n), 0))
+    return first, acgt[first]
+
+
 def _fastq_window(part: np.ndarray, eof: bool) -> tuple[ReadPool, int, int, np.ndarray]:
     """The reads of the whole records of ``part`` as a pool over it,
     upper-cased; the count of records skipped; where the unfinished record,
     carried to the next window, starts (before ``part.size`` at the end of
     the file only if the line count is not whole); and a flag per whole
-    record, set where it is malformed."""
-    begins, ends, line_class, tail = _scan_lines(part, True, eof)
+    record, set where it is malformed.
+
+    A line's first byte shows that it is not blank, unless that byte is
+    whitespace; only such lines are classed in full.  A read equal to the
+    read before it starts where that read starts, and only the first read
+    of each run of equal reads is classed."""
+    begins, ends, tail = _line_bounds(part, True, eof)
+    lead = _BYTE_CLASS[part[begins]]
+    spaced = np.flatnonzero((ends > begins) & (lead & 1 == 0))
+    lead[spaced] = _class_lines(part, begins, ends, spaced)
+    keep = (ends > begins) & (lead & 1 == 1)  # not blank
+    begins, ends = begins[keep], ends[keep]
     whole = begins.size - begins.size % 4
     cut = int(begins[whole]) if whole < begins.size else tail
-    starts, ends = begins[1:whole:4], ends[1:whole:4]
     bad = (part[begins[0:whole:4]] != ord("@")) | (part[begins[2:whole:4]] != ord("+"))
-    ok = line_class[1:whole:4] & 2 == 0
+    starts = begins[1:whole:4]
+    lengths = ends[1:whole:4] - starts
+    first, ok = _equal_runs(part, starts, lengths)
     part[:cut] &= 0xDF  # upper-cases a-z; the pool keeps only the ACGT lines
-    return ReadPool(part, starts[ok], (ends - starts)[ok]), int(ok.size - ok.sum()), cut, bad
+    return ReadPool(part, starts[first][ok], lengths[ok]), int(ok.size - ok.sum()), cut, bad
 
 
 class ReadStream:
@@ -367,6 +434,14 @@ class ReadStream:
     first non-blank byte.  FASTQ errors are raised at the end of the file:
     a line count that is not a multiple of 4 before the first malformed
     record.
+
+    A FASTQ read equal to the read before it shares its start, which
+    :func:`pjdna.channel.vote` and :func:`read_sequences` use to handle it
+    once.  ``simulate`` writes the copies of a read next to each other, so
+    runs are the common case: 90 % of the reads of a noiseless channel at
+    coverage 10 repeat the read before them.  A shuffled file has no runs:
+    it pays one row comparison per read and still skips classing its
+    headers and quality lines.
     """
 
     def __init__(self, path, fmt: str = "auto") -> None:
@@ -423,21 +498,26 @@ def read_sequences(path, fmt: str = "auto") -> ReadFileResult:
     """Read all parseable sequences from a FASTA or FASTQ file.
 
     The reads of each window of a :class:`ReadStream` are appended to one
-    buffer, so only the sequences are held.  ``fmt`` "auto" takes the
-    format from the content, not the file name.  Raises
-    :class:`EmptyLibraryError` when no record survives; records with
+    buffer, so only the sequences are held, and a read at a repeated start
+    once: the reads of a run of equal reads share one start there too.
+    ``fmt`` "auto" takes the format from the content, not the file name.
+    Raises :class:`EmptyLibraryError` when no record survives; records with
     non-ACGT characters are skipped and counted, not fatal.
     """
     stream = ReadStream(path, fmt)
-    joined, lengths = bytearray(), [np.empty(0, np.int64)]
+    joined, lengths, fresh = bytearray(), [np.empty(0, np.int64)], [np.empty(0, bool)]
     for pool in stream:
-        ends = pool.starts + pool.lengths
+        new = np.diff(pool.starts, prepend=-1) != 0  # a repeated start is a repeated read
+        starts, ends = pool.starts[new], (pool.starts + pool.lengths)[new]
         end = int(ends.max(initial=0))
-        joined += pool.buf[:end][_span_mask(end, pool.starts, ends)].data
+        joined += pool.buf[:end][_span_mask(end, starts, ends)].data
         lengths.append(pool.lengths)
-    lengths = np.concatenate(lengths)
+        fresh.append(new)
+    lengths, fresh = np.concatenate(lengths), np.concatenate(fresh)
     if not lengths.size:
         blank = fmt == "auto" and stream.format is None
         raise EmptyLibraryError(f"{path}: no records" if blank else f"{path}: no parseable records")
-    pool = ReadPool(np.frombuffer(joined, np.uint8), np.cumsum(lengths) - lengths, lengths)
+    distinct = lengths[fresh]
+    starts = (np.cumsum(distinct) - distinct)[np.cumsum(fresh) - 1]
+    pool = ReadPool(np.frombuffer(joined, np.uint8), starts, lengths)
     return ReadFileResult(pool, stream.skipped_alphabet, stream.format, stream.sha256)

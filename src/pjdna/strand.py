@@ -298,7 +298,10 @@ class ReadPool:
     """Reads held as one ASCII byte buffer.
 
     Read ``i`` is ``buf[starts[i] : starts[i] + lengths[i]]``; reads may lie
-    anywhere in ``buf``, in any order, with bytes between them.
+    anywhere in ``buf``, in any order, with bytes between them.  A repeated
+    start is a repeated read: noiseless copies and the equal reads of a
+    FASTQ run share the bytes of their first copy, and parsing handles
+    them as one.
     """
 
     buf: np.ndarray  # uint8
@@ -387,7 +390,10 @@ def _parse_reads(
     after an empty first one, and the counters.  Each pool is parsed
     ``_PARSE_CHUNK`` reads at a time before the next is drawn.  A run of
     equal reads within a chunk is parsed once, as its first read, whose
-    weight is the run's length; the counters count every read."""
+    weight is the run's length; the counters count every read.  A run of
+    equal starts is found by comparing integers, so only its first row is
+    gathered; the distinct rows are then compared byte by byte, which finds
+    equal reads that do not share a start."""
     layout.validate(cfg)
     require_int("primer_tolerance", primer_tolerance, 0)
     total = layout.total_nt
@@ -404,8 +410,11 @@ def _parse_reads(
         if starts.size:
             records = sliding_window_view(pool.buf, total)
             for k in range(0, starts.size, _PARSE_CHUNK):
-                rows = records[starts[k : k + _PARSE_CHUNK]]
-                idx, payload, weight = _parse_rows(rows, layout, cfg, primer_tolerance, counts)
+                chunk = starts[k : k + _PARSE_CHUNK]
+                heads = np.flatnonzero(np.diff(chunk, prepend=-1))  # starts are non-negative
+                weight = np.diff(heads, append=chunk.size)
+                idx, payload, weight = _parse_rows(
+                    records[chunk[heads]], weight, layout, cfg, primer_tolerance, counts)
                 indices.append(idx)
                 blocks.append(payload.astype(dtype, copy=False))
                 weights.append(weight.astype(weight_type))
@@ -414,22 +423,24 @@ def _parse_reads(
 
 def _parse_rows(
     rows: np.ndarray,
+    weight: np.ndarray,
     layout: StrandLayout,
     cfg: jr.JrConfig,
     primer_tolerance: int,
     counts: dict,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parse a (n, total_nt) matrix of ASCII reads; adds to ``counts`` and
-    returns the accepted (indices, payload blocks, weights), one per run of
-    equal rows, weighted by the run's length."""
+    """Parse a (n, total_nt) matrix of ASCII reads, row ``i`` standing for
+    ``weight[i]`` reads; adds to ``counts`` and returns the accepted
+    (indices, payload blocks, weights), one per run of equal rows, weighted
+    by the sum of the run's weights."""
     total = layout.total_nt
     n5, n3 = len(layout.primer5), len(layout.primer3)
 
     # equal reads parse alike, so only the first of each run is parsed
     heads = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
-    weight = np.diff(heads, append=rows.shape[0])
     if heads.size < rows.shape[0]:
         rows = rows[heads]
+        weight = np.add.reduceat(weight, heads)
 
     # primers are ACGT, so comparing bytes counts what comparing codes would
     keep = np.ones(rows.shape[0], bool)

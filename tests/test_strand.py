@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pjdna import jr, seqio, strand as strand_module
+from pjdna.channel import vote
 from pjdna.errors import (
     CapacityError,
     ConfigError,
@@ -293,6 +294,36 @@ def test_parse_many_parses_each_run_of_equal_reads_once_and_repeats_it(rng, monk
                                 "reject_primer": 3, "reject_corrupt": 2}
 
 
+@pytest.mark.parametrize("tolerance", [0, 2])
+def test_parse_handles_reads_sharing_a_start_as_their_copies(rng, monkeypatch, tolerance):
+    """Reads that share a start parse as the same reads each held in bytes
+    of its own: the same accepted rows and weights, the same parse and vote
+    and the same counters, with runs of equal reads straddling parse chunks
+    of 7 and the same read coming back after others."""
+    monkeypatch.setattr(strand_module, "_PARSE_CHUNK", 7)
+    seqs = [assemble_strand(k % 3, random_payload(rng)).sequence for k in range(7)]
+    seqs[1] = seqs[1][:-1]  # length
+    seqs[2] = ("T" if seqs[2][0] != "T" else "A") + seqs[2][1:]  # one primer mismatch
+    seqs[3] = seqs[3][:21] + seqs[3][20] + seqs[3][22:]  # rotating violation
+    runs = rng.integers(1, 10, 16)
+    which = np.repeat(rng.integers(0, len(seqs), runs.size), runs)
+    shared = ReadPool.from_strings(seqs).rows(which)
+    copies = ReadPool.from_strings([seqs[k] for k in which])
+    assert np.unique(shared.starts).size < len(shared)
+    args = (DEFAULT_LAYOUT, CFG, tolerance, np.int64)
+    got = strand_module._parse_reads([shared], *args)
+    want = strand_module._parse_reads([copies], *args)
+    for part, expect in zip(got[:3], want[:3]):
+        np.testing.assert_array_equal(np.concatenate(part), np.concatenate(expect))
+    assert got[3] == want[3]
+    assert (got[3]["reject_primer"] > 0) == (tolerance == 0)
+    for run in (parse_many, vote):
+        a, b = run(shared, primer_tolerance=tolerance), run(copies, primer_tolerance=tolerance)
+        np.testing.assert_array_equal(a.indices, b.indices)
+        np.testing.assert_array_equal(a.payload_blocks, b.payload_blocks)
+        assert a.counts == b.counts
+
+
 def test_parse_rejects_an_index_past_63_bits():
     """An index region of 8 blocks of 9 bits holds 72 bits, more than an
     int64 index holds.  A read that sets any bit above the 63rd is corrupt:
@@ -381,6 +412,24 @@ def test_fastq_crlf_reads_like_lf(tmp_path):
         assert x.to_strings() == y.to_strings()
 
 
+def test_fastq_repeats_share_the_start_of_their_runs_first_copy(tmp_path):
+    """A FASTQ window yields one start per run of equal reads: every repeat
+    points at the sequence line of its run's first copy, and read_sequences
+    holds that line once.  A read equal to an earlier run's, or equal but
+    for case or length, starts a run of its own."""
+    seqs = [b"ACGT"] * 3 + [b"ACGA"] * 2 + [b"ACG", b"ACGT", b"ACGT", b"acgt", b"ACGT", b"ACGT"]
+    data = _fastq_bytes(seqs)
+    path = tmp_path / "runs.fastq"
+    path.write_bytes(data)
+    line_at = [data.index(b"\n", data.index(b"@r%d\n" % k)) + 1 for k in range(len(seqs))]
+    first = [0, 0, 0, 3, 3, 5, 6, 6, 8, 9, 9]
+    starts = [pool.starts.tolist() for pool in ReadStream(path)]
+    assert starts == [[line_at[k] for k in first]]
+    result = read_sequences(path)
+    assert result.pool.starts.tolist() == [0, 0, 0, 4, 4, 8, 11, 11, 15, 19, 19]
+    assert result.sequences == [s.decode().upper() for s in seqs]
+
+
 def _text_mode_read_fastq(path):
     """The FASTQ reader as it was in text mode with universal newlines: the
     reference the bytes reader must match on files without a lone CR."""
@@ -466,11 +515,11 @@ def _assert_matches_text_mode(path, data, text_mode_reader, readers=(_read_pair,
         assert _outcome(lambda: reader(path, path.suffix[1:])) == expect
 
 
-def _small_windows(monkeypatch, window, take):
-    """Read ``window`` bytes and class ``take`` bytes at a time, so lines,
+def _small_windows(monkeypatch, window, chunk):
+    """Read ``window`` bytes and class ``chunk`` bytes at a time, so lines,
     CRLF pairs and records straddle the windows."""
     monkeypatch.setattr(seqio, "_SCAN_BYTES", window)
-    monkeypatch.setattr(seqio, "_TAKE_CHUNK", take)
+    monkeypatch.setattr(seqio, "_CLASS_CHUNK", chunk)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -480,10 +529,44 @@ def test_fastq_bytes_reader_matches_text_mode(tmp_path, data):
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=_fastq_files(), window=st.integers(1, 8), take=st.integers(1, 3))
+@given(data=_fastq_files(), window=st.integers(1, 8), chunk=st.integers(1, 3))
 def test_fastq_reader_matches_text_mode_in_small_windows(tmp_path, monkeypatch, data, window,
-                                                         take):
-    _small_windows(monkeypatch, window, take)
+                                                         chunk):
+    _small_windows(monkeypatch, window, chunk)
+    _assert_matches_text_mode(tmp_path / "h.fastq", data, _text_mode_read_fastq,
+                              (_read_pair, _stream_pair))
+
+
+@st.composite
+def _fastq_runs(draw):
+    """FASTQ records in runs of adjacent copies.  A copy repeats its read or
+    changes it a little: its last base, its length, its case, or a leading
+    blank; its ``+`` and quality lines may differ, and so may its line
+    ends."""
+    lines = []
+    for k in range(draw(st.integers(1, 6))):
+        pieces = draw(st.lists(st.sampled_from(_ACGT_PIECES), min_size=1, max_size=12))
+        if draw(st.integers(0, 2)) == 0:
+            pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(_OTHER_PIECES)))
+        read = b"".join(pieces)
+        for _ in range(draw(st.integers(1, 6))):
+            seq = draw(st.sampled_from([
+                read, read, read, read[:-1] + (b"C" if read[-1:] == b"A" else b"A"),
+                read + b"G", read[:-1] or read, read.swapcase(), b" " + read, b"\t" + read]))
+            plus = draw(st.sampled_from([b"+", b"+", b"+ r"]))
+            lines += [b"@r%d" % k, seq, plus, draw(st.sampled_from([b"I", b"J"])) * len(seq)]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BLANK_LINES)))
+    eol = draw(st.sampled_from([b"\n", b"\r\n"]))
+    eols = [draw(st.sampled_from([eol] * 6 + [b"\n", b"\r\n"])) for _ in lines]
+    return b"".join(ln + e for ln, e in zip(lines, eols))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_fastq_runs(), window=st.integers(1, 96), chunk=st.integers(1, 3))
+def test_fastq_runs_of_copies_match_text_mode_in_small_windows(tmp_path, monkeypatch, data,
+                                                               window, chunk):
+    _small_windows(monkeypatch, window, chunk)
     _assert_matches_text_mode(tmp_path / "h.fastq", data, _text_mode_read_fastq,
                               (_read_pair, _stream_pair))
 
@@ -556,10 +639,10 @@ def test_fasta_bytes_reader_matches_text_mode(tmp_path, data):
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=_fasta_files(), window=st.integers(1, 8), take=st.integers(1, 3))
+@given(data=_fasta_files(), window=st.integers(1, 8), chunk=st.integers(1, 3))
 def test_fasta_reader_matches_text_mode_in_small_windows(tmp_path, monkeypatch, data, window,
-                                                         take):
-    _small_windows(monkeypatch, window, take)
+                                                         chunk):
+    _small_windows(monkeypatch, window, chunk)
     _assert_matches_text_mode(tmp_path / "h.fasta", data, _text_mode_read_fasta,
                               (_read_pair, _stream_pair))
 
