@@ -478,10 +478,12 @@ def vote(
     A read equal to the read before it in the same parse chunk is parsed
     once with it and votes with the run's length as its weight, so a pool
     that repeats each read in a row (what ``simulate`` writes) parses and
-    keeps only its distinct reads.  Winners and counters do not depend on
-    the order of the reads.  A shuffled pool has no runs to collapse: it
-    pays the row comparison for nothing, about 0.3-0.4 ms per 8,192 reads
-    on a 2-vCPU machine, and keeps every read.  The kept blocks are in the
+    keeps only its distinct reads; reads that share a start, as the
+    repeats of a FASTQ run do, are found by their starts before any row is
+    gathered.  Winners and counters do not depend on the order of the
+    reads.  A shuffled pool has no runs to collapse: it pays the row
+    comparison for nothing, about 0.3-0.4 ms per 8,192 reads on a 2-vCPU
+    machine, and keeps every read.  The kept blocks are in the
     narrowest unsigned type that holds ``cfg.block_limit - 1`` (uint16 at
     the default 9 bits per block), appended parse chunk by parse chunk;
     each chunk then moves to its sorted rows of one array and is dropped,
