@@ -475,22 +475,21 @@ def vote(
     ascending, with counters for every rejection reason and
     ``indices_observed``.  The indices and the winning blocks are int64.
 
-    A read equal to the read before it in the same parse chunk is parsed
-    once with it and votes with the run's length as its weight, so a pool
-    that repeats each read in a row (what ``simulate`` writes) parses and
-    keeps only its distinct reads; reads that share a start, as the
-    repeats of a FASTQ run do, are found by their starts before any row is
+    A read that shares the start of the read before it in the same parse
+    chunk is parsed once with it and votes with the run's length as its
+    weight, so a pool that repeats each read in a row (what ``simulate``
+    writes, as read back from its FASTQ) parses and keeps only its
+    distinct reads.  Runs are found by their starts before any row is
     gathered.  Winners and counters do not depend on the order of the
-    reads.  A shuffled pool has no runs to collapse: it pays the row
-    comparison for nothing, about 0.3-0.4 ms per 8,192 reads on a 2-vCPU
-    machine, and keeps every read.  The kept blocks are in the
-    narrowest unsigned type that holds ``cfg.block_limit - 1`` (uint16 at
-    the default 9 bits per block), appended parse chunk by parse chunk;
-    each chunk then moves to its sorted rows of one array and is dropped,
-    so no unsorted concatenation is made.  Each column is then settled
-    over only the indices whose kept reads disagree in it
-    (:func:`_column_modes`), so noisy reads cost little more memory than
-    clean ones.
+    reads.  A shuffled pool has no runs to collapse and keeps every read,
+    as does a noisy in-memory pool, whose equal reads do not share a start.
+    The kept blocks are in the narrowest unsigned type that holds
+    ``cfg.block_limit - 1`` (uint16 at the default 9 bits per block),
+    appended parse chunk by parse chunk; each chunk then moves to its
+    sorted rows of one array and is dropped, so no unsorted concatenation
+    is made.  Each column is then settled over only the indices whose kept
+    reads disagree in it (:func:`_column_modes`), so noisy reads cost
+    little more memory than clean ones.
     """
     index_parts, block_parts, weight_parts, counts = _parse_reads(
         _pools(reads), layout, cfg, primer_tolerance, np.min_scalar_type(cfg.block_limit - 1))

@@ -172,5 +172,5 @@ def _degrade_images(
     does."""
     k, n = images.shape[0], manifest.strand_count
     keep = np.concatenate([next(streams).random(n) >= rate for _ in range(k)])
-    pixels, missing = drop_tiles(images.reshape(k, -1), keep, manifest, 8)
+    pixels, missing = drop_tiles(images.reshape(k, -1), keep, manifest)
     return pixels.reshape(images.shape), missing.reshape(images.shape)

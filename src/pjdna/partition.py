@@ -232,11 +232,11 @@ def _tile_bits(streams: np.ndarray, manifest: TileManifest) -> np.ndarray:
 
 
 def drop_tiles(
-    streams: np.ndarray, keep: np.ndarray, manifest: TileManifest, unit: int
+    streams: np.ndarray, keep: np.ndarray, manifest: TileManifest
 ) -> tuple[np.ndarray, np.ndarray]:
-    """What decoding ``k`` streams returns when strand loss is the only
-    damage: the streams with every tile not flagged in ``keep`` zeroed, and
-    their missing masks of one flag per ``unit`` stream bits (8 for pixels).
+    """What decoding ``k`` image streams returns when strand loss is the
+    only damage: the streams with every tile not flagged in ``keep``
+    zeroed, and their missing masks of one flag per pixel.
 
     ``streams`` is ``(k, stream_bits // 8)`` uint8 and ``keep`` holds one
     flag per tile, tile ``t`` of stream ``i`` at ``i * strand_count + t``.
@@ -245,7 +245,7 @@ def drop_tiles(
     """
     tiles = _tile_bits(streams, manifest)
     tiles[~keep] = 0
-    return _streams_from_tiles(tiles, keep, streams.shape[0], manifest, unit)
+    return _streams_from_tiles(tiles, keep, streams.shape[0], manifest, 8)
 
 
 def _placed_bits(manifest: TileManifest) -> int:

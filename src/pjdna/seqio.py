@@ -49,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyLibraryError, FormatError, RangeError, ShapeError
-from .strand import ReadPool, StrandSet
+from .strand import ReadPool, StrandSet, _run_starts
 
 __all__ = ["ReadFileResult", "ReadStream", "write_fasta", "write_fastq", "read_sequences"]
 
@@ -517,7 +517,5 @@ def read_sequences(path, fmt: str = "auto") -> ReadFileResult:
     if not lengths.size:
         blank = fmt == "auto" and stream.format is None
         raise EmptyLibraryError(f"{path}: no records" if blank else f"{path}: no parseable records")
-    distinct = lengths[fresh]
-    starts = (np.cumsum(distinct) - distinct)[np.cumsum(fresh) - 1]
-    pool = ReadPool(np.frombuffer(joined, np.uint8), starts, lengths)
+    pool = ReadPool(np.frombuffer(joined, np.uint8), _run_starts(lengths, fresh), lengths)
     return ReadFileResult(pool, stream.skipped_alphabet, stream.format, stream.sha256)

@@ -50,7 +50,8 @@ REJECT_REASONS = (REJECT_LENGTH, REJECT_PRIMER, REJECT_CORRUPT)
 # Reads parsed together in one pass; bounds the pass's temporaries to a few
 # MiB at 141 nt.  Its accepted blocks are appended to the caller's output:
 # int64 for parse_many, the narrowest unsigned type of a block value for vote;
-# a run of equal reads, at most one chunk long, is one row and one weight.
+# a run of reads that share a start, at most one chunk long, is one row and
+# one weight.
 _PARSE_CHUNK = 8192
 
 
@@ -299,9 +300,10 @@ class ReadPool:
 
     Read ``i`` is ``buf[starts[i] : starts[i] + lengths[i]]``; reads may lie
     anywhere in ``buf``, in any order, with bytes between them.  A repeated
-    start is a repeated read: noiseless copies and the equal reads of a
-    FASTQ run share the bytes of their first copy, and parsing handles
-    them as one.
+    start is a repeated read: noiseless copies, the equal reads of a FASTQ
+    run and equal adjacent strings share the bytes of their first copy, and
+    parsing handles a run of them as one.  Equal reads at different starts
+    are parsed one by one.
     """
 
     buf: np.ndarray  # uint8
@@ -310,10 +312,14 @@ class ReadPool:
 
     @classmethod
     def from_strings(cls, seqs: Sequence[str]) -> "ReadPool":
-        """Join ``seqs`` once; each character outside ASCII becomes ``?``."""
+        """Join ``seqs`` once, a string equal to the one before it sharing
+        its start; each character outside ASCII becomes ``?``."""
+        fresh = np.fromiter(itertools.chain([True], map(operator.ne, seqs[1:], seqs)),
+                            bool, len(seqs))
         lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
-        buf = np.frombuffer("".join(seqs).encode("ascii", "replace"), np.uint8)
-        return cls(buf, np.cumsum(lengths) - lengths, lengths)
+        text = "".join(itertools.compress(seqs, fresh.tolist()))
+        buf = np.frombuffer(text.encode("ascii", "replace"), np.uint8)
+        return cls(buf, _run_starts(lengths, fresh), lengths)
 
     def __len__(self) -> int:
         return int(self.lengths.size)
@@ -340,6 +346,14 @@ class ReadPool:
         return out
 
 
+def _run_starts(lengths: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """The starts of reads of ``lengths`` whose distinct reads, those
+    flagged ``fresh``, lie end to end: a read not flagged starts where the
+    last flagged read before it does."""
+    distinct = lengths[fresh]
+    return (np.cumsum(distinct) - distinct)[np.cumsum(fresh) - 1]
+
+
 def parse_many(
     reads: ReadPool | Sequence[str],
     layout: StrandLayout = DEFAULT_LAYOUT,
@@ -354,9 +368,9 @@ def parse_many(
     ``primer_tolerance`` as "primer", and a rotating violation /
     out-of-range block / bad character / an index past 63 bits as
     "corrupt".  A negative ``primer_tolerance`` is a :class:`ConfigError`.
-    A read equal to the read before it is parsed once with it, and the
-    accepted rows are repeated back, so there is one row per accepted read,
-    in input order.
+    A read that shares the start of the read before it is parsed once with
+    it, and the accepted rows are repeated back, so there is one row per
+    accepted read, in input order.
     """
     indices, blocks, weights, counts = _parse_reads(
         _pools(reads), layout, cfg, primer_tolerance, np.int64)
@@ -389,11 +403,14 @@ def _parse_reads(
     blocks as ``dtype`` and of their weights, one entry per parse chunk
     after an empty first one, and the counters.  Each pool is parsed
     ``_PARSE_CHUNK`` reads at a time before the next is drawn.  A run of
-    equal reads within a chunk is parsed once, as its first read, whose
-    weight is the run's length; the counters count every read.  A run of
-    equal starts is found by comparing integers, so only its first row is
-    gathered; the distinct rows are then compared byte by byte, which finds
-    equal reads that do not share a start."""
+    reads that share a start within a chunk is parsed once, as its first
+    read, whose weight is the run's length; the counters count every read.
+    Runs are found by comparing starts, so only a run's first row is
+    gathered and no row is compared with another.  The noiseless channel,
+    the file reader and :meth:`ReadPool.from_strings` give equal adjacent
+    reads one start; equal reads at different starts, such as unmutated
+    copies in a noisy in-memory pool, are parsed one by one, to the same
+    rows and counters."""
     layout.validate(cfg)
     require_int("primer_tolerance", primer_tolerance, 0)
     total = layout.total_nt
@@ -431,16 +448,9 @@ def _parse_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parse a (n, total_nt) matrix of ASCII reads, row ``i`` standing for
     ``weight[i]`` reads; adds to ``counts`` and returns the accepted
-    (indices, payload blocks, weights), one per run of equal rows, weighted
-    by the sum of the run's weights."""
+    (indices, payload blocks, weights)."""
     total = layout.total_nt
     n5, n3 = len(layout.primer5), len(layout.primer3)
-
-    # equal reads parse alike, so only the first of each run is parsed
-    heads = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
-    if heads.size < rows.shape[0]:
-        rows = rows[heads]
-        weight = np.add.reduceat(weight, heads)
 
     # primers are ACGT, so comparing bytes counts what comparing codes would
     keep = np.ones(rows.shape[0], bool)

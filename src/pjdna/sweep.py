@@ -1,31 +1,31 @@
 """Strand-loss sweeps: tile-mapped recovery vs the all-or-nothing baseline.
 
 Each (rate, seed) cell drops strands and scores the decoded image's SSIM
-against the original.  Without read noise the decoded image is the original
-with the lost tiles zeroed, which :func:`~pjdna.partition.drop_tiles` gives
-without building or parsing a strand.  Scores go through one
-:class:`~pjdna.metrics.SsimReference` per sweep, so the original's window
-statistics are computed once, not twice per cell.  The baseline scheme
-("EM") sees the same drop event and scores 1.0 only when nothing was lost.
-Rows come out ordered by (rate, seed, scheme) no matter how cells were
-executed.
+against the original.  Loss is the only damage, so the decoded image is
+the original with the lost tiles zeroed, which
+:func:`~pjdna.partition.drop_tiles` gives without building or parsing a
+strand.  Scores go through one :class:`~pjdna.metrics.SsimReference` per
+sweep, so the original's window statistics are computed once, not twice
+per cell.  The baseline scheme ("EM") sees the same drop event and scores
+1.0 only when nothing was lost.  Rows come out ordered by (rate, seed,
+scheme) no matter how cells were executed.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import jr
-from .channel import ChannelProfile, corrupt_reads, keep_mask, vote
+from .channel import keep_mask
 from .errors import ConfigError
 from .inpaint import inpaint
 from .metrics import SsimReference, em_ssim
-from .partition import _image_manifest, decode_image, drop_tiles, encode_image
-from .strand import DEFAULT_LAYOUT, StrandLayout
+from .partition import _image_manifest, drop_tiles
+from .strand import DEFAULT_LAYOUT
 
 __all__ = ["SweepRow", "SweepResult", "loss_sweep", "CSV_HEADER"]
 
@@ -80,23 +80,17 @@ def loss_sweep(
     img: np.ndarray,
     rates: Sequence[float],
     seeds: Sequence[int],
-    base_profile: ChannelProfile | None = None,
-    cfg: jr.JrConfig = jr.DEFAULT_CONFIG,
-    layout: StrandLayout = DEFAULT_LAYOUT,
-    tile_pixels: int | None = None,
     run_inpaint: bool = False,
     threads: int = 1,
 ) -> SweepResult:
-    """Sweep strand-loss rates over seeds for both schemes.
+    """Sweep strand-loss rates over seeds for both schemes, under the
+    default codec and tile size.
 
-    With ``base_profile`` unset (or noiseless) each cell is a pure dropout
-    run: decoding the surviving strands would give the image with the lost
-    tiles zeroed, so :func:`~pjdna.partition.drop_tiles` zeroes them, and
-    only the image's manifest is built, not its strands.  A noisy profile
-    routes every cell through read corruption, the vote and
-    :func:`~pjdna.partition.decode_image` instead.  ``ssim_inpainted`` is filled only
-    when ``run_inpaint`` is set (the harmonic fill over large masked regions
-    dominates the sweep's cost otherwise).
+    Decoding the surviving strands would give the image with the lost tiles
+    zeroed, so :func:`~pjdna.partition.drop_tiles` zeroes them, and only
+    the image's manifest is built, not its strands.  ``ssim_inpainted`` is
+    filled only when ``run_inpaint`` is set (the harmonic fill over large
+    masked regions dominates the sweep's cost otherwise).
     """
     for r in rates:
         if not 0.0 <= r <= 1.0:
@@ -104,24 +98,14 @@ def loss_sweep(
     rates = sorted(set(float(r) for r in rates))
     seeds = [int(s) for s in seeds]
 
-    noisy = base_profile is not None and not base_profile.noiseless
-    if noisy:
-        lib, manifest = encode_image(img, cfg, layout, tile_pixels)
-    else:  # drop_tiles needs no strand
-        manifest = _image_manifest(np.asarray(img), cfg, layout, tile_pixels)
+    manifest = _image_manifest(np.asarray(img), jr.DEFAULT_CONFIG, DEFAULT_LAYOUT, None)
     n = manifest.strand_count
     score = SsimReference(img)
 
     def run_cell(rate: float, seed: int) -> list[SweepRow]:
         keep = keep_mask(n, rate, seed)
-        if noisy:
-            prof = replace(base_profile, dropout_p=0.0, seed=seed)
-            accepted = vote(corrupt_reads(lib.pool.rows(keep), prof).pool, layout, cfg)
-            recovered = decode_image(accepted, manifest)
-            image, missing = recovered.image, recovered.missing_mask
-        else:
-            pixels, missing = drop_tiles(img.reshape(1, -1), keep, manifest, 8)
-            image, missing = pixels.reshape(img.shape), missing.reshape(img.shape)
+        pixels, missing = drop_tiles(img.reshape(1, -1), keep, manifest)
+        image, missing = pixels.reshape(img.shape), missing.reshape(img.shape)
         raw = score(image)
         inpainted = None
         if run_inpaint:

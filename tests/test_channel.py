@@ -703,11 +703,13 @@ def test_column_modes_match_a_weighted_counter(bits, group_sizes, n_values, max_
 
 @pytest.mark.parametrize("tolerance", [0, 2])
 def test_vote_does_not_depend_on_read_order(tmp_path, rng, monkeypatch, tolerance):
-    """Runs of equal reads parse once and vote with their length as weight,
-    so a shuffled pool, whose runs are broken up, gives the winners and
-    counters of the ordered one; so do both as files, read in windows of
-    1 KiB and parsed 7 reads at a time, which splits runs at both
-    boundaries."""
+    """Runs of reads that share a start parse once and vote with their
+    length as weight, and equal reads at different starts one by one, to
+    the same winners and counters: the in-memory pool, whose equal reads do
+    not share a start, gives those of its shuffle, whose runs are broken
+    up, and of both as files, whose reader gives each run one start, read
+    in windows of 1 KiB and parsed 7 reads at a time, which splits runs at
+    both boundaries."""
     strands = random_strands(rng, 40)
     reads = corrupt_reads(strands, ChannelProfile(sub_p=0.004, coverage_mean=9, seed=5)).pool
     shuffled = reads.rows(rng.permutation(len(reads)))
@@ -725,7 +727,7 @@ def test_vote_does_not_depend_on_read_order(tmp_path, rng, monkeypatch, toleranc
         assert batch.counts == expect.counts
         assert np.array_equal(batch.indices, expect.indices)
         assert np.array_equal(batch.payload_blocks, expect.payload_blocks)
-    # the pool has runs to collapse, contested indices and rejected reads
+    # the reads have runs of equal reads, contested indices and rejected reads
     seqs = reads.to_strings()
     assert sum(a == b for a, b in zip(seqs, seqs[1:])) > len(seqs) // 4
     parsed = parse_many(reads, primer_tolerance=tolerance)

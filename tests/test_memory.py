@@ -110,11 +110,12 @@ def test_voting_off_the_stream_holds_one_window(reads_fastq, monkeypatch):
 def test_noisy_vote_settles_one_column_at_a_time(monkeypatch):
     """Through ``aging95C`` 30 % of the reads are rejected and most indices
     are contested.  Settling one column at a time, over only the groups
-    whose rows disagree in it, peaks at 54 bytes a read here with parse
-    chunks of 1,024 reads, gathering only one row of each run of reads that
-    share a start; gathering every read took 60, and building keys, counts
-    and a lexsort order over every (row, column) pair of every contested
-    group at once 463."""
+    whose rows disagree in it, peaks at 70 bytes a read here with parse
+    chunks of 1,024 reads.  Equal reads of this in-memory pool do not share
+    a start, so each is parsed and kept; comparing every gathered row with
+    the one before it, to parse a run of equal reads once, took 54, and
+    building keys, counts and a lexsort order over every (row, column) pair
+    of every contested group at once 463."""
     rng = np.random.default_rng(5)
     blocks = rng.integers(0, jr.DEFAULT_CONFIG.block_limit, (STRANDS, 18))
     pool = corrupt_reads(assemble_many(np.arange(STRANDS), blocks),

@@ -115,8 +115,8 @@ def test_any_pattern_is_a_whole_codec(pattern, payload_groups, stray_nt, data):
 
 
 def test_manifest_capacity_checks():
-    with pytest.raises(ConfigError):
-        TileManifest.for_image(64, 48, CFG, DEFAULT_LAYOUT, tile_pixels=21)  # 168 > 162
+    with pytest.raises(ConfigError, match="tile_pixels 21 needs 168 bits, payload holds 162"):
+        TileManifest.for_image(64, 48, CFG, DEFAULT_LAYOUT, tile_pixels=21)
     with pytest.raises(CapacityError):
         # 2^18 tiles of 20 px need more index space than 18 bits give
         TileManifest.for_image(4096, 2048, CFG, DEFAULT_LAYOUT, tile_pixels=20)

@@ -294,12 +294,26 @@ def test_parse_many_parses_each_run_of_equal_reads_once_and_repeats_it(rng, monk
                                 "reject_primer": 3, "reject_corrupt": 2}
 
 
+def test_from_strings_gives_adjacent_equal_strings_one_start():
+    """A string equal to the one before it shares its start, so the buffer
+    holds each run of equal strings once; an equal string after another
+    starts a run of its own."""
+    seqs = ["ACGT", "ACGT", "ACGT", "GG", "ACGT", "ACGT", "", "", "TTA"]
+    pool = ReadPool.from_strings(seqs)
+    assert pool.buf.tobytes() == b"ACGTGGACGTTTA"
+    assert pool.starts.tolist() == [0, 0, 0, 4, 6, 6, 10, 10, 10]
+    assert pool.lengths.tolist() == [4, 4, 4, 2, 4, 4, 0, 0, 3]
+    assert pool.to_strings() == seqs
+    assert len(ReadPool.from_strings([])) == 0
+
+
 @pytest.mark.parametrize("tolerance", [0, 2])
 def test_parse_handles_reads_sharing_a_start_as_their_copies(rng, monkeypatch, tolerance):
-    """Reads that share a start parse as the same reads each held in bytes
-    of its own: the same accepted rows and weights, the same parse and vote
-    and the same counters, with runs of equal reads straddling parse chunks
-    of 7 and the same read coming back after others."""
+    """Reads that share a start, taken from one pool or joined from equal
+    adjacent strings, give the same accepted rows and weights; they parse
+    and vote as the same reads each held in bytes of its own, with the same
+    counters, with runs of equal reads straddling parse chunks of 7 and the
+    same read coming back after others."""
     monkeypatch.setattr(strand_module, "_PARSE_CHUNK", 7)
     seqs = [assemble_strand(k % 3, random_payload(rng)).sequence for k in range(7)]
     seqs[1] = seqs[1][:-1]  # length
@@ -309,6 +323,9 @@ def test_parse_handles_reads_sharing_a_start_as_their_copies(rng, monkeypatch, t
     which = np.repeat(rng.integers(0, len(seqs), runs.size), runs)
     shared = ReadPool.from_strings(seqs).rows(which)
     copies = ReadPool.from_strings([seqs[k] for k in which])
+    lengths = copies.lengths
+    own = ReadPool(np.frombuffer("".join(seqs[k] for k in which).encode(), np.uint8),
+                   np.cumsum(lengths) - lengths, lengths)
     assert np.unique(shared.starts).size < len(shared)
     args = (DEFAULT_LAYOUT, CFG, tolerance, np.int64)
     got = strand_module._parse_reads([shared], *args)
@@ -318,10 +335,12 @@ def test_parse_handles_reads_sharing_a_start_as_their_copies(rng, monkeypatch, t
     assert got[3] == want[3]
     assert (got[3]["reject_primer"] > 0) == (tolerance == 0)
     for run in (parse_many, vote):
-        a, b = run(shared, primer_tolerance=tolerance), run(copies, primer_tolerance=tolerance)
-        np.testing.assert_array_equal(a.indices, b.indices)
-        np.testing.assert_array_equal(a.payload_blocks, b.payload_blocks)
-        assert a.counts == b.counts
+        a = run(shared, primer_tolerance=tolerance)
+        for pool in (copies, own):
+            b = run(pool, primer_tolerance=tolerance)
+            np.testing.assert_array_equal(a.indices, b.indices)
+            np.testing.assert_array_equal(a.payload_blocks, b.payload_blocks)
+            assert a.counts == b.counts
 
 
 def test_parse_rejects_an_index_past_63_bits():
