@@ -11,6 +11,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeError
+from .inpaint import Scratch
 
 __all__ = [
     "SsimReference",
@@ -38,15 +39,27 @@ def _window_kernel(side: int, gaussian: bool) -> np.ndarray:
     return k / k.sum()
 
 
-def _filter_valid(img: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _filter_valid(
+    img: np.ndarray, k: np.ndarray, first: np.ndarray, turned: np.ndarray, out: np.ndarray
+) -> np.ndarray:
     """Separable valid-mode correlation with a 1-D kernel on both axes.
 
     Both passes window axis 0, the second over a contiguous transpose: a
     window along axis 1 has overlapping strides that BLAS cannot take, and
-    numpy's own loop over them costs about five times as much.
+    numpy's own loop over them costs about five times as much.  The passes
+    write into the flat buffers ``first`` and ``turned``, and the result
+    into ``out``; it is returned as the transpose of a C-ordered block of
+    ``out``, so it is F-ordered, and sums over it run in that memory order.
     """
-    out = sliding_window_view(img, k.size, axis=0) @ k
-    return (sliding_window_view(np.ascontiguousarray(out.T), k.size, axis=0) @ k).T
+    h, w = img.shape
+    hv, wv = h - k.size + 1, w - k.size + 1
+    rows = first[: hv * w].reshape(hv, w)
+    np.matmul(sliding_window_view(img, k.size, axis=0), k, out=rows)
+    cols = turned[: w * hv].reshape(w, hv)
+    np.copyto(cols, rows.T)
+    result = out[: wv * hv].reshape(wv, hv)
+    np.matmul(sliding_window_view(cols, k.size, axis=0), k, out=result)
+    return result.T
 
 
 class SsimReference:
@@ -54,7 +67,10 @@ class SsimReference:
 
     Calling it with ``b`` returns ``ssim(a, b)`` by filtering only ``b``,
     ``b * b`` and ``a * b``.  A call reads the reference and never writes
-    it, so threads may share one.
+    it, so threads may share one.  Each call works in a
+    :class:`~pjdna.inpaint.Scratch` of its own; a sweep keeps one scratch
+    per worker thread and scores through :meth:`_score`, so the reference
+    is shared read-only and the scratch is not shared at all.
     """
 
     def __init__(self, a: np.ndarray) -> None:
@@ -65,22 +81,54 @@ class SsimReference:
         if side < 1:
             raise ShapeError("images must be non-empty")
         self.a = a
-        self.kernel = _window_kernel(side, gaussian=side == _WINDOW)
-        self.mu_a = _filter_valid(a, self.kernel)
-        self.var_a = _filter_valid(a * a, self.kernel) - self.mu_a * self.mu_a
+        self.kernel = k = _window_kernel(side, gaussian=side == _WINDOW)
+        first, turned = np.empty(a.size), np.empty(a.size)
+        self.mu_a = mu_a = _filter_valid(a, k, first, turned, np.empty(a.size))
+        self.var_a = _filter_valid(a * a, k, first, turned, np.empty(a.size)) - mu_a * mu_a
 
     def __call__(self, b: np.ndarray) -> float:
         """Mean local structural similarity of ``b`` to the reference."""
+        return self._score(b, Scratch(self.a.shape))
+
+    def _score(self, b: np.ndarray, scratch: Scratch) -> float:
+        """``self(b)``, worked in ``scratch``.
+
+        The arithmetic is that of ``(num / den).mean()`` with
+        ``num = (2 mu_a mu_b + C1)(2 cov + C2)`` and
+        ``den = (mu_a mu_a + mu_b mu_b + C1)(var_a + var_b + C2)``, operation
+        for operation, computed in place; the two filter-pass buffers hold
+        the temporaries once the filters are done.
+        """
         a, k, mu_a, var_a = self.a, self.kernel, self.mu_a, self.var_a
-        b = np.asarray(b, np.float64)
+        b = np.asarray(b)
         if a.shape != b.shape:
             raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
-        mu_b = _filter_valid(b, k)
-        var_b = _filter_valid(b * b, k) - mu_b * mu_b
-        cov = _filter_valid(a * b, k) - mu_a * mu_b
-        num = (2.0 * mu_a * mu_b + _C1) * (2.0 * cov + _C2)
-        den = (mu_a * mu_a + mu_b * mu_b + _C1) * (var_a + var_b + _C2)
-        return float((num / den).mean())
+        fb, prod, first, turned, mu_b, var_b, cov = scratch.fields
+        fb = fb[: a.size].reshape(a.shape)
+        prod = prod[: a.size].reshape(a.shape)
+        np.copyto(fb, b, casting="unsafe")
+        mu_b = _filter_valid(fb, k, first, turned, mu_b)
+        var_b = _filter_valid(np.multiply(fb, fb, out=prod), k, first, turned, var_b)
+        cov = _filter_valid(np.multiply(a, fb, out=prod), k, first, turned, cov)
+        num = first[: mu_b.size].reshape(mu_b.shape[::-1]).T  # laid out like the statistics
+        den = turned[: mu_b.size].reshape(mu_b.shape[::-1]).T
+        var_b -= np.multiply(mu_b, mu_b, out=num)
+        cov -= np.multiply(mu_a, mu_b, out=num)
+        np.multiply(mu_a, 2.0, out=num)
+        num *= mu_b
+        num += _C1
+        cov *= 2.0
+        cov += _C2
+        num *= cov
+        np.multiply(mu_a, mu_a, out=den)
+        mu_b *= mu_b
+        den += mu_b
+        den += _C1
+        var_b += var_a
+        var_b += _C2
+        den *= var_b
+        num /= den
+        return float(num.mean())
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:

@@ -157,7 +157,8 @@ def _write_records(path, pool: ReadPool, fields: list, quality: bool) -> None:
             keep = np.ones(out.shape, bool)
             for f, col in zip(decimals, at):
                 keep[:, col : col + f.width] = f.shown()
-            keep[:, seq_at : seq_at + width] = np.arange(width) < part.lengths[:, None]
+            if part.lengths.min() < width:
+                keep[:, seq_at : seq_at + width] = np.arange(width) < part.lengths[:, None]
             if quality:
                 qual_at = seq_at + width + 3
                 keep[:, qual_at : qual_at + width] = keep[:, seq_at : seq_at + width]
@@ -199,9 +200,15 @@ class _Decimal:
 
 def _read_rows(pool: ReadPool, width: int) -> np.ndarray:
     """The first ``width`` bytes at each read's start, as a (n, width)
-    matrix; the bytes past a read's end are any.  Rows are windows of the
-    pool's buffer, gathered byte by byte only for the reads near its end,
-    where a window would run past it."""
+    matrix; the bytes past a read's end are any.  Reads that start
+    ``width`` bytes apart, as a strand set's rows do, are one view of the
+    pool's buffer; otherwise rows are windows of it, gathered byte by byte
+    only for the reads near its end, where a window would run past it."""
+    n = len(pool)
+    if n and (np.diff(pool.starts) == width).all():
+        a = int(pool.starts[0])
+        if a + n * width <= pool.buf.size:
+            return pool.buf[a : a + n * width].reshape(n, width)
     fits = pool.starts <= pool.buf.size - width
     if fits.all():
         return sliding_window_view(pool.buf, width)[pool.starts]

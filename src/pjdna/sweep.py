@@ -6,13 +6,17 @@ the original with the lost tiles zeroed, which
 :func:`~pjdna.partition.drop_tiles` gives without building or parsing a
 strand.  Scores go through one :class:`~pjdna.metrics.SsimReference` per
 sweep, so the original's window statistics are computed once, not twice
-per cell.  The baseline scheme ("EM") sees the same drop event and scores
-1.0 only when nothing was lost.  Rows come out ordered by (rate, seed,
-scheme) no matter how cells were executed.
+per cell.  Each worker thread fills and scores its cells in one
+:class:`~pjdna.inpaint.Scratch` of its own, made on the thread's first
+cell and dropped with the sweep, so no cell allocates the fill's fields or
+SSIM's filter buffers again.  The baseline scheme ("EM") sees the same
+drop event and scores 1.0 only when nothing was lost.  Rows come out
+ordered by (rate, seed, scheme) no matter how cells were executed.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,7 +26,7 @@ import numpy as np
 from . import jr
 from .channel import keep_mask
 from .errors import ConfigError
-from .inpaint import inpaint
+from .inpaint import Scratch, _inpaint
 from .metrics import SsimReference, em_ssim
 from .partition import _image_manifest, drop_tiles
 from .strand import DEFAULT_LAYOUT
@@ -100,16 +104,20 @@ def loss_sweep(
 
     manifest = _image_manifest(np.asarray(img), jr.DEFAULT_CONFIG, DEFAULT_LAYOUT, None)
     n = manifest.strand_count
-    score = SsimReference(img)
+    reference = SsimReference(img)
+    workers = threading.local()
 
     def run_cell(rate: float, seed: int) -> list[SweepRow]:
+        if not hasattr(workers, "scratch"):
+            workers.scratch = Scratch(img.shape)
+        scratch = workers.scratch
         keep = keep_mask(n, rate, seed)
         pixels, missing = drop_tiles(img.reshape(1, -1), keep, manifest)
         image, missing = pixels.reshape(img.shape), missing.reshape(img.shape)
-        raw = score(image)
+        raw = reference._score(image, scratch)
         inpainted = None
         if run_inpaint:
-            inpainted = score(inpaint(image, missing))
+            inpainted = reference._score(_inpaint(image, missing, scratch), scratch)
         pm = SweepRow(rate, seed, "PM", raw, inpainted, float(missing.mean()))
         survived = int(keep.sum())
         em_val = em_ssim(survived, n)

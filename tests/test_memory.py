@@ -1,13 +1,17 @@
 """Peak memory of the decode read path, traced with ``tracemalloc`` (numpy
 reports its buffers to it) on a generated noiseless FASTQ of 4.8 MiB, whose
 reads come in runs of 8 equal reads, and on noisy reads through
-``aging95C``."""
+``aging95C``; and the page faults of a warm loss sweep."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import pjdna
 from pjdna import jr, seqio, strand
 from pjdna.channel import ChannelProfile, corrupt_reads, preset, vote
 from pjdna.seqio import ReadStream, read_sequences, write_fastq
@@ -140,3 +144,38 @@ def test_writing_fastq_copies_no_pool_buffer(tmp_path):
         lambda: write_fastq(tmp_path / "r.fastq", reads.pool, reads.origin_ids))
     assert count == len(reads)
     assert peak < 0.4 * reads.pool.buf.nbytes
+
+
+_WARM_SWEEP = """
+import resource
+import numpy as np
+from pjdna.sweep import loss_sweep
+
+yy, xx = np.mgrid[0:128, 0:128]
+img = np.clip(128 + 80 * np.sin(xx / 5.0) * np.cos(yy / 7.0), 0, 255).astype(np.uint8)
+loss_sweep(img, [0.5, 0.9], [1], run_inpaint=True)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+loss_sweep(img, [0.5, 0.9], [1], run_inpaint=True)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_warm_sweep_does_not_fault_its_fields_in_again():
+    """A sweep's cells fill and score in one scratch per worker, so a warm
+    sweep faults in little more than that scratch and the reference's
+    statistics.  The sweep runs in a fresh interpreter whose allocator
+    hands every freed block of 64 KiB or more back to the system: by
+    default glibc raises that threshold as blocks are freed, so whether a
+    freed field is handed back, and faulted in again by the next cell,
+    depends on the heap's layout (the old per-cell allocation took 338 to
+    1,259 faults here as the script's text changed).  With the threshold
+    fixed, this 128x128 sweep of 2 cells with fill takes 397 faults (347 to
+    561 as the script's text changes), where allocating every cell's fields
+    afresh took 4,084 (3,290 to 4,563)."""
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(pjdna.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "MALLOC_MMAP_THRESHOLD_": "65536",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _WARM_SWEEP], env=env, capture_output=True,
+                           text=True, timeout=120, check=True)
+    assert int(child.stdout) < 1500

@@ -1,4 +1,5 @@
-"""SSIM against a brute-force oracle, harmonic inpainting, baseline, tallies."""
+"""SSIM against a brute-force oracle, harmonic inpainting, baseline, tallies,
+and both against the arithmetic they had before they worked in a scratch."""
 
 import math
 
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from pjdna.errors import ConfigError, ShapeError
-from pjdna.inpaint import _harmonic_solve, inpaint
-from pjdna.metrics import SsimReference, em_ssim, ssim, tally_outcomes
+from pjdna.inpaint import Scratch, _harmonic_solve, _inpaint, inpaint
+from pjdna.metrics import _WINDOW, SsimReference, _window_kernel, em_ssim, ssim, tally_outcomes
 
 
 def ssim_oracle(a, b, side=11, sigma=1.5, k1=0.01, k2=0.03, data_range=255.0):
@@ -266,6 +268,122 @@ def test_inpaint_matches_sparse_direct_solve(rng, loss):
     got = inpaint(img, mask)[mask].astype(int)
     assert np.abs(got - np.clip(np.rint(exact), 0, 255)).max() <= 1
     assert np.array_equal(inpaint(img, mask)[~mask], img[~mask])
+
+
+# ---------------------------------------------------------------------------
+# the scratch keeps every bit: references with a fresh array per result
+# ---------------------------------------------------------------------------
+
+def _fresh_filter_valid(img, k):
+    out = sliding_window_view(img, k.size, axis=0) @ k
+    return (sliding_window_view(np.ascontiguousarray(out.T), k.size, axis=0) @ k).T
+
+
+def fresh_ssim(a, b):
+    """The SSIM formula as it was computed with a fresh array per term."""
+    a = np.array(a, np.float64)
+    b = np.asarray(b, np.float64)
+    side = min(a.shape[0], a.shape[1], _WINDOW)
+    k = _window_kernel(side, gaussian=side == _WINDOW)
+    mu_a = _fresh_filter_valid(a, k)
+    var_a = _fresh_filter_valid(a * a, k) - mu_a * mu_a
+    mu_b = _fresh_filter_valid(b, k)
+    var_b = _fresh_filter_valid(b * b, k) - mu_b * mu_b
+    cov = _fresh_filter_valid(a * b, k) - mu_a * mu_b
+    c1, c2 = (0.01 * 255.0) ** 2, (0.03 * 255.0) ** 2
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    return float((num / den).mean())
+
+
+def fresh_harmonic_solve(img, mask, tol=1e-6, max_iter=10_000):
+    """The CG loop as it ran with a degree array, a float mask and a step
+    array, each field allocated per call."""
+    h, w = img.shape
+    s = w + 2
+
+    def padded(values):
+        field = np.zeros((h + 2, s))
+        field[1:-1, 1:-1] = values
+        return field.ravel()
+
+    deg = np.full((h, w), 4.0)
+    deg[0] -= 1.0
+    deg[-1] -= 1.0
+    deg[:, 0] -= 1.0
+    deg[:, -1] -= 1.0
+    deg = padded(deg)
+    on = padded(mask)
+
+    def laplacian(field, out):
+        np.multiply(deg, field, out=out)
+        out[s:-s] -= field[: -2 * s]
+        out[s:-s] -= field[2 * s :]
+        out[1:-1] -= field[:-2]
+        out[1:-1] -= field[2:]
+        out *= on
+
+    r = np.empty_like(on)
+    laplacian(padded(np.where(mask, 0.0, img)), r)
+    np.negative(r, out=r)
+    x = np.zeros_like(on)
+    p = r.copy()
+    ap = np.empty_like(on)
+    step = np.empty_like(on)
+    rs = r @ r
+    stop = tol * tol * rs
+    for _ in range(max_iter):
+        if rs <= stop:
+            break
+        laplacian(p, ap)
+        alpha = rs / (p @ ap)
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(ap, alpha, out=step)
+        rs, rs_old = r @ r, rs
+        p *= rs / rs_old
+        p += r
+    return x.reshape(h + 2, s)[1:-1, 1:-1]
+
+
+def fresh_inpaint(img, mask):
+    out = img.astype(np.uint8, copy=True)
+    if not mask.any():
+        return out
+    if mask.all() or img.size == 1:
+        out[mask] = 0
+        return out
+    solution = fresh_harmonic_solve(img, mask)
+    out[mask] = np.clip(np.rint(solution[mask]), 0, 255).astype(np.uint8)
+    return out
+
+
+def _masks(shape):
+    return st.one_of(st.just(np.zeros(shape, bool)), st.just(np.ones(shape, bool)),
+                     hnp.arrays(np.bool_, shape))
+
+
+@settings(max_examples=100, deadline=None)
+@given(images=_image_pairs(), data=st.data())
+def test_scratch_arithmetic_is_bit_identical(images, data):
+    """Scores and fills worked in a scratch equal, bit for bit, those of the
+    fresh-array formulas, also in a scratch that another call left dirty."""
+    a, b = images
+    mask = data.draw(_masks(a.shape))
+    expect = fresh_ssim(a, b)
+    ref = SsimReference(a)
+    assert ref(b) == expect
+    assert ssim(a, b) == expect
+    assert np.array_equal(_harmonic_solve(a, mask, 1e-6, 10_000), fresh_harmonic_solve(a, mask))
+    filled = fresh_inpaint(a, mask)
+    assert np.array_equal(inpaint(a, mask), filled)
+
+    scratch = Scratch(a.shape)
+    for field in scratch.fields:
+        field.fill(np.nan)
+    scratch.mask.fill(True)
+    assert ref._score(b, scratch) == expect
+    assert np.array_equal(_inpaint(a, mask, scratch), filled)
+    assert ref._score(filled, scratch) == fresh_ssim(a, filled)
 
 
 # ---------------------------------------------------------------------------
